@@ -115,27 +115,25 @@ def bench_problems(n_waypoints: int, degree: int, joints: int, fc: float, durati
     omega = 2 * np.pi * 0.25
     amp_cap = 0.5 * min(v_max, a_max * duration / 3.0) / omega
     times = np.arange(1, n_waypoints + 1) * duration
-    shared = None
-    lower = upper = None
+    targets = np.empty((n_waypoints, joints))
+    initial_states = np.empty((3, joints))
     for j in range(joints):
         amp = amp_cap * rng.uniform(0.3, 1.0)
         phase = rng.uniform(0, 2 * np.pi)
-        positions = amp * np.sin(omega * times + phase)
-        s0 = (
-            float(amp * np.sin(phase)),
-            float(amp * omega * np.cos(phase)),
-            float(-amp * omega**2 * np.sin(phase)),
+        targets[:, j] = amp * np.sin(omega * times + phase)
+        initial_states[:, j] = (
+            amp * np.sin(phase),
+            amp * omega * np.cos(phase),
+            -amp * omega**2 * np.sin(phase),
         )
-        waypoints = [(float(p), duration) for p in positions]
-        if shared is None:
-            shared = qpbuild.assemble_qp(waypoints, s0, degree, fc, v_max, a_max)
-            m = shared.a_matrix.shape[0]
-            lower = np.tile(shared.lower[:, None], (1, joints))
-            upper = np.tile(shared.upper[:, None], (1, joints))
-        else:
-            _, b_eq = qpbuild.build_equality(waypoints, s0, degree)
-            lower[: shared.n_eq, j] = b_eq
-            upper[: shared.n_eq, j] = b_eq
+    shared = qpbuild.assemble_qp(
+        [(float(p), duration) for p in targets[:, 0]],
+        tuple(float(v) for v in initial_states[:, 0]),
+        degree, fc, v_max, a_max,
+    )
+    lower, upper = qpbuild.joint_bounds(
+        shared, targets, initial_states, np.full(joints, v_max), np.full(joints, a_max)
+    )
     return shared, lower, upper
 
 

@@ -201,17 +201,17 @@ def plan(
         raise ValidationError("initial state does not match chain dof")
     settings = settings or PLANNER_SETTINGS
 
-    t_build0 = time.perf_counter()
     q0 = chain.clamp(s0.q)
     joint_targets = _solve_joint_waypoints(request, chain, q0)
 
+    t_build0 = time.perf_counter()
     durations = np.array([wp.duration for wp in request.waypoints])
     fc = chain.control_frequency
     n_seg = len(durations)
     width = degree + 1
 
     # Q and A depend only on degree/durations/grid, so build them once from
-    # joint 0 and swap in per-joint bound columns
+    # joint 0; the joints differ only in their bound columns
     shared = qpbuild.assemble_qp(
         [(float(joint_targets[i, 0]), float(durations[i])) for i in range(n_seg)],
         (float(q0[0]), float(s0.qd[0]), float(s0.qdd[0])),
@@ -220,24 +220,9 @@ def plan(
         float(chain.v_max[0]),
         float(chain.a_max[0]),
     )
-    n_rows = shared.a_matrix.shape[0]
-    n_in = n_rows - shared.n_eq
-    lower = np.empty((n_rows, chain.dof))
-    upper = np.empty((n_rows, chain.dof))
-    # inequality rows alternate velocity/acceleration per sample (qpbuild order)
-    limit_pattern = np.empty((n_in, chain.dof))
-    limit_pattern[0::2] = chain.v_max
-    limit_pattern[1::2] = chain.a_max
-    for j in range(chain.dof):
-        _, b_eq = qpbuild.build_equality(
-            [(float(joint_targets[i, j]), float(durations[i])) for i in range(n_seg)],
-            (float(q0[j]), float(s0.qd[j]), float(s0.qdd[j])),
-            degree,
-        )
-        lower[: shared.n_eq, j] = b_eq
-        upper[: shared.n_eq, j] = b_eq
-    lower[shared.n_eq :] = -limit_pattern
-    upper[shared.n_eq :] = limit_pattern
+    lower, upper = qpbuild.joint_bounds(
+        shared, joint_targets, np.stack([q0, s0.qd, s0.qdd]), chain.v_max, chain.a_max
+    )
     build_time = time.perf_counter() - t_build0
 
     batch = qpsolve.solve_batch(shared.q_matrix, shared.a_matrix, lower, upper, settings)

@@ -39,6 +39,23 @@ def basis_row(degree: int, u: float, k: int = 0) -> Array:
     return row
 
 
+def basis_rows(degree: int, u: Array, k: int = 0) -> Array:
+    """basis_row at every entry of an array of normalized times, stacked
+    along a new last axis: shape u.shape + (degree + 1,)."""
+    if degree < MIN_DEGREE:
+        raise ValueError(f"polynomial degree must be >= {MIN_DEGREE}, got {degree}")
+    if not 0 <= k <= MAX_DERIVATIVE:
+        raise ValueError(f"derivative order must be in 0..{MAX_DERIVATIVE}, got {k}")
+    u = np.asarray(u, dtype=float)
+    if u.size and not (0.0 <= u.min() and u.max() <= 1.0):
+        raise ValueError("normalized time must lie in [0, 1]")
+    j = np.arange(degree + 1)
+    factor = np.ones(degree + 1)
+    for step in range(k):
+        factor *= j - step  # zero for j < k
+    return factor * u[..., None] ** np.maximum(j - k, 0)
+
+
 @dataclass(frozen=True)
 class Segment:
     """One polynomial piece: coefficients over normalized local time."""

@@ -6,6 +6,11 @@ third-derivative basis rows; equalities pin the initial state, the terminal
 rest state, waypoint pass-through, and junction continuity; inequalities
 bound velocity and acceleration on the same sampling grid as the cost, in
 two-sided interval form l <= A p <= u (equality rows are tight intervals).
+
+A is held as BlockRows: the 4N+2 equality rows form a dense head (continuity
+rows span two segments), and the limit rows form one (R, L+1) block per
+segment, so products with A cost O(N * R * (L+1)) for the tail instead of
+O(m * n).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from rtmotion.poly import basis_row
+from rtmotion.poly import basis_row, basis_rows
 
 Array = NDArray[np.float64]
 
@@ -28,17 +33,116 @@ class QpBuildError(ValueError):
     """Structurally invalid problem (bad inputs or rank-deficient equalities)."""
 
 
+def _block_diagonal(blocks: Array) -> Array:
+    """The (N*r, N*c) block-diagonal matrix of (N, r, c) blocks."""
+    n_blocks, n_rows, n_cols = blocks.shape
+    out = np.zeros((n_blocks, n_rows, n_blocks, n_cols))
+    diagonal = np.arange(n_blocks)
+    out[diagonal, :, diagonal, :] = blocks
+    return out.reshape(n_blocks * n_rows, n_blocks * n_cols)
+
+
+class BlockRows:
+    """Constraint rows: a dense head stacked above a block-diagonal tail.
+
+    head is (m_head, n); blocks is (N, R, w) with n = N * w, and block i acts
+    on columns i*w .. (i+1)*w. Only the first counts[i] rows of block i are
+    real; the rest are zero padding, so segments with different sample counts
+    share one array. The padding shows in no row count, dense view or row
+    norm: the dense view is the head rows, then the real rows of each block in
+    block order. Code that iterates on the padded layout (dot, tdot, gram)
+    moves per-row data into it with pad. A dense matrix is the case of a tail
+    with no rows (wrap).
+    """
+
+    def __init__(self, head: Array, blocks: Array, counts=None):
+        n_blocks, n_pad, width = blocks.shape
+        if head.ndim != 2 or head.shape[1] != n_blocks * width:
+            raise QpBuildError("head and blocks disagree on the column count")
+        self.head = head
+        self.blocks = blocks
+        self.counts = np.full(n_blocks, n_pad) if counts is None else np.asarray(counts)
+        self._real = np.arange(n_pad) < self.counts[:, None]
+        if np.any(blocks[~self._real]):
+            raise QpBuildError("padding rows of the blocks must be zero")
+        self._blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
+        m_head = head.shape[0]
+        # positions of the dense view's rows in the padded layout
+        self._rows = np.concatenate([np.arange(m_head), m_head + np.flatnonzero(self._real)])
+        self.shape = (len(self._rows), head.shape[1])
+        self.n_padded = m_head + n_blocks * n_pad
+
+    @classmethod
+    def wrap(cls, a) -> "BlockRows":
+        """a itself if it is BlockRows, else a dense matrix as a head."""
+        if isinstance(a, cls):
+            return a
+        a = np.asarray(a, dtype=float)
+        return cls(a, np.zeros((1, 0, a.shape[1])))
+
+    def toarray(self) -> Array:
+        tail = _block_diagonal(self.blocks)[self._real.ravel()]
+        return np.vstack([self.head, tail])
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self.toarray()
+        return dense if dtype is None else dense.astype(dtype)
+
+    def row_norms(self) -> Array:
+        """Max-abs of each row of the dense view."""
+        tail = np.abs(self.blocks).max(axis=2, initial=0.0)[self._real]
+        return np.concatenate([np.abs(self.head).max(axis=1, initial=0.0), tail])
+
+    def pad(self, values: Array, fill: float) -> Array:
+        """Per-row values in dense-view order (first axis) moved to the padded
+        layout, with fill on the padding rows."""
+        out = np.full((self.n_padded,) + values.shape[1:], fill)
+        out[self._rows] = values
+        return out
+
+    def scale_rows(self, scale: Array) -> "BlockRows":
+        """The rows of the dense view multiplied by scale, one entry per row."""
+        padded = self.pad(scale, 0.0)
+        m_head = self.head.shape[0]
+        tail = padded[m_head:].reshape(self._real.shape)
+        return BlockRows(self.head * padded[:m_head, None], self.blocks * tail[..., None], self.counts)
+
+    def dot(self, x: Array) -> Array:
+        """A x in the padded layout, for x of shape (n, k)."""
+        n_blocks, _, width = self.blocks.shape
+        # a Fortran-ordered x (as LAPACK returns it) would reshape to a strided
+        # view that matmul cannot hand to BLAS
+        x = np.ascontiguousarray(x)
+        tail = np.matmul(self.blocks, x.reshape(n_blocks, width, x.shape[1]))
+        return np.concatenate([self.head @ x, tail.reshape(-1, x.shape[1])])
+
+    def tdot(self, y: Array) -> Array:
+        """A^T y for y of shape (n_padded, k) in the padded layout."""
+        m_head = self.head.shape[0]
+        n_blocks, n_pad, _ = self.blocks.shape
+        tail = np.matmul(self._blocks_t, y[m_head:].reshape(n_blocks, n_pad, y.shape[1]))
+        return self.head.T @ y[:m_head] + tail.reshape(-1, y.shape[1])
+
+    def gram(self, weights: Array) -> Array:
+        """A^T diag(weights) A for one weight per row of the padded layout."""
+        m_head = self.head.shape[0]
+        tail_w = weights[m_head:].reshape(self._real.shape)[..., None]
+        tail = np.matmul(self._blocks_t, self.blocks * tail_w)
+        return (self.head.T * weights[:m_head]) @ self.head + _block_diagonal(tail)
+
+
 @dataclass
 class QpProblem:
     """min p^T Q p  subject to  lower <= A p <= upper.
 
-    The first n_eq rows of A are equalities (lower == upper). dims carries
-    (degree, segment count, durations) so solutions can be mapped back to
-    trajectories.
+    The first n_eq rows of A are equalities (lower == upper). a_matrix is
+    BlockRows (or a dense array); lower and upper follow the rows of its
+    dense view. dims carries (degree, segment count, durations) so solutions
+    can be mapped back to trajectories.
     """
 
     q_matrix: Array
-    a_matrix: Array
+    a_matrix: BlockRows | Array
     lower: Array
     upper: Array
     n_eq: int
@@ -55,17 +159,18 @@ class QpProblem:
 
     def validate(self) -> None:
         n = self.n_vars
+        rows = BlockRows.wrap(self.a_matrix)
         if self.q_matrix.shape != (n, n):
             raise QpBuildError("Q must be square")
         if np.max(np.abs(self.q_matrix - self.q_matrix.T)) > 0:
             raise QpBuildError("Q must be symmetric")
-        if self.a_matrix.shape[1] != n:
+        if rows.shape[1] != n:
             raise QpBuildError("A column count must match Q")
-        if self.lower.shape != self.upper.shape or self.lower.shape[0] != self.a_matrix.shape[0]:
+        if self.lower.shape != self.upper.shape or self.lower.shape[0] != rows.shape[0]:
             raise QpBuildError("bounds must match A row count")
         if np.any(self.lower > self.upper):
             raise QpBuildError("lower bounds exceed upper bounds")
-        if np.any(np.all(self.a_matrix == 0.0, axis=1)):
+        if np.any(rows.row_norms() == 0.0):
             raise QpBuildError("A contains an all-zero row")
 
     def dump_json(self, path: str | Path) -> None:
@@ -76,22 +181,43 @@ class QpProblem:
             "degree": self.degree,
             "durations": self.durations.tolist(),
             "Q": self.q_matrix.tolist(),
-            "A": self.a_matrix.tolist(),
+            "A": np.asarray(self.a_matrix).tolist(),
             "lower": self.lower.tolist(),
             "upper": self.upper.tolist(),
         }
         Path(path).write_text(json.dumps(payload))
 
 
-def segment_samples(duration: float, control_frequency: float) -> Array:
-    """Normalized sample times for one segment: max(2, round(f_c * D)) points
-    spanning [0, 1] inclusive, so segment endpoints are always sampled."""
-    if duration <= 0:
+def _sample_grid(durations: Array, control_frequency: float) -> tuple[Array, NDArray[np.bool_]]:
+    """segment_samples of every segment, padded to a common length: the
+    (N, S) sample times and the (N, S) mask of real samples."""
+    if np.any(durations <= 0):
         raise QpBuildError("segment duration must be positive")
     if control_frequency <= 0:
         raise QpBuildError("control frequency must be positive")
-    count = max(2, int(round(control_frequency * duration)))
-    return np.linspace(0.0, 1.0, count)
+    counts = np.maximum(2, np.round(control_frequency * durations).astype(int))
+    steps = np.arange(counts.max())
+    u = steps * (1.0 / (counts - 1))[:, None]  # np.linspace's arithmetic
+    u[np.arange(len(counts)), counts - 1] = 1.0
+    real = steps < counts[:, None]
+    u[~real] = 0.0  # any time in [0, 1]; callers zero the padding rows
+    return u, real
+
+
+def segment_samples(duration: float, control_frequency: float) -> Array:
+    """Normalized sample times for one segment: max(2, round(f_c * D)) points
+    spanning [0, 1] inclusive, so segment endpoints are always sampled."""
+    u, _ = _sample_grid(np.array([duration], dtype=float), control_frequency)
+    return u[0]
+
+
+def _jerk_blocks(degree: int, durations: Array, control_frequency: float) -> Array:
+    """jerk_cost_matrix of every segment: (N, L+1, L+1)."""
+    u, real = _sample_grid(durations, control_frequency)
+    rows = basis_rows(degree, u, 3)
+    rows[~real] = 0.0
+    q = np.matmul(rows.transpose(0, 2, 1), rows) * (durations**-6)[:, None, None]
+    return 0.5 * (q + q.transpose(0, 2, 1))
 
 
 def jerk_cost_matrix(degree: int, duration: float, control_frequency: float) -> Array:
@@ -100,10 +226,18 @@ def jerk_cost_matrix(degree: int, duration: float, control_frequency: float) -> 
     Symmetric PSD by construction; the D**-6 factor is the squared chain-rule
     scaling of the jerk under normalized local time.
     """
-    samples = segment_samples(duration, control_frequency)
-    rows = np.array([basis_row(degree, u, 3) for u in samples])
-    q = rows.T @ rows * duration**-6
-    return 0.5 * (q + q.T)
+    return _jerk_blocks(degree, np.array([duration], dtype=float), control_frequency)[0]
+
+
+def _equality_rhs(targets: Array, initial_states: Array) -> Array:
+    """Right-hand side of build_equality's rows, one column per entry of the
+    (N, k) waypoint targets and the (3, k) initial (q, qd, qdd) states."""
+    n_seg = targets.shape[0]
+    b_eq = np.zeros((4 * n_seg + 2,) + targets.shape[1:])
+    b_eq[:3] = initial_states
+    b_eq[3] = targets[-1]
+    b_eq[6::4] = targets[:-1]  # pass-through row of each interior junction
+    return b_eq
 
 
 def build_equality(
@@ -130,27 +264,26 @@ def build_equality(
     width = degree + 1
     n_rows = 4 * n_seg + 2
     a_eq = np.zeros((n_rows, width * n_seg))
-    b_eq = np.zeros(n_rows)
 
     def block(i: int) -> slice:
         return slice(i * width, (i + 1) * width)
 
+    # every row is a segment-start or segment-end basis row, scaled
+    start = [basis_row(degree, 0.0, k) for k in range(3)]
+    end = [basis_row(degree, 1.0, k) for k in range(3)]
     row = 0
     for k in range(3):  # initial state of segment 1
-        a_eq[row, block(0)] = basis_row(degree, 0.0, k) * durations[0] ** -k
-        b_eq[row] = initial_state[k]
+        a_eq[row, block(0)] = start[k] * durations[0] ** -k
         row += 1
     for k in range(3):  # terminal rest at the last waypoint
-        a_eq[row, block(n_seg - 1)] = basis_row(degree, 1.0, k) * durations[-1] ** -k
-        b_eq[row] = positions[-1] if k == 0 else 0.0
+        a_eq[row, block(n_seg - 1)] = end[k] * durations[-1] ** -k
         row += 1
     for i in range(n_seg - 1):  # interior junctions
-        a_eq[row, block(i)] = basis_row(degree, 1.0, 0)
-        b_eq[row] = positions[i]
+        a_eq[row, block(i)] = end[0]
         row += 1
         for k in range(3):
-            a_eq[row, block(i)] = basis_row(degree, 1.0, k) * durations[i] ** -k
-            a_eq[row, block(i + 1)] = -basis_row(degree, 0.0, k) * durations[i + 1] ** -k
+            a_eq[row, block(i)] = end[k] * durations[i] ** -k
+            a_eq[row, block(i + 1)] = -start[k] * durations[i + 1] ** -k
             row += 1
 
     if np.linalg.matrix_rank(a_eq) < n_rows:
@@ -158,7 +291,16 @@ def build_equality(
             f"equality constraints are rank-deficient: {n_rows} rows need "
             f"degree >= 4 and N*(L+1) >= 4N+2 (got N={n_seg}, L={degree})"
         )
-    return a_eq, b_eq
+    return a_eq, _equality_rhs(positions, np.asarray(initial_state, dtype=float))
+
+
+def _limit_rows(n_rows: int, v_max, a_max) -> Array:
+    """Upper limits of the inequality rows, which alternate velocity and
+    acceleration sample by sample; one column per entry of v_max and a_max."""
+    limits = np.empty((n_rows,) + np.shape(v_max))
+    limits[0::2] = v_max
+    limits[1::2] = a_max
+    return limits
 
 
 def build_inequality(
@@ -167,27 +309,25 @@ def build_inequality(
     control_frequency: float,
     v_max: float,
     a_max: float,
-) -> tuple[Array, Array, Array]:
+) -> tuple[BlockRows, Array, Array]:
     """Velocity/acceleration interval rows on the cost sampling grid.
 
-    Two rows per sample (velocity then acceleration), segment by segment; the
-    two-sided interval form absorbs the absolute values.
+    Two rows per sample (velocity then acceleration), one block per segment
+    and no head; the two-sided interval form absorbs the absolute values.
     """
     if v_max <= 0 or a_max <= 0:
         raise QpBuildError("velocity and acceleration limits must be positive")
     durations = np.asarray(durations, dtype=float)
     n_seg = len(durations)
     width = degree + 1
-    blocks, lowers, uppers = [], [], []
-    for i, duration in enumerate(durations):
-        for u in segment_samples(duration, control_frequency):
-            for k, limit in ((1, v_max), (2, a_max)):
-                row = np.zeros(width * n_seg)
-                row[i * width : (i + 1) * width] = basis_row(degree, u, k) * duration**-k
-                blocks.append(row)
-                lowers.append(-limit)
-                uppers.append(limit)
-    return np.array(blocks), np.array(lowers), np.array(uppers)
+    u, real = _sample_grid(durations, control_frequency)
+    scale = durations[:, None, None]
+    rows = np.stack([basis_rows(degree, u, k) * scale**-k for k in (1, 2)], axis=2)
+    rows[~real] = 0.0
+    blocks = rows.reshape(n_seg, -1, width)
+    a_in = BlockRows(np.zeros((0, width * n_seg)), blocks, 2 * real.sum(axis=1))
+    limits = _limit_rows(a_in.shape[0], v_max, a_max)
+    return a_in, -limits, limits
 
 
 def assemble_qp(
@@ -199,27 +339,21 @@ def assemble_qp(
     a_max: float,
     ridge: float = DEFAULT_RIDGE,
 ) -> QpProblem:
-    """Full per-joint problem: block-diagonal jerk cost, equality rows stacked
-    as tight intervals above the sampled limit rows.
+    """Full per-joint problem: block-diagonal jerk cost, equality rows as the
+    dense head (tight intervals) above the per-segment sampled limit rows.
 
     The tiny diagonal ridge lifts the cubic-and-below nullspace of the jerk
     Gram matrix so downstream factorizations stay stable.
     """
     durations = np.array([w[1] for w in waypoints], dtype=float)
-    n_seg = len(waypoints)
-    width = degree + 1
-    q_matrix = np.zeros((width * n_seg, width * n_seg))
-    for i, duration in enumerate(durations):
-        sl = slice(i * width, (i + 1) * width)
-        q_matrix[sl, sl] = jerk_cost_matrix(degree, duration, control_frequency)
-    q_matrix += ridge * np.eye(width * n_seg)
-
     a_eq, b_eq = build_equality(waypoints, initial_state, degree)
     a_in, l_in, u_in = build_inequality(degree, durations, control_frequency, v_max, a_max)
+    q_matrix = _block_diagonal(_jerk_blocks(degree, durations, control_frequency))
+    q_matrix += ridge * np.eye(q_matrix.shape[0])
 
     problem = QpProblem(
         q_matrix=q_matrix,
-        a_matrix=np.vstack([a_eq, a_in]),
+        a_matrix=BlockRows(a_eq, a_in.blocks, a_in.counts),
         lower=np.concatenate([b_eq, l_in]),
         upper=np.concatenate([b_eq, u_in]),
         n_eq=a_eq.shape[0],
@@ -228,3 +362,23 @@ def assemble_qp(
     )
     problem.validate()
     return problem
+
+
+def joint_bounds(
+    problem: QpProblem, targets: Array, initial_states: Array, v_max: Array, a_max: Array
+) -> tuple[Array, Array]:
+    """(lower, upper) of every joint for problems sharing problem's Q and A,
+    one column per joint.
+
+    targets is the (N, dof) waypoint positions, initial_states the (3, dof)
+    initial position, velocity and acceleration, v_max and a_max the (dof,)
+    limits. Only the bounds differ between joints, so this is all that one
+    joint's problem lacks for the others.
+    """
+    initial_states = np.asarray(initial_states, dtype=float)
+    if not np.all(np.isfinite(initial_states)):
+        raise QpBuildError("initial state contains non-finite entries")
+    b_eq = _equality_rhs(np.asarray(targets, dtype=float), initial_states)
+    n_in = problem.a_matrix.shape[0] - problem.n_eq
+    limits = _limit_rows(n_in, np.asarray(v_max, dtype=float), np.asarray(a_max, dtype=float))
+    return np.vstack([b_eq, -limits]), np.vstack([b_eq, limits])

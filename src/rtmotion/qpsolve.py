@@ -9,6 +9,10 @@ scaling + row normalization of A) so the fixed penalty works across the wide
 dynamic range the short-segment problems produce. Both transformations leave
 the minimizer unchanged and are invisible to callers.
 
+A is taken as qpbuild.BlockRows (a dense matrix is a head with no tail), so
+one iteration costs products with the dense head, O(N * R * (L+1)) for the
+per-segment blocks, and a pair of n x n triangular solves with the factor.
+
 Several independent problems that share Q and A (one per joint of a request)
 can be solved as columns of one batch, which amortizes the factorization and
 the per-iteration matrix products.
@@ -24,7 +28,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from rtmotion.qpbuild import QpProblem
+from rtmotion.qpbuild import BlockRows, QpProblem
 
 Array = NDArray[np.float64]
 
@@ -87,43 +91,55 @@ class BatchSolution:
 
 def solve_batch(
     q_matrix: Array,
-    a_matrix: Array,
+    a_matrix: BlockRows | Array,
     lower: Array,
     upper: Array,
     settings: Optional[SolverSettings] = None,
 ) -> BatchSolution:
-    """ADMM over the columns of lower/upper; all columns share Q and A."""
+    """ADMM over the columns of lower/upper; all columns share Q and A.
+
+    lower and upper follow the rows of A's dense view. The iterates live in
+    A's padded row layout, where padding rows are zero with unbounded
+    limits: z and y stay exactly 0 on them.
+    """
     settings = settings or SolverSettings()
     start = time.perf_counter()
+    a = BlockRows.wrap(a_matrix)
     n = q_matrix.shape[0]
-    m, n_problems = lower.shape
+    n_problems = lower.shape[1]
 
     # equilibration: unit-inf-norm rows of A, cost matrix scaled near unity
-    row_norms = np.max(np.abs(a_matrix), axis=1)
+    row_norms = a.row_norms()
     if np.any(row_norms <= 0):
         raise ValueError("A contains an all-zero row")
     e_scale = 1.0 / row_norms
-    a_s = a_matrix * e_scale[:, None]
-    l_s = lower * e_scale[:, None]
-    u_s = upper * e_scale[:, None]
+    a_s = a.scale_rows(e_scale)
+    l_s = a.pad(lower * e_scale[:, None], -np.inf)
+    u_s = a.pad(upper * e_scale[:, None], np.inf)
     p_full = 2.0 * q_matrix  # gradient convention for the p^T Q p objective
     cost_scale = 1.0 / max(float(np.max(np.abs(p_full))), 1e-12)
     p_s = p_full * cost_scale
 
+    m = a.n_padded
     rho = np.full(m, settings.rho)
     rho[np.all(u_s - l_s <= _EQUALITY_GAP, axis=1)] = settings.rho * _EQUALITY_RHO_SCALE
 
-    reduced = p_s + settings.sigma * np.eye(n) + (a_s.T * rho) @ a_s
+    reduced = p_s + settings.sigma * np.eye(n) + a_s.gram(rho)
     try:
-        factor = scipy.linalg.cho_factor(reduced, check_finite=False)
+        factor, lower_factor = scipy.linalg.cho_factor(reduced, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise FactorizationError(f"reduced system factorization failed: {exc}") from exc
 
+    # LAPACK's triangular solves directly: cho_solve's argument handling
+    # costs more than the solve itself at teleop sizes
+    (potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (factor,))
     x = np.zeros((n, n_problems))
     z = np.zeros((m, n_problems))
     y = np.zeros((m, n_problems))
-    rho_col = rho[:, None]
-    inv_e = row_norms[:, None]
+    # per-row factors as full (m, k) arrays: broadcasting an (m, 1) column
+    # over the k problems defeats numpy's contiguous inner loops
+    rho_col = np.repeat(rho[:, None], n_problems, axis=1)
+    inv_e = np.repeat(a.pad(row_norms[:, None], 1.0), n_problems, axis=1)
 
     status = STATUS_MAX_ITERS
     iterations = settings.max_iters
@@ -134,25 +150,23 @@ def solve_batch(
     stall = 0
 
     for iteration in range(1, settings.max_iters + 1):
-        rhs = settings.sigma * x + a_s.T @ (rho_col * z - y)
-        x_tilde = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        z_tilde = a_s @ x_tilde
+        rhs = settings.sigma * x + a_s.tdot(rho_col * z - y)
+        x_tilde, _ = potrs(factor, rhs, lower=lower_factor)
+        z_tilde = a_s.dot(x_tilde)
         x = settings.alpha * x_tilde + (1.0 - settings.alpha) * x
         v = settings.alpha * z_tilde + (1.0 - settings.alpha) * z + y / rho_col
-        z = np.clip(v, l_s, u_s)
+        z = np.minimum(np.maximum(v, l_s), u_s)  # np.clip, without its overhead
         y = rho_col * (v - z)
 
         if iteration % settings.check_interval == 0 or iteration == settings.max_iters:
-            ax = a_s @ x
+            ax = a_s.dot(x)
             # primal residual in physical row units (undo the row scaling)
             prim_gap = np.abs(ax - z) * inv_e
             prim_res = prim_gap.max(axis=0)
             prim_ref = np.maximum(np.abs(ax) * inv_e, np.abs(z) * inv_e).max(axis=0)
-            dual_gap = p_s @ x + a_s.T @ y
-            dual_res = np.abs(dual_gap).max(axis=0)
-            dual_ref = np.maximum(
-                np.abs(p_s @ x).max(axis=0), np.abs(a_s.T @ y).max(axis=0)
-            )
+            px, aty = p_s @ x, a_s.tdot(y)
+            dual_res = np.abs(px + aty).max(axis=0)
+            dual_ref = np.maximum(np.abs(px).max(axis=0), np.abs(aty).max(axis=0))
             converged = (prim_res <= settings.eps_abs + settings.eps_rel * prim_ref) & (
                 dual_res <= settings.eps_abs + settings.eps_rel * dual_ref
             )

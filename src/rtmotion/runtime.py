@@ -171,15 +171,16 @@ class Session:
         with self._intake_lock:
             old_plan = self.active_plan
             record = RequestRecord(request_id=request.request_id, t_submitted=t_now, accepted=False)
+            # receipt stamps from different connections may interleave within
+            # a planning window; never preempt before the epoch
+            t_preempt = t_now if old_plan is None else max(t_now, old_plan.epoch)
             try:
                 if old_plan is None:
                     state = RobotState(self._hold.q, self._hold.qd, self._hold.qdd, t_now)
                     new_plan = planner.plan(request, self.chain, state, degree=self.degree)
                 else:
-                    # receipt stamps from different connections may interleave
-                    # within a planning window; never preempt before the epoch
                     new_plan = planner.preempt(
-                        old_plan, max(t_now, old_plan.epoch), request, self.chain, degree=self.degree
+                        old_plan, t_preempt, request, self.chain, degree=self.degree
                     )
             except (planner.ValidationError, planner.PlanningError) as exc:
                 record.reason = f"{getattr(exc, 'stage', 'validation')}: {exc}"
@@ -193,7 +194,7 @@ class Session:
             record.junction_residual = (float(jr[0]), float(jr[1]), float(jr[2]))
             if old_plan is not None:
                 record.preempted_request = old_plan.request_id
-                old_state, _ = planner.reference_at(old_plan, t_now)
+                old_state, _ = planner.reference_at(old_plan, t_preempt)
                 q, qd, qdd = new_plan.state_at(0.0)
                 record.preemption_jump = (
                     float(np.max(np.abs(q - old_state.q))),

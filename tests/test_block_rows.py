@@ -1,0 +1,125 @@
+"""Property tests for the structured constraint rows: a dense equality head
+above per-segment limit blocks, padded where segments differ in length.
+
+The oracle is the row-by-row assembly from basis_row that the structured
+form replaced.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rtmotion.planner import PLANNER_SETTINGS
+from rtmotion.poly import basis_row
+from rtmotion.qpbuild import DEFAULT_RIDGE, BlockRows, assemble_qp, build_equality, joint_bounds
+from rtmotion.qpsolve import STATUS_SOLVED, solve_batch, solve_kkt_equality
+
+FC = 100.0
+V_MAX, A_MAX = 2.0, 20.0
+# numpy's vectorized pow may differ from Python's scalar pow in the last bit
+BASIS_RTOL = 1e-13
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+@st.composite
+def segment_problems(draw, dof=1, durations=(0.02, 0.3), degrees=(5, 6)):
+    """1-8 segments of unequal durations (by default 2 to 30 samples each at
+    FC), the targets of dof joints and their initial (q, qd, qdd) states."""
+    n_seg = draw(st.integers(1, 8))
+    degree = draw(st.sampled_from(degrees))
+    values = st.floats(-0.5, 0.5, allow_nan=False)
+    durations = draw(st.lists(st.floats(*durations), min_size=n_seg, max_size=n_seg))
+    targets = np.array(draw(st.lists(values, min_size=n_seg * dof, max_size=n_seg * dof)))
+    initial = np.array(draw(st.lists(values, min_size=3 * dof, max_size=3 * dof)))
+    return degree, np.array(durations), targets.reshape(n_seg, dof), initial.reshape(3, dof)
+
+
+def waypoints_of(targets, durations, joint=0):
+    return [(float(q), float(d)) for q, d in zip(targets[:, joint], durations)]
+
+
+def reference_assembly(degree, durations):
+    """Jerk cost and limit rows built sample by sample from basis_row."""
+    n_seg = len(durations)
+    width = degree + 1
+    q_matrix = np.zeros((width * n_seg, width * n_seg))
+    limit_rows = []
+    for i, d in enumerate(durations):
+        cols = slice(i * width, (i + 1) * width)
+        samples = np.linspace(0.0, 1.0, max(2, int(round(FC * d))))
+        jerk = np.array([basis_row(degree, u, 3) for u in samples])
+        q_matrix[cols, cols] = jerk.T @ jerk * d**-6
+        for u in samples:
+            for k in (1, 2):
+                row = np.zeros(width * n_seg)
+                row[cols] = basis_row(degree, u, k) * d**-k
+                limit_rows.append(row)
+    return q_matrix, np.array(limit_rows)
+
+
+@PROPERTY
+@given(segment_problems())
+def test_dense_view_matches_row_by_row_assembly(case):
+    degree, durations, targets, initial = case
+    wps = waypoints_of(targets, durations)
+    problem = assemble_qp(wps, tuple(initial[:, 0]), degree, FC, V_MAX, A_MAX)
+    a_eq, b_eq = build_equality(wps, tuple(initial[:, 0]), degree)
+    q_ref, limit_rows = reference_assembly(degree, durations)
+
+    dense = problem.a_matrix.toarray()
+    np.testing.assert_array_equal(dense[: problem.n_eq], a_eq)
+    np.testing.assert_allclose(dense[problem.n_eq :], limit_rows, rtol=BASIS_RTOL, atol=0.0)
+    np.testing.assert_array_equal(np.asarray(problem.a_matrix), dense)
+    assert problem.a_matrix.shape == dense.shape
+    jerk = problem.q_matrix - DEFAULT_RIDGE * np.eye(problem.n_vars)
+    np.testing.assert_allclose(jerk, q_ref, rtol=1e-12, atol=1e-12 * np.abs(q_ref).max())
+    limits = np.tile([V_MAX, A_MAX], len(limit_rows) // 2)
+    np.testing.assert_array_equal(problem.lower, np.concatenate([b_eq, -limits]))
+    np.testing.assert_array_equal(problem.upper, np.concatenate([b_eq, limits]))
+
+
+@PROPERTY
+@given(segment_problems(dof=3))
+def test_joint_bounds_match_per_joint_equalities(case):
+    degree, durations, targets, initial = case
+    problem = assemble_qp(waypoints_of(targets, durations), tuple(initial[:, 0]), degree, FC, V_MAX, A_MAX)
+    v_max, a_max = np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0])
+    lower, upper = joint_bounds(problem, targets, initial, v_max, a_max)
+    for j in range(3):
+        _, b_eq = build_equality(waypoints_of(targets, durations, j), tuple(initial[:, j]), degree)
+        limits = np.tile([v_max[j], a_max[j]], (problem.a_matrix.shape[0] - problem.n_eq) // 2)
+        np.testing.assert_array_equal(lower[:, j], np.concatenate([b_eq, -limits]))
+        np.testing.assert_array_equal(upper[:, j], np.concatenate([b_eq, limits]))
+
+
+@PROPERTY
+@given(segment_problems(dof=2))
+def test_structured_solve_matches_dense_solve(case):
+    degree, durations, targets, initial = case
+    problem = assemble_qp(waypoints_of(targets, durations), tuple(initial[:, 0]), degree, FC, V_MAX, A_MAX)
+    lower, upper = joint_bounds(problem, targets, initial, np.full(2, V_MAX), np.full(2, A_MAX))
+    structured = solve_batch(problem.q_matrix, problem.a_matrix, lower, upper)
+    dense = solve_batch(problem.q_matrix, problem.a_matrix.toarray(), lower, upper)
+    assert structured.status == dense.status
+    if dense.status == STATUS_SOLVED:
+        scale = 1.0 + np.max(np.abs(dense.p))
+        assert np.max(np.abs(structured.p - dense.p)) <= 1e-6 * scale
+
+
+# the planner's degree and tolerances and the durations of acceptance
+# criterion 2: ADMM's stopping test (on either path) accepts coefficients
+# 6e-5 from the KKT optimum on some degree-6 problems, and much shorter
+# segments next to long ones make the KKT matrix itself ill-conditioned
+@PROPERTY
+@given(segment_problems(durations=(0.3, 1.5), degrees=(5,)))
+def test_equality_only_structured_solve_matches_kkt(case):
+    degree, durations, targets, initial = case
+    wps = waypoints_of(targets, durations)
+    problem = assemble_qp(wps, tuple(initial[:, 0]), degree, FC, V_MAX, A_MAX)
+    a_eq, b_eq = build_equality(wps, tuple(initial[:, 0]), degree)
+    # the equality head over per-segment blocks without rows
+    rows = BlockRows(a_eq, np.zeros((len(durations), 0, degree + 1)))
+    admm = solve_batch(problem.q_matrix, rows, b_eq[:, None], b_eq[:, None], PLANNER_SETTINGS)
+    assert admm.status == STATUS_SOLVED
+    kkt = solve_kkt_equality(problem.q_matrix, a_eq, b_eq)
+    assert np.max(np.abs(admm.p[:, 0] - kkt)) <= 1e-5 * (1.0 + np.max(np.abs(kkt)))

@@ -95,6 +95,22 @@ class TestHandleRequestLine:
                 assert np.all(np.abs(record.reference.q - prev.reference.q) <= bound)
             prev = record
 
+    def test_stamp_behind_active_epoch_is_acked_once(self, arm6):
+        # receipt stamps from different connections may interleave: a line
+        # stamped before the active plan's epoch preempts at that epoch
+        sessions = {"sim": make_session(arm6)}
+        session = sessions["sim"]
+        base = forward_kinematics(arm6, arm6.mid_position())
+        wp = [{"pose": (base.translation + [0, 0.06, 0]).tolist() + base.rpy.tolist(), "duration": 1.5}]
+        assert handle_request_line(sessions, request_line("a", wp), 1.0)["status"] == "accepted"
+        ack = handle_request_line(sessions, request_line("b", hold_waypoints(arm6)), 0.99)
+        assert ack == {"id": "b", "status": "accepted"}
+        assert [r.request_id for r in session.requests] == ["a", "b"]
+        record = session.requests[-1]
+        assert record.preempted_request == "a"
+        assert max(record.preemption_jump) <= 1e-6
+        assert session.active_plan.epoch == 1.0
+
 
 class TestWireFidelity:
     def test_round_trip_bit_identical(self):

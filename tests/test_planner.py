@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ class TestPlan:
         for ja, jb in zip(a.joints, b.joints):
             for sa, sb in zip(ja.segments, jb.segments):
                 assert np.array_equal(sa.coeffs, sb.coeffs)
+
+    def test_build_time_excludes_ik(self, arm6, monkeypatch):
+        ik_delay = 0.2
+        solve_ik = planner.inverse_kinematics
+
+        def slow_ik(*args, **kwargs):
+            time.sleep(ik_delay)
+            return solve_ik(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "inverse_kinematics", slow_ik)
+        q0 = arm6.mid_position()
+        request = make_request([CartesianWaypoint(forward_kinematics(arm6, q0), 0.5)], "hold")
+        plan_ = plan(request, arm6, RobotState.rest(q0))
+        assert 0.0 < plan_.build_time < ik_delay
 
     def test_epoch_from_initial_state(self, arm6):
         q0, waypoints = scenario_request("draw-line")

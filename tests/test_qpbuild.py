@@ -149,7 +149,7 @@ class TestAssembleQp:
     def test_no_zero_rows(self):
         wps = [(1.0, 1.0)]
         problem = assemble_qp(wps, (0.0, 0.0, 0.0), 5, 100.0, 2.0, 8.0)
-        assert not np.any(np.all(problem.a_matrix == 0.0, axis=1))
+        assert not np.any(np.all(problem.a_matrix.toarray() == 0.0, axis=1))
 
     def test_json_dump_round_trip(self, tmp_path):
         import json

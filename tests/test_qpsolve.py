@@ -62,14 +62,14 @@ class TestAnalyticQuintic:
 
     def test_kkt_recovers_quintic(self):
         problem = rest_to_rest_problem()
-        p = solve_kkt_equality(problem.q_matrix, problem.a_matrix[: problem.n_eq], problem.lower[: problem.n_eq])
+        p = solve_kkt_equality(problem.q_matrix, problem.a_matrix.toarray()[: problem.n_eq], problem.lower[: problem.n_eq])
         np.testing.assert_allclose(p, QUINTIC, atol=1e-9)
 
 
 class TestKktOracle:
     def test_homogeneous_rhs_gives_zero(self):
         problem = rest_to_rest_problem()
-        a_eq = problem.a_matrix[: problem.n_eq]
+        a_eq = problem.a_matrix.toarray()[: problem.n_eq]
         p = solve_kkt_equality(problem.q_matrix, a_eq, np.zeros(problem.n_eq))
         np.testing.assert_allclose(p, np.zeros(problem.n_vars), atol=1e-12)
 
