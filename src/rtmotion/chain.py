@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.spatial.transform import Rotation
 
 Array = NDArray[np.float64]
 
@@ -128,9 +127,14 @@ class ChainConfig:
     control_frequency: float
     ee_transform: Array
     name: str = "robot"
+    # the joints' axes (dof, 3) and offsets (dof, 4, 4), stacked
+    axes: Array = field(init=False, repr=False, compare=False)
+    offsets: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "joints", tuple(self.joints))
+        object.__setattr__(self, "axes", np.array([j.axis for j in self.joints]).reshape(-1, 3))
+        object.__setattr__(self, "offsets", np.array([j.offset for j in self.joints]).reshape(-1, 4, 4))
         object.__setattr__(self, "joint_limits", np.asarray(self.joint_limits, dtype=float))
         object.__setattr__(self, "v_max", np.asarray(self.v_max, dtype=float))
         object.__setattr__(self, "a_max", np.asarray(self.a_max, dtype=float))
@@ -204,18 +208,53 @@ def _check_q(config: ChainConfig, q) -> Array:
     return q
 
 
-def _axis_rotation(axis: Array, angle: float) -> Array:
-    return Rotation.from_rotvec(axis * angle).as_matrix()
+# row k: the cross-product matrix of the k-th unit vector, flattened
+_SKEW = np.array(
+    [
+        [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+        [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    ]
+).reshape(3, 9)
+
+
+def _skew(vectors: Array) -> Array:
+    """Cross-product matrices K(v), K(v) @ w = v x w, of (n, 3) vectors."""
+    return (vectors @ _SKEW).reshape(-1, 3, 3)
+
+
+def _axis_rotation(axes: Array, angles: Array) -> Array:
+    """Rodrigues' formula R = I + sin(a) K + (1 - cos(a)) K^2, written as
+    cos(a) I + sin(a) K + (1 - cos(a)) k k^T, for unit axes k of shape
+    (n, 3) and angles a of shape (n,): the (n, 3, 3) rotation matrices."""
+    c = np.cos(angles)[:, None, None]
+    s = np.sin(angles)[:, None, None]
+    outer = axes[:, :, None] * axes[:, None, :]
+    return c * np.eye(3) + s * _skew(axes) + (1.0 - c) * outer
+
+
+def _frames(config: ChainConfig, q) -> tuple[Array, Array]:
+    """One walk down the chain: every joint's 4x4 frame in the base frame
+    after its fixed offset and its own rotation, shape (dof, 4, 4), and the
+    end-effector transform.
+
+    A joint's rotation moves neither its origin nor its axis, so frame i
+    also carries joint i's origin (its translation) and axis (its rotation
+    applied to the joint-frame axis).
+    """
+    q = _check_q(config, q)
+    local = config.offsets.copy()
+    local[:, :3, :3] = config.offsets[:, :3, :3] @ _axis_rotation(config.axes, q)
+    frames = np.empty_like(local)
+    frames[0] = local[0]
+    for i in range(1, config.dof):
+        np.matmul(frames[i - 1], local[i], out=frames[i])
+    return frames, frames[-1] @ config.ee_transform
 
 
 def fk_transform(config: ChainConfig, q) -> Array:
     """End-effector 4x4 transform in the base frame."""
-    q = _check_q(config, q)
-    t = np.eye(4)
-    for spec, angle in zip(config.joints, q):
-        t = t @ spec.offset
-        t[:3, :3] = t[:3, :3] @ _axis_rotation(spec.axis, angle)
-    return t @ config.ee_transform
+    return _frames(config, q)[1]
 
 
 def forward_kinematics(config: ChainConfig, q) -> Pose:
@@ -230,20 +269,50 @@ def jacobian(config: ChainConfig, q) -> Array:
     Rows 0-2 are linear (m/rad), rows 3-5 angular (rad/rad); column i is the
     contribution of joint i.
     """
-    q = _check_q(config, q)
-    t = np.eye(4)
-    origins = np.empty((config.dof, 3))
-    axes = np.empty((config.dof, 3))
-    for i, (spec, angle) in enumerate(zip(config.joints, q)):
-        t = t @ spec.offset
-        origins[i] = t[:3, 3]
-        axes[i] = t[:3, :3] @ spec.axis
-        t[:3, :3] = t[:3, :3] @ _axis_rotation(spec.axis, angle)
-    p_ee = (t @ config.ee_transform)[:3, 3]
+    frames, ee = _frames(config, q)
+    origins = frames[:, :3, 3]
+    axes = (frames[:, :3, :3] @ config.axes[:, :, None])[:, :, 0]
     jac = np.empty((6, config.dof))
-    jac[:3] = np.cross(axes, p_ee - origins).T
+    jac[:3] = (_skew(axes) @ (ee[:3, 3] - origins)[:, :, None])[:, :, 0].T
     jac[3:] = axes.T
     return jac
+
+
+def rotation_log(rot: Array) -> Array:
+    """Rotation vector (axis times angle in [0, pi]) of a rotation matrix.
+
+    The quaternion comes by Shepperd's method: the diagonal picks its
+    largest component c, and sums and differences of the entries give the
+    quaternion times 4c >= 2, so no branch loses digits, near pi included.
+    Only the direction of that scaled quaternion is used.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
+    trace = r00 + r11 + r22
+    pick = max(trace, r00, r11, r22)
+    if pick == trace:
+        w = 1.0 + trace
+        x, y, z = r21 - r12, r02 - r20, r10 - r01
+    elif pick == r00:
+        x = 1.0 + 2.0 * r00 - trace
+        w, y, z = r21 - r12, r01 + r10, r02 + r20
+    elif pick == r11:
+        y = 1.0 + 2.0 * r11 - trace
+        w, x, z = r02 - r20, r01 + r10, r12 + r21
+    else:
+        z = 1.0 + 2.0 * r22 - trace
+        w, x, y = r10 - r01, r02 + r20, r12 + r21
+    if w < 0.0:  # the quaternion with w >= 0 gives the angle in [0, pi]
+        w, x, y, z = -w, -x, -y, -z
+    xyz_norm = math.sqrt(x * x + y * y + z * z)
+    norm = math.sqrt(w * w + xyz_norm * xyz_norm)
+    angle = 2.0 * math.atan2(xyz_norm, w)
+    # angle / sin(angle / 2), by its series where the quotient loses digits
+    if angle <= 1e-3:
+        scale = 2.0 + angle * angle / 12.0 + 7.0 * angle**4 / 2880.0
+    else:
+        scale = angle / math.sin(0.5 * angle)
+    scale /= norm
+    return np.array([scale * x, scale * y, scale * z])
 
 
 def pose_error(target: Pose, current: Array) -> Array:
@@ -253,7 +322,7 @@ def pose_error(target: Pose, current: Array) -> Array:
     Euler wrap artifacts near the representation boundaries.
     """
     pos_err = target.translation - current[:3, 3]
-    rot_err = Rotation.from_matrix(target.rotation_matrix() @ current[:3, :3].T).as_rotvec()
+    rot_err = rotation_log(target.rotation_matrix() @ current[:3, :3].T)
     return np.concatenate([pos_err, rot_err])
 
 

@@ -35,6 +35,9 @@ from rtmotion import planner
 from rtmotion.chain import ChainConfig
 from rtmotion.runtime import Session, TelemetryRecord
 
+# telemetry and request records a served session keeps: 10 s at 100 Hz
+SERVE_HISTORY = 1000
+
 
 def encode_line(message: dict) -> bytes:
     # repr-based float serialization: shortest exact round trip (>= 17 digits
@@ -178,7 +181,7 @@ class RobotServer:
         max_queue: int = 512,
     ):
         q0 = chain.mid_position() if initial_q is None else np.asarray(initial_q, dtype=float)
-        self.session = Session(chain, q0, robot_id=robot_id)
+        self.session = Session(chain, q0, robot_id=robot_id, history=SERVE_HISTORY)
         self.sessions = {robot_id: self.session}
         self.max_queue = max_queue
         self._sock = socket.create_server((host, port))

@@ -10,9 +10,10 @@ previously active plan is never touched by a failed replan.
 
 from __future__ import annotations
 
+import bisect
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,7 +22,7 @@ from numpy.typing import NDArray
 
 from rtmotion import qpbuild, qpsolve
 from rtmotion.chain import ChainConfig, IkConvergenceError, Pose, forward_kinematics, inverse_kinematics
-from rtmotion.poly import JointTrajectory, Segment
+from rtmotion.poly import JointTrajectory, Segment, state_rows
 
 Array = NDArray[np.float64]
 
@@ -104,35 +105,80 @@ class RobotState:
 
 @dataclass(frozen=True)
 class Plan:
-    """Solved multi-joint trajectory; all joints share the segment-time grid."""
+    """Solved multi-joint trajectory: one coefficient array over the
+    segment-time grid that all joints share.
+
+    coeffs[i, :, j] are joint j's coefficients on segment i over normalized
+    local time u = (t - start_i) / durations[i] in [0, 1].
+    """
 
     chain: ChainConfig
-    joints: tuple[JointTrajectory, ...]
+    coeffs: Array  # (N, degree + 1, dof)
+    durations: Array  # (N,) seconds
     joint_waypoints: Array  # (N, dof) IK results
     epoch: float
     request_id: str
     solve_time: float = 0.0
     build_time: float = 0.0
     iterations: int = 0
+    starts: list[float] = field(init=False, repr=False, compare=False)
+    total_time: float = field(init=False)
+
+    def __post_init__(self):
+        starts = [0.0] + np.cumsum(self.durations)[:-1].tolist()
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "total_time", starts[-1] + float(self.durations[-1]))
 
     @property
-    def total_time(self) -> float:
-        return self.joints[0].total_time
+    def degree(self) -> int:
+        return self.coeffs.shape[1] - 1
+
+    @property
+    def joints(self) -> tuple[JointTrajectory, ...]:
+        """Per-joint trajectories whose segment coefficients are views of
+        coeffs."""
+        return tuple(
+            JointTrajectory(
+                [
+                    Segment(self.coeffs[i, :, j], start, float(duration))
+                    for i, (start, duration) in enumerate(zip(self.starts, self.durations))
+                ]
+            )
+            for j in range(self.chain.dof)
+        )
 
     def boundary_times(self) -> list[float]:
-        return self.joints[0].boundary_times()
+        return self.starts + [self.total_time]
 
     def state_at(self, local_t: float) -> tuple[Array, Array, Array]:
-        cols = [traj.eval(local_t) for traj in self.joints]
-        q, qd, qdd = (np.array(c) for c in zip(*cols))
+        """Position, velocity and acceleration of every joint at local time t
+        (t = 0 is the epoch). Boundary times belong to the later segment;
+        from total_time on, the terminal position holds at rest."""
+        if local_t < 0.0:
+            raise ValueError(f"t={local_t} precedes trajectory start")
+        if local_t >= self.total_time:
+            q = self.coeffs[-1].sum(axis=0)  # the last segment at u = 1
+            return q, np.zeros_like(q), np.zeros_like(q)
+        i = bisect.bisect_right(self.starts, local_t) - 1
+        duration = self.durations[i]
+        u = min((local_t - self.starts[i]) / duration, 1.0)
+        q, qd, qdd = state_rows(self.degree, u, duration) @ self.coeffs[i]
         return q, qd, qdd
 
+    def state(self, t: float) -> RobotState:
+        """Commanded reference state at absolute time t."""
+        if t < self.epoch:
+            raise ValueError(f"t={t} precedes plan epoch {self.epoch}")
+        q, qd, qdd = self.state_at(t - self.epoch)
+        return RobotState(q, qd, qdd, t)
+
     def junction_residuals(self) -> Array:
-        """Worst (q, qd, qdd) junction mismatch over all joints."""
-        worst = np.zeros(3)
-        for traj in self.joints:
-            worst = np.maximum(worst, traj.junction_residuals())
-        return worst
+        """Worst |left - right| mismatch in (q, qd, qdd) over all joints and
+        interior junctions; a solved plan makes these vanish to solver
+        tolerance."""
+        ends = state_rows(self.degree, 1.0, self.durations[:-1]) @ self.coeffs[:-1]
+        begins = state_rows(self.degree, 0.0, self.durations[1:]) @ self.coeffs[1:]
+        return np.abs(ends - begins).max(axis=(0, 2), initial=0.0)
 
 
 def load_waypoints(path: str | Path) -> list[CartesianWaypoint]:
@@ -208,7 +254,6 @@ def plan(
     durations = np.array([wp.duration for wp in request.waypoints])
     fc = chain.control_frequency
     n_seg = len(durations)
-    width = degree + 1
 
     # Q and A depend only on degree/durations/grid, so build them once from
     # joint 0; the joints differ only in their bound columns
@@ -230,23 +275,10 @@ def plan(
         failing = int(np.argmax(~batch.converged)) if not batch.converged.all() else 0
         raise QpFailure(failing, batch.status)
 
-    starts = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
-    joints = tuple(
-        JointTrajectory(
-            [
-                Segment(
-                    coeffs=batch.p[i * width : (i + 1) * width, j].copy(),
-                    start_time=float(starts[i]),
-                    duration=float(durations[i]),
-                )
-                for i in range(n_seg)
-            ]
-        )
-        for j in range(chain.dof)
-    )
     return Plan(
         chain=chain,
-        joints=joints,
+        coeffs=batch.p.reshape(n_seg, degree + 1, chain.dof),
+        durations=durations,
         joint_waypoints=joint_targets,
         epoch=s0.timestamp,
         request_id=request.request_id,
@@ -262,10 +294,8 @@ def reference_at(plan_: Plan, t: float) -> tuple[RobotState, Pose]:
     Past the end of the trajectory the terminal position holds with zero
     velocity and acceleration; evaluation is on demand (no precomputation).
     """
-    if t < plan_.epoch:
-        raise ValueError(f"t={t} precedes plan epoch {plan_.epoch}")
-    q, qd, qdd = plan_.state_at(t - plan_.epoch)
-    return RobotState(q, qd, qdd, t), forward_kinematics(plan_.chain, q)
+    state = plan_.state(t)
+    return state, forward_kinematics(plan_.chain, state.q)
 
 
 def preempt(
@@ -282,5 +312,4 @@ def preempt(
 
     Raises like plan(); on failure the caller keeps executing the old plan.
     """
-    state, _ = reference_at(active, t_now)
-    return plan(new_request, chain, state, degree=degree, settings=settings)
+    return plan(new_request, chain, active.state(t_now), degree=degree, settings=settings)

@@ -1,6 +1,10 @@
 """Monomial basis rows, their derivatives, and piecewise-polynomial joint
 trajectories.
 
+A plan keeps every joint's coefficients in one array and evaluates them with
+state_rows; Segment and JointTrajectory are per-joint views of that array and
+the reference evaluation the tests compare it against.
+
 Each segment is parameterized over normalized local time u = (t - start) / D
 in [0, 1]; evaluating the k-th derivative therefore multiplies by D**-k. The
 reparameterization keeps the basis conditioned for arbitrarily long
@@ -11,6 +15,7 @@ rows built elsewhere apply the same scaling (they do).
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +59,26 @@ def basis_rows(degree: int, u: Array, k: int = 0) -> Array:
     for step in range(k):
         factor *= j - step  # zero for j < k
     return factor * u[..., None] ** np.maximum(j - k, 0)
+
+
+@functools.cache
+def _state_table(degree: int) -> tuple[Array, Array, Array]:
+    """Derivative factors and u exponents of the (q, qd, qdd) rows, each
+    (3, degree + 1), and the derivative orders (3, 1)."""
+    j = np.arange(degree + 1)
+    orders = np.arange(3)[:, None]
+    factors = np.stack([np.ones(degree + 1), j, j * (j - 1)]).astype(float)
+    return factors, np.maximum(j - orders, 0), orders
+
+
+def state_rows(degree: int, u, duration) -> Array:
+    """Rows that map one segment's coefficients to (q, qd, qdd) in absolute
+    time at normalized time u: basis_row for k = 0, 1, 2 scaled by
+    duration**-k. u and duration broadcast; shape (..., 3, degree + 1)."""
+    factors, exponents, orders = _state_table(degree)
+    u = np.asarray(u, dtype=float)[..., None, None]
+    duration = np.asarray(duration, dtype=float)[..., None, None]
+    return factors * u**exponents / duration**orders
 
 
 @dataclass(frozen=True)
@@ -120,9 +145,6 @@ class JointTrajectory:
             return self._terminal_q, 0.0, 0.0
         seg = self.segments[self.segment_index(t)]
         return seg.eval(t, 0), seg.eval(t, 1), seg.eval(t, 2)
-
-    def boundary_times(self) -> list[float]:
-        return [seg.start_time for seg in self.segments] + [self.total_time]
 
     def junction_residuals(self) -> Array:
         """Max |left - right| mismatch in (q, qd, qdd) over interior junctions.

@@ -2,10 +2,11 @@
 
 A Session owns the atomically swappable active Plan plus the telemetry sink.
 Request intake (submit) may block on planning; the tick path never does: it
-reads the plan handle once, evaluates the reference, advances the simulated
-arm, and appends one record. Scenario scripts drive a session on a logical
-clock so the shipped experiment replays are deterministic; the live network
-service drives the same session from wall-clock threads.
+reads the plan handle once, evaluates the reference and its end-effector pose
+(one forward kinematics), advances the simulated arm, and appends one record.
+Scenario scripts drive a session on a logical clock so the shipped experiment
+replays are deterministic; the live network service drives the same session
+from wall-clock threads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import threading
+from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -54,7 +56,7 @@ class SimArm:
 
     def advance(self, reference: RobotState, dt: float) -> RobotState:
         if self.tracking_lag == 0.0:
-            state = RobotState(reference.q, reference.qd, reference.qdd, reference.timestamp)
+            state = reference
         else:
             gain = min(dt / self.tracking_lag, 1.0) if dt > 0 else 0.0
             prev = self.encoder_state
@@ -83,7 +85,6 @@ class TelemetryRecord:
     reference: RobotState
     encoder: RobotState
     ee_pose_ref: Pose
-    ee_pose_enc: Pose
     active_request_id: Optional[str]
 
 
@@ -103,7 +104,11 @@ class RequestRecord:
 
 
 class Session:
-    """One robot's execution state: plan handle, simulated arm, telemetry."""
+    """One robot's execution state: plan handle, simulated arm, telemetry.
+
+    history bounds how many telemetry and request records are kept (the
+    newest); None keeps them all.
+    """
 
     def __init__(
         self,
@@ -114,6 +119,7 @@ class Session:
         tracking_lag: float = 0.0,
         noise_std: float = 0.0,
         degree: int = planner.DEFAULT_DEGREE,
+        history: Optional[int] = None,
     ):
         self.chain = chain
         self.robot_id = robot_id
@@ -122,8 +128,8 @@ class Session:
         self._hold = RobotState.rest(chain.clamp(np.asarray(initial_q, dtype=float)))
         self.arm = SimArm(chain, self._hold, tracking_lag=tracking_lag, noise_std=noise_std)
         self.active_plan: Optional[Plan] = None
-        self.telemetry: list[TelemetryRecord] = []
-        self.requests: list[RequestRecord] = []
+        self.telemetry: deque[TelemetryRecord] = deque(maxlen=history)
+        self.requests: deque[RequestRecord] = deque(maxlen=history)
         self._last_t: Optional[float] = None
         self._intake_lock = threading.Lock()
 
@@ -134,8 +140,7 @@ class Session:
         # a wall-clock tick stamped just before a concurrent swap may trail
         # the new epoch by under one period; the plan's initial state equals
         # the old reference there, so evaluating at the epoch stays continuous
-        state, _ = planner.reference_at(plan_, max(t, plan_.epoch))
-        return state
+        return plan_.state(max(t, plan_.epoch))
 
     def tick(self, t: float) -> TelemetryRecord:
         if self._last_t is not None and t < self._last_t - 1e-12:
@@ -144,18 +149,18 @@ class Session:
         plan_ = self.active_plan
         if plan_ is None:
             ref = RobotState(self._hold.q, self._hold.qd, self._hold.qdd, t)
+            pose = forward_kinematics(self.chain, ref.q)
             request_id = None
         else:
-            ref, _ = planner.reference_at(plan_, max(t, plan_.epoch))
-            ref = RobotState(ref.q, ref.qd, ref.qdd, t)
+            ref, pose = planner.reference_at(plan_, max(t, plan_.epoch))
+            if ref.timestamp != t:
+                ref = RobotState(ref.q, ref.qd, ref.qdd, t)
             request_id = plan_.request_id
-        enc = self.arm.advance(ref, dt)
         record = TelemetryRecord(
             t=t,
             reference=ref,
-            encoder=enc,
-            ee_pose_ref=forward_kinematics(self.chain, ref.q),
-            ee_pose_enc=forward_kinematics(self.chain, enc.q),
+            encoder=self.arm.advance(ref, dt),
+            ee_pose_ref=pose,
             active_request_id=request_id,
         )
         self.telemetry.append(record)
@@ -194,7 +199,7 @@ class Session:
             record.junction_residual = (float(jr[0]), float(jr[1]), float(jr[2]))
             if old_plan is not None:
                 record.preempted_request = old_plan.request_id
-                old_state, _ = planner.reference_at(old_plan, t_preempt)
+                old_state = old_plan.state(t_preempt)
                 q, qd, qdd = new_plan.state_at(0.0)
                 record.preemption_jump = (
                     float(np.max(np.abs(q - old_state.q))),
@@ -387,8 +392,8 @@ def _path_deviation(session: Session, script: ScenarioScript, archive: dict[str,
         plan_ = archive.get(request_id)
         if plan_ is None:
             continue
-        bounds = np.cumsum([seg.duration for seg in plan_.joints[0].segments])
-        q_start = np.array([traj.segments[0].eval(traj.segments[0].start_time, 0) for traj in plan_.joints])
+        bounds = np.cumsum(plan_.durations)
+        q_start = plan_.state_at(0.0)[0]
         anchors = [forward_kinematics(script.chain, q_start).translation] + [
             forward_kinematics(script.chain, wp).translation for wp in plan_.joint_waypoints
         ]

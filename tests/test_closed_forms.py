@@ -1,0 +1,107 @@
+"""The closed-form rotations in rtmotion.chain against scipy's Rotation, which
+serves here as the test oracle only: rtmotion itself does not import
+scipy.spatial."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
+
+from rtmotion.chain import Pose, _axis_rotation, pose_error, rotation_log, rpy_to_matrix
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+# products of a few unit-magnitude terms: within a few ulp of 1
+ROTATION_ATOL = 1e-14
+# angles within this of 0 or of pi are the log map's special cases
+EDGE = 1e-9
+
+
+@st.composite
+def unit_axes(draw):
+    v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = np.linalg.norm(v)
+    if norm < 0.1:
+        v, norm = np.array([0.0, 0.0, 1.0]), 1.0
+    return v / norm
+
+
+angles = st.floats(-2 * math.pi, 2 * math.pi)
+edge_angles = st.one_of(
+    st.floats(0.0, EDGE),
+    st.floats(math.pi - EDGE, math.pi),
+)
+rpys = st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
+
+
+@PROPERTY
+@given(axis=unit_axes(), angle=angles)
+def test_axis_rotation_matches_from_rotvec(axis, angle):
+    got = _axis_rotation(axis[None], np.array([angle]))[0]
+    want = Rotation.from_rotvec(axis * angle).as_matrix()
+    np.testing.assert_allclose(got, want, rtol=0, atol=ROTATION_ATOL)
+
+
+def _relative_rotation_error(rpy, rot):
+    """pose_error's rotation part, and the matrix it takes the log of."""
+    target = Pose(np.zeros(3), np.array(rpy))
+    current = np.eye(4)
+    current[:3, :3] = rot.T @ target.rotation_matrix()
+    return pose_error(target, current)[3:], target.rotation_matrix() @ current[:3, :3].T
+
+
+@PROPERTY
+@given(rpy=rpys, axis=unit_axes(), angle=st.floats(0.0, math.pi))
+def test_pose_error_rotation_matches_as_rotvec(rpy, axis, angle):
+    got, rel = _relative_rotation_error(rpy, Rotation.from_rotvec(axis * angle).as_matrix())
+    np.testing.assert_allclose(got, Rotation.from_matrix(rel).as_rotvec(), rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(rpy=rpys, axis=unit_axes(), angle=edge_angles)
+def test_pose_error_rotation_near_zero_and_pi(rpy, axis, angle):
+    got, rel = _relative_rotation_error(rpy, Rotation.from_rotvec(axis * angle).as_matrix())
+    want = Rotation.from_matrix(rel).as_rotvec()
+    # at pi, axis * pi and -axis * pi are the same rotation
+    gap = min(np.max(np.abs(got - want)), np.max(np.abs(got + want)))
+    assert gap <= 1e-9, (got, want)
+    assert np.linalg.norm(got) <= math.pi + 1e-12
+
+
+@PROPERTY
+@given(axis=unit_axes(), angle=edge_angles)
+def test_rotation_log_inverts_axis_rotation(axis, angle):
+    got = rotation_log(_axis_rotation(axis[None], np.array([angle]))[0])
+    want = axis * angle
+    gap = min(np.max(np.abs(got - want)), np.max(np.abs(got + want)))
+    assert gap <= 1e-9
+
+
+def test_rotation_log_of_identity_and_half_turns():
+    np.testing.assert_array_equal(rotation_log(np.eye(3)), np.zeros(3))
+    for axis in np.eye(3):
+        half_turn = 2.0 * np.outer(axis, axis) - np.eye(3)
+        np.testing.assert_allclose(np.abs(rotation_log(half_turn)), math.pi * axis, atol=1e-15)
+    np.testing.assert_allclose(rotation_log(rpy_to_matrix(0.0, 0.0, 0.3)), [0.0, 0.0, 0.3], atol=1e-15)
+
+
+def test_importing_rtmotion_does_not_import_scipy_spatial():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import rtmotion, rtmotion.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

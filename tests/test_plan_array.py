@@ -1,0 +1,101 @@
+"""Plan's one coefficient array against the per-joint evaluation it replaced:
+JointTrajectory / Segment built from copies of the same coefficients."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rtmotion.chain import load_chain
+from rtmotion.planner import Plan
+from rtmotion.poly import JointTrajectory, Segment
+
+from conftest import data_path
+
+ARM6 = load_chain(data_path("chains", "arm6.json"))
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+# the two evaluations order the same few products differently
+RTOL = 1e-12
+
+
+@st.composite
+def plans(draw, chain=ARM6):
+    """1-6 segments of 0.02-2 s with random degree 4-7 coefficients."""
+    n_seg = draw(st.integers(1, 6))
+    degree = draw(st.integers(4, 7))
+    durations = np.array(draw(st.lists(st.floats(0.02, 2.0), min_size=n_seg, max_size=n_seg)))
+    size = n_seg * (degree + 1) * chain.dof
+    coeffs = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)))
+    return Plan(
+        chain=chain,
+        coeffs=coeffs.reshape(n_seg, degree + 1, chain.dof),
+        durations=durations,
+        joint_waypoints=np.zeros((n_seg, chain.dof)),
+        epoch=0.0,
+        request_id="p",
+    )
+
+
+def oracle(plan_):
+    starts = np.concatenate([[0.0], np.cumsum(plan_.durations)[:-1]])
+    return [
+        JointTrajectory(
+            [
+                Segment(plan_.coeffs[i, :, j].copy(), float(starts[i]), float(plan_.durations[i]))
+                for i in range(len(plan_.durations))
+            ]
+        )
+        for j in range(plan_.chain.dof)
+    ]
+
+
+def assert_close(got, want):
+    want = np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * (1.0 + np.max(np.abs(want))))
+
+
+@PROPERTY
+@given(plan_=plans(), data=st.data())
+def test_state_at_matches_per_joint_eval(plan_, data):
+    """Random times, every segment boundary, the exact end and past it."""
+    trajectories = oracle(plan_)
+    total = plan_.total_time
+    times = plan_.boundary_times() + [total + 1.0]
+    times += [data.draw(st.floats(0.0, total * 1.2)) for _ in range(5)]
+    for t in times:
+        want = np.array([traj.eval(t) for traj in trajectories]).T  # (3, dof)
+        assert_close(np.array(plan_.state_at(t)), want)
+
+
+@PROPERTY
+@given(plan_=plans())
+def test_junction_residuals_match_per_joint_oracle(plan_):
+    want = np.max([traj.junction_residuals() for traj in oracle(plan_)], axis=0)
+    assert_close(plan_.junction_residuals(), want)
+
+
+def test_boundaries_belong_to_later_segment_and_end_holds(arm6):
+    coeffs = np.zeros((2, 6, arm6.dof))
+    coeffs[0, 1] = 1.0  # q = u on the first segment
+    coeffs[1, 0] = 7.0  # q = 7 on the second
+    plan_ = Plan(arm6, coeffs, np.array([0.5, 0.25]), np.zeros((2, arm6.dof)), 0.0, "p")
+    assert plan_.total_time == 0.75
+    q, qd, _ = plan_.state_at(0.5)
+    assert np.all(q == 7.0) and np.all(qd == 0.0)
+    q, qd, _ = plan_.state_at(0.25)
+    assert np.allclose(q, 0.5) and np.allclose(qd, 2.0)
+    for t in (0.75, 9.0):
+        q, qd, qdd = plan_.state_at(t)
+        assert np.all(q == 7.0) and not qd.any() and not qdd.any()
+    with pytest.raises(ValueError):
+        plan_.state_at(-1e-9)
+
+
+def test_joint_views_write_through_to_the_coefficient_array(arm6):
+    coeffs = np.zeros((3, 6, arm6.dof))
+    plan_ = Plan(arm6, coeffs, np.array([0.5, 0.5, 0.5]), np.zeros((3, arm6.dof)), 0.0, "p")
+    assert not plan_.junction_residuals().any()
+    plan_.joints[2].segments[1].coeffs[3] += 1e-3
+    assert coeffs[1, 3, 2] == 1e-3
+    assert plan_.junction_residuals()[0] == pytest.approx(1e-3)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from rtmotion import planner, poly, qpbuild, runtime
 from rtmotion.chain import forward_kinematics
+from rtmotion.iface import SERVE_HISTORY, RobotServer
 from rtmotion.planner import CartesianWaypoint, PlanRequest, RobotState
 from rtmotion.runtime import ScenarioError, Session, SimArm, load_scenario, run_scenario
 
@@ -121,6 +123,49 @@ class TestSession:
             forward_kinematics(arm6, record.reference.q).to_vector(),
             atol=1e-12,
         )
+
+    def test_bounded_history_keeps_the_newest_records(self, arm6):
+        q0 = arm6.mid_position()
+        session = Session(arm6, q0, history=4)
+        for k in range(7):
+            t = k / session.fc
+            session.submit(hold_request(arm6, q0, f"r{k}"), t)
+            session.tick(t)
+        session.submit(PlanRequest("sim", (), "bad"), 0.07)  # rejects are kept too
+        session.tick(0.07)
+        assert [r.request_id for r in session.requests] == ["r4", "r5", "r6", "bad"]
+        assert [r.t for r in session.telemetry] == [k / session.fc for k in range(4, 7)] + [0.07]
+        assert session.telemetry[-1].active_request_id == "r6"
+
+    def test_served_session_is_bounded_and_scenarios_are_not(self, arm6, draw_line_result):
+        server = RobotServer(arm6)
+        try:
+            assert server.session.telemetry.maxlen == SERVE_HISTORY
+            assert server.session.requests.maxlen == SERVE_HISTORY
+        finally:
+            server.stop()
+        assert draw_line_result.session.telemetry.maxlen is None
+        assert len(draw_line_result.session.telemetry) == draw_line_result.summary["ticks"]
+
+    def test_tick_on_an_active_plan_runs_one_fk_and_no_basis_row(self, arm6, monkeypatch):
+        session = Session(arm6, arm6.mid_position())
+        session.submit(hold_request(arm6, arm6.mid_position(), "r"), 0.0)
+        calls = {"fk": 0, "basis_row": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (planner, runtime):
+            monkeypatch.setattr(module, "forward_kinematics", counted("fk", module.forward_kinematics))
+        for module in (poly, qpbuild):
+            monkeypatch.setattr(module, "basis_row", counted("basis_row", module.basis_row))
+        record = session.tick(0.2)
+        assert calls == {"fk": 1, "basis_row": 0}
+        assert record.active_request_id == "r"
 
 
 class TestScenarios:
