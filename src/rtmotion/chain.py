@@ -263,13 +263,14 @@ def forward_kinematics(config: ChainConfig, q) -> Pose:
     return Pose(t[:3, 3].copy(), np.array(matrix_to_rpy(t[:3, :3])))
 
 
-def jacobian(config: ChainConfig, q) -> Array:
+def jacobian(config: ChainConfig, q, walk: tuple[Array, Array] | None = None) -> Array:
     """Geometric Jacobian of the end-effector in the base frame.
 
     Rows 0-2 are linear (m/rad), rows 3-5 angular (rad/rad); column i is the
-    contribution of joint i.
+    contribution of joint i. walk is _frames(config, q) when the caller has
+    already walked the chain at q.
     """
-    frames, ee = _frames(config, q)
+    frames, ee = walk or _frames(config, q)
     origins = frames[:, :3, 3]
     axes = (frames[:, :3, :3] @ config.axes[:, :, None])[:, :, 0]
     jac = np.empty((6, config.dof))
@@ -344,7 +345,10 @@ def inverse_kinematics(
     """
     q = config.clamp(_check_q(config, seed))
     lam = damping
-    err = pose_error(target, fk_transform(config, q))
+    # one walk down the chain per iterate: the accepted iterate's walk gives
+    # the next Jacobian
+    walk = _frames(config, q)
+    err = pose_error(target, walk[1])
     err_norm = np.linalg.norm(err)
     eye = np.eye(config.dof)
     for _ in range(max_iters):
@@ -352,13 +356,14 @@ def inverse_kinematics(
         ori_err = np.linalg.norm(err[3:])
         if pos_err <= pos_tol and ori_err <= ori_tol:
             return q
-        jac = jacobian(config, q)
+        jac = jacobian(config, q, walk)
         step = np.linalg.solve(jac.T @ jac + lam * eye, jac.T @ err)
         q_new = config.clamp(q + step)
-        err_new = pose_error(target, fk_transform(config, q_new))
+        walk_new = _frames(config, q_new)
+        err_new = pose_error(target, walk_new[1])
         new_norm = np.linalg.norm(err_new)
         if new_norm < err_norm:
-            q, err, err_norm = q_new, err_new, new_norm
+            q, err, err_norm, walk = q_new, err_new, new_norm, walk_new
             lam = max(lam / 10.0, 1e-10)
         else:
             lam = min(lam * 10.0, 1e8)

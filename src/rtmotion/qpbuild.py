@@ -240,30 +240,18 @@ def _equality_rhs(targets: Array, initial_states: Array) -> Array:
     return b_eq
 
 
-def build_equality(
-    waypoints: list[tuple[float, float]],
-    initial_state: tuple[float, float, float],
-    degree: int,
-) -> tuple[Array, Array]:
-    """Equality rows (A_eq, b_eq) in fixed order.
+# from this degree on the equality rows have full row rank whatever N and the
+# durations: segment by segment, the start rows fix coefficients 0-2 and the
+# end rows, through a nonsingular 3x3 system, coefficients 3-5, so every
+# right-hand side is reached
+FULL_RANK_DEGREE = 5
 
-    Rows: 3 initial-state rows, 3 terminal rows (position = last waypoint,
-    velocity = acceleration = 0), then per interior junction one pass-through
-    row and three continuity rows, for 4N + 2 rows total. Derivative rows
-    carry the same D**-k scaling used at evaluation time.
-    """
-    if not waypoints:
-        raise QpBuildError("waypoints: empty")
-    if not np.all(np.isfinite(initial_state)):
-        raise QpBuildError("initial state contains non-finite entries")
-    positions = np.array([w[0] for w in waypoints], dtype=float)
-    durations = np.array([w[1] for w in waypoints], dtype=float)
-    if np.any(durations <= 0):
-        raise QpBuildError("waypoint durations must be positive")
-    n_seg = len(waypoints)
+
+def _equality_rows(degree: int, durations: Array) -> Array:
+    """build_equality's A_eq for positive durations."""
+    n_seg = len(durations)
     width = degree + 1
-    n_rows = 4 * n_seg + 2
-    a_eq = np.zeros((n_rows, width * n_seg))
+    a_eq = np.zeros((4 * n_seg + 2, width * n_seg))
 
     def block(i: int) -> slice:
         return slice(i * width, (i + 1) * width)
@@ -285,11 +273,36 @@ def build_equality(
             a_eq[row, block(i)] = end[k] * durations[i] ** -k
             a_eq[row, block(i + 1)] = -start[k] * durations[i + 1] ** -k
             row += 1
+    return a_eq
 
-    if np.linalg.matrix_rank(a_eq) < n_rows:
+
+def build_equality(
+    waypoints: list[tuple[float, float]],
+    initial_state: tuple[float, float, float],
+    degree: int,
+) -> tuple[Array, Array]:
+    """Equality rows (A_eq, b_eq) in fixed order.
+
+    Rows: 3 initial-state rows, 3 terminal rows (position = last waypoint,
+    velocity = acceleration = 0), then per interior junction one pass-through
+    row and three continuity rows, for 4N + 2 rows total. Derivative rows
+    carry the same D**-k scaling used at evaluation time. Below
+    FULL_RANK_DEGREE the row rank is checked by an SVD.
+    """
+    if not waypoints:
+        raise QpBuildError("waypoints: empty")
+    if not np.all(np.isfinite(initial_state)):
+        raise QpBuildError("initial state contains non-finite entries")
+    positions = np.array([w[0] for w in waypoints], dtype=float)
+    durations = np.array([w[1] for w in waypoints], dtype=float)
+    if np.any(durations <= 0):
+        raise QpBuildError("waypoint durations must be positive")
+    a_eq = _equality_rows(degree, durations)
+    n_rows = a_eq.shape[0]
+    if degree < FULL_RANK_DEGREE and np.linalg.matrix_rank(a_eq) < n_rows:
         raise QpBuildError(
             f"equality constraints are rank-deficient: {n_rows} rows need "
-            f"degree >= 4 and N*(L+1) >= 4N+2 (got N={n_seg}, L={degree})"
+            f"degree >= 4 and N*(L+1) >= 4N+2 (got N={len(durations)}, L={degree})"
         )
     return a_eq, _equality_rhs(positions, np.asarray(initial_state, dtype=float))
 

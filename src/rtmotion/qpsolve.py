@@ -9,6 +9,16 @@ scaling + row normalization of A) so the fixed penalty works across the wide
 dynamic range the short-segment problems produce. Both transformations leave
 the minimizer unchanged and are invisible to callers.
 
+The iterate does not start at zero. One symmetric-indefinite solve of the
+KKT system [P A_eq^T; A_eq 0] over the tight rows of the head (all columns
+at once) gives the minimizer over the equalities and its multipliers; x
+starts there, z at A x clipped to [l, u], y at the multipliers on the tight
+rows and 0 elsewhere. When no limit row is active at that point it is a
+fixed point of the iteration, so the stopping test also runs after
+iteration 1 and such a problem reports iterations == 1. When a limit binds,
+the iteration continues from there unchanged. A KKT matrix that is singular
+to working precision falls back to the zero start, silently.
+
 A is taken as qpbuild.BlockRows (a dense matrix is a head with no tail), so
 one iteration costs products with the dense head, O(N * R * (L+1)) for the
 per-segment blocks, and a pair of n x n triangular solves with the factor.
@@ -122,7 +132,8 @@ def solve_batch(
 
     m = a.n_padded
     rho = np.full(m, settings.rho)
-    rho[np.all(u_s - l_s <= _EQUALITY_GAP, axis=1)] = settings.rho * _EQUALITY_RHO_SCALE
+    tight = np.all(u_s - l_s <= _EQUALITY_GAP, axis=1)
+    rho[tight] = settings.rho * _EQUALITY_RHO_SCALE
 
     reduced = p_s + settings.sigma * np.eye(n) + a_s.gram(rho)
     try:
@@ -136,6 +147,14 @@ def solve_batch(
     x = np.zeros((n, n_problems))
     z = np.zeros((m, n_problems))
     y = np.zeros((m, n_problems))
+    # start at the minimizer over the tight rows of the head, with its
+    # multipliers (tight rows in the blocks, which no caller builds, are left
+    # to the iteration)
+    eq_rows = np.flatnonzero(tight[: a.head.shape[0]])
+    start_point = _equality_start(p_s, a_s.head[eq_rows], l_s[eq_rows])
+    if start_point is not None:
+        x, y[eq_rows] = start_point
+        z = np.minimum(np.maximum(a_s.dot(x), l_s), u_s)
     # per-row factors as full (m, k) arrays: broadcasting an (m, 1) column
     # over the k problems defeats numpy's contiguous inner loops
     rho_col = np.repeat(rho[:, None], n_problems, axis=1)
@@ -158,7 +177,8 @@ def solve_batch(
         z = np.minimum(np.maximum(v, l_s), u_s)  # np.clip, without its overhead
         y = rho_col * (v - z)
 
-        if iteration % settings.check_interval == 0 or iteration == settings.max_iters:
+        # the start is a fixed point when no limit row is active: check at once
+        if iteration == 1 or iteration % settings.check_interval == 0 or iteration == settings.max_iters:
             ax = a_s.dot(x)
             # primal residual in physical row units (undo the row scaling)
             prim_gap = np.abs(ax - z) * inv_e
@@ -194,6 +214,45 @@ def solve_batch(
         dual_residuals=dual_res,
         converged=converged,
     )
+
+
+def _equality_start(p_s: Array, a_eq: Array, b_eq: Array) -> Optional[tuple[Array, Array]]:
+    """Minimizer of 1/2 x^T p_s x subject to a_eq x = b_eq, one column per
+    column of b_eq, and its multipliers y (p_s x + a_eq^T y = 0); None if the
+    KKT matrix [p_s a_eq^T; a_eq 0] is singular to working precision.
+
+    One LDL^T factorization of the KKT matrix, in place and from its lower
+    triangle alone; its condition estimate is checked, as scipy.linalg.solve
+    does, but without a warning.
+    """
+    n, m = p_s.shape[0], a_eq.shape[0]
+    kkt = np.zeros((n + m, n + m), order="F")
+    kkt[:n, :n] = p_s
+    kkt[n:, :n] = a_eq
+    abs_eq = np.abs(a_eq)
+    # 1-norm of the symmetric matrix: its largest column sum
+    kkt_norm = max(
+        float(np.max(np.abs(p_s).sum(axis=0) + abs_eq.sum(axis=0))),
+        float(np.max(abs_eq.sum(axis=1), initial=0.0)),
+    )
+    sytrf, sytrf_lwork, sycon, sytrs = scipy.linalg.get_lapack_funcs(
+        ("sytrf", "sytrf_lwork", "sycon", "sytrs"), (kkt,)
+    )
+    # the blocked factorization needs its workspace query: the wrapper's
+    # default workspace runs the unblocked one, about 3x slower
+    lwork = int(sytrf_lwork(n + m, lower=1)[0])
+    ldl, pivots, info = sytrf(kkt, lower=1, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        return None
+    rcond, info = sycon(ldl, pivots, kkt_norm, lower=1)
+    if info != 0 or not rcond >= np.finfo(float).eps:
+        return None
+    rhs = np.zeros((n + m, b_eq.shape[1]), order="F")
+    rhs[n:] = b_eq
+    sol, info = sytrs(ldl, pivots, rhs, lower=1, overwrite_b=1)
+    if info != 0 or not np.isfinite(sol).all():
+        return None
+    return sol[:n], sol[n:]
 
 
 def solve(problem: QpProblem, settings: Optional[SolverSettings] = None) -> Solution:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rtmotion import chain
 from rtmotion.chain import (
     ChainConfig,
     IkConvergenceError,
@@ -189,6 +190,62 @@ class TestInverseKinematics:
         a = inverse_kinematics(arm6, target, seed)
         b = inverse_kinematics(arm6, target, seed)
         assert a.tolist() == b.tolist()
+
+
+def walk_per_call_inverse_kinematics(config, target, seed, pos_tol=1e-4, ori_tol=1e-3,
+                                     max_iters=200, damping=1e-3):
+    """The damped-least-squares loop with one FK for the error and one more
+    walk down the chain for each Jacobian, as before the walks were shared."""
+    q = config.clamp(np.asarray(seed, dtype=float))
+    lam = damping
+    err = pose_error(target, fk_transform(config, q))
+    err_norm = np.linalg.norm(err)
+    eye = np.eye(config.dof)
+    for _ in range(max_iters):
+        if np.linalg.norm(err[:3]) <= pos_tol and np.linalg.norm(err[3:]) <= ori_tol:
+            return q
+        jac = jacobian(config, q)
+        step = np.linalg.solve(jac.T @ jac + lam * eye, jac.T @ err)
+        q_new = config.clamp(q + step)
+        err_new = pose_error(target, fk_transform(config, q_new))
+        new_norm = np.linalg.norm(err_new)
+        if new_norm < err_norm:
+            q, err, err_norm = q_new, err_new, new_norm
+            lam = max(lam / 10.0, 1e-10)
+        else:
+            lam = min(lam * 10.0, 1e8)
+    return None
+
+
+def seeded_ik_cases(config, count, spread):
+    rng = np.random.default_rng(77)
+    lo, hi = config.joint_limits[:, 0], config.joint_limits[:, 1]
+    for _ in range(count):
+        q_true = lo + (hi - lo) * (0.1 + 0.8 * rng.random(config.dof))
+        yield forward_kinematics(config, q_true), q_true + rng.uniform(-spread, spread, config.dof)
+
+
+class TestSharedChainWalks:
+    def test_matches_walk_per_call_loop_bit_for_bit(self, arm6):
+        for target, seed in seeded_ik_cases(arm6, 40, 0.4):
+            expected = walk_per_call_inverse_kinematics(arm6, target, seed)
+            if expected is None:
+                with pytest.raises(IkConvergenceError):
+                    inverse_kinematics(arm6, target, seed)
+            else:
+                assert inverse_kinematics(arm6, target, seed).tolist() == expected.tolist()
+
+    def test_one_walk_per_iteration_plus_the_initial_pose(self, arm6, monkeypatch):
+        walks, jacobians = [], []
+        frames, jac = chain._frames, chain.jacobian
+        monkeypatch.setattr(chain, "_frames", lambda *a: walks.append(1) or frames(*a))
+        monkeypatch.setattr(chain, "jacobian", lambda *a: jacobians.append(1) or jac(*a))
+        for target, seed in seeded_ik_cases(arm6, 10, 0.4):
+            walks.clear()
+            jacobians.clear()
+            inverse_kinematics(arm6, target, seed)
+            assert len(jacobians) >= 1
+            assert len(walks) == len(jacobians) + 1
 
 
 class TestConfigValidation:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtmotion.poly import basis_row
 from rtmotion.qpbuild import (
+    FULL_RANK_DEGREE,
     QpBuildError,
+    _equality_rows,
     assemble_qp,
     build_equality,
     build_inequality,
@@ -80,6 +84,34 @@ class TestBuildEquality:
             wps = [(float(rng.normal()), float(rng.uniform(0.2, 1.5))) for _ in range(n)]
             a_eq, _ = build_equality(wps, (0.0, 0.1, -0.2), degree)
             assert np.linalg.matrix_rank(a_eq) == 4 * n + 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(4, 8),
+        st.lists(st.floats(0.02, 2.0), min_size=1, max_size=12),
+    )
+    def test_structural_rank_rule_agrees_with_svd(self, degree, durations):
+        # the rows as built, whether or not build_equality accepts them
+        rows = _equality_rows(degree, np.array(durations))
+        full_rank = np.linalg.matrix_rank(rows) == 4 * len(durations) + 2
+        if degree >= FULL_RANK_DEGREE:
+            assert full_rank
+        wps = [(0.1 * i, d) for i, d in enumerate(durations)]
+        if full_rank:
+            a_eq, _ = build_equality(wps, (0.0, 0.1, -0.2), degree)
+            np.testing.assert_array_equal(a_eq, rows)
+        else:
+            with pytest.raises(QpBuildError, match="rank"):
+                build_equality(wps, (0.0, 0.1, -0.2), degree)
+
+    def test_no_svd_from_the_full_rank_degree_on(self, monkeypatch):
+        calls = []
+        rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda a: calls.append(a.shape) or rank(a))
+        build_equality([(1.0, 0.5), (2.0, 0.5)], (0.0, 0.0, 0.0), FULL_RANK_DEGREE)
+        assert calls == []
+        build_equality([(1.0, 0.5), (2.0, 0.5)], (0.0, 0.0, 0.0), FULL_RANK_DEGREE - 1)
+        assert calls == [(10, 10)]
 
     def test_empty_waypoints(self):
         with pytest.raises(QpBuildError, match="waypoints: empty"):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from rtmotion.planner import PLANNER_SETTINGS
 from rtmotion.poly import basis_row
-from rtmotion.qpbuild import DEFAULT_RIDGE, QpProblem, assemble_qp, build_equality, jerk_cost_matrix
+from rtmotion.qpbuild import DEFAULT_RIDGE, BlockRows, QpProblem, assemble_qp, build_equality, jerk_cost_matrix
 from rtmotion.qpsolve import (
     STATUS_PRIMAL_INFEASIBLE,
     STATUS_SOLVED,
@@ -190,6 +193,73 @@ class TestAdmm:
             )
             result = solve(single)
             assert np.max(np.abs(result.p - batch.p[:, j])) <= 1e-6
+
+
+def relative_gap(p, reference):
+    return float(np.max(np.abs(p - reference)) / (1.0 + np.max(np.abs(reference))))
+
+
+class TestWarmStart:
+    """ADMM starts at the minimizer over the tight rows and its multipliers."""
+
+    @pytest.mark.parametrize("settings", [SolverSettings(), PLANNER_SETTINGS], ids=["default", "planner"])
+    def test_equality_only_degree_6_matches_kkt(self, settings):
+        # from the zero start the stopping test accepted this problem at
+        # iteration 50 with coefficients about 4e-5 (relative) from the optimum
+        waypoints = [(0.0, 1.0), (0.0, 1.5), (0.0, 0.375)]
+        a_eq, b_eq = build_equality(waypoints, (0.0, 0.0, 0.5), 6)
+        problem = assemble_qp(waypoints, (0.0, 0.0, 0.5), 6, 100.0, 100.0, 1000.0)  # for its Q
+        kkt = solve_kkt_equality(problem.q_matrix, a_eq, b_eq)
+        for rows in (a_eq, BlockRows(a_eq, np.zeros((3, 0, 7)))):
+            admm = solve_batch(problem.q_matrix, rows, b_eq[:, None], b_eq[:, None], settings)
+            assert admm.status == STATUS_SOLVED
+            assert relative_gap(admm.p[:, 0], kkt) <= 1e-5
+
+    def test_inactive_limits_stop_after_one_iteration(self):
+        problem = rest_to_rest_problem()
+        solution = solve(problem, PLANNER_SETTINGS)
+        assert solution.status == STATUS_SOLVED
+        assert solution.iterations == 1
+        np.testing.assert_allclose(solution.p, QUINTIC, atol=1e-9)
+
+    def test_binding_velocity_limit_runs_admm(self):
+        # degree 7 leaves two coefficients free; the limit sits 5% below the
+        # unconstrained peak velocity of 1.90 rad/s
+        problem = assemble_qp([(1.0, 1.0)], (0.0, 0.0, 0.0), 7, 100.0, 1.8, 100.0)
+        solution = solve(problem, PLANNER_SETTINGS)
+        assert solution.status == STATUS_SOLVED
+        assert solution.iterations > 1
+        dense = problem.a_matrix.toarray()
+        values = dense @ solution.p
+        limits = slice(problem.n_eq, None)
+        assert np.all(values[limits] >= problem.lower[limits] - 1e-6)
+        assert np.all(values[limits] <= problem.upper[limits] + 1e-6)
+        # the rows active at the solution, held as equalities, give the same
+        # coefficients through the KKT oracle
+        slack = np.minimum(values - problem.lower, problem.upper - values)
+        active = problem.n_eq + np.flatnonzero(slack[limits] <= 1e-6)
+        assert len(active) >= 1
+        bound = np.where(values[active] > 0.0, problem.upper[active], problem.lower[active])
+        rows = np.concatenate([np.arange(problem.n_eq), active])
+        kkt = solve_kkt_equality(problem.q_matrix, dense[rows], np.concatenate([problem.lower[: problem.n_eq], bound]))
+        assert relative_gap(solution.p, kkt) <= 1e-5
+
+    def test_duplicated_equality_rows_start_from_zero_without_warnings(self):
+        problem = assemble_qp([(0.3, 0.5), (0.6, 0.5)], (0.0, 0.0, 0.0), 5, 100.0, 2.0, 20.0)
+        dense = problem.a_matrix.toarray()
+        order = np.concatenate([np.arange(problem.n_eq), [0, 3], np.arange(problem.n_eq, len(dense))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            duplicated = solve_batch(
+                problem.q_matrix, dense[order], problem.lower[order, None], problem.upper[order, None]
+            )
+        # the singular KKT matrix is not used: ADMM starts from zero and
+        # iterates, and solves the problem as the unduplicated rows do
+        assert duplicated.status == STATUS_SOLVED
+        assert duplicated.iterations > 1
+        reference = solve(problem)
+        assert reference.iterations == 1
+        assert np.max(np.abs(duplicated.p[:, 0] - reference.p)) <= 1e-5
 
 
 class TestSettings:
