@@ -126,26 +126,21 @@ def bench_problems(n_waypoints: int, degree: int, joints: int, fc: float, durati
             amp * omega * np.cos(phase),
             -amp * omega**2 * np.sin(phase),
         )
-    shared = qpbuild.assemble_qp(
-        [(float(p), duration) for p in targets[:, 0]],
-        tuple(float(v) for v in initial_states[:, 0]),
-        degree, fc, v_max, a_max,
+    problem = qpbuild.assemble_qp(
+        [(p, duration) for p in targets], initial_states, degree, fc,
+        np.full(joints, v_max), np.full(joints, a_max),
     )
-    lower, upper = qpbuild.joint_bounds(
-        shared, targets, initial_states, np.full(joints, v_max), np.full(joints, a_max)
-    )
-    return shared, lower, upper
+    return problem, problem.lower, problem.upper
 
 
 def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
-    settings = planner.PLANNER_SETTINGS
     records = []
     for _ in range(args.samples):
         shared, lower, upper = bench_problems(
             args.n, args.L, args.joints, args.fc, args.duration, args.vmax, args.amax, rng
         )
-        batch = qpsolve.solve_batch(shared.q_matrix, shared.a_matrix, lower, upper, settings)
+        batch = qpsolve.solve_batch(shared.q_matrix, shared.a_matrix, lower, upper)
         records.append(
             {
                 "n": args.n,

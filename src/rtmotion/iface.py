@@ -23,6 +23,7 @@ allowed to stall the dispatch loop.
 from __future__ import annotations
 
 import json
+import math
 import queue
 import socket
 import threading
@@ -57,6 +58,14 @@ def telemetry_message(robot_id: str, record: TelemetryRecord) -> dict:
     }
 
 
+def _finite_float(text: str) -> float:
+    """JSON has no NaN or infinity, and an ack echoing one could not be sent."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
 def handle_request_line(sessions: dict[str, Session], line: str, t_now: float) -> dict:
     """Validate one wire line and apply it to the named robot's session.
 
@@ -65,15 +74,15 @@ def handle_request_line(sessions: dict[str, Session], line: str, t_now: float) -
     """
     request_id = None
     try:
-        payload = json.loads(line)
+        payload = json.loads(line, parse_float=_finite_float, parse_constant=_finite_float)
         request_id = payload.get("id") if isinstance(payload, dict) else None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         return {"id": request_id, "status": "rejected", "reason": f"parse: {exc}"}
     if not isinstance(payload, dict):
         return {"id": None, "status": "rejected", "reason": "parse: expected a JSON object"}
 
     robot = payload.get("robot")
-    session = sessions.get(robot)
+    session = sessions.get(robot) if isinstance(robot, str) else None
     if session is None:
         return {"id": request_id, "status": "rejected", "reason": f"unknown robot '{robot}'"}
     try:
@@ -153,7 +162,7 @@ class _Client:
                     if not line.strip():
                         continue
                     ack = handle_request_line(
-                        self.server.sessions, line.decode("utf-8"), self.server.now()
+                        self.server.sessions, line.decode("utf-8", "replace"), self.server.now()
                     )
                     self.send(encode_line(ack))
         except OSError:

@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,10 +28,6 @@ Array = NDArray[np.float64]
 
 DEFAULT_DEGREE = 5
 REQUEST_TYPE = "rt-move-cartesian"
-
-# tighter than the solver defaults: junction/terminal residuals inherit the
-# primal tolerance, and the continuity contract is 1e-6
-PLANNER_SETTINGS = qpsolve.SolverSettings(eps_abs=1e-8, eps_rel=1e-8, max_iters=20000)
 
 
 class ValidationError(ValueError):
@@ -147,9 +143,6 @@ class Plan:
             for j in range(self.chain.dof)
         )
 
-    def boundary_times(self) -> list[float]:
-        return self.starts + [self.total_time]
-
     def state_at(self, local_t: float) -> tuple[Array, Array, Array]:
         """Position, velocity and acceleration of every joint at local time t
         (t = 0 is the epoch). Boundary times belong to the later segment;
@@ -234,7 +227,6 @@ def plan(
     chain: ChainConfig,
     s0: RobotState,
     degree: int = DEFAULT_DEGREE,
-    settings: Optional[qpsolve.SolverSettings] = None,
 ) -> Plan:
     """Plan a request starting from s0; the epoch is s0.timestamp.
 
@@ -245,39 +237,26 @@ def plan(
     _validate_request(request, chain)
     if s0.q.shape != (chain.dof,) or not np.isfinite(s0.q).all():
         raise ValidationError("initial state does not match chain dof")
-    settings = settings or PLANNER_SETTINGS
 
     q0 = chain.clamp(s0.q)
     joint_targets = _solve_joint_waypoints(request, chain, q0)
 
     t_build0 = time.perf_counter()
     durations = np.array([wp.duration for wp in request.waypoints])
-    fc = chain.control_frequency
-    n_seg = len(durations)
-
-    # Q and A depend only on degree/durations/grid, so build them once from
-    # joint 0; the joints differ only in their bound columns
-    shared = qpbuild.assemble_qp(
-        [(float(joint_targets[i, 0]), float(durations[i])) for i in range(n_seg)],
-        (float(q0[0]), float(s0.qd[0]), float(s0.qdd[0])),
-        degree,
-        fc,
-        float(chain.v_max[0]),
-        float(chain.a_max[0]),
-    )
-    lower, upper = qpbuild.joint_bounds(
-        shared, joint_targets, np.stack([q0, s0.qd, s0.qdd]), chain.v_max, chain.a_max
+    problem = qpbuild.assemble_qp(
+        list(zip(joint_targets, durations)), np.stack([q0, s0.qd, s0.qdd]),
+        degree, chain.control_frequency, chain.v_max, chain.a_max,
     )
     build_time = time.perf_counter() - t_build0
 
-    batch = qpsolve.solve_batch(shared.q_matrix, shared.a_matrix, lower, upper, settings)
+    batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper)
     if batch.status != qpsolve.STATUS_SOLVED:
         failing = int(np.argmax(~batch.converged)) if not batch.converged.all() else 0
         raise QpFailure(failing, batch.status)
 
     return Plan(
         chain=chain,
-        coeffs=batch.p.reshape(n_seg, degree + 1, chain.dof),
+        coeffs=batch.p.reshape(len(durations), degree + 1, chain.dof),
         durations=durations,
         joint_waypoints=joint_targets,
         epoch=s0.timestamp,
@@ -304,7 +283,6 @@ def preempt(
     new_request: PlanRequest,
     chain: ChainConfig,
     degree: int = DEFAULT_DEGREE,
-    settings: Optional[qpsolve.SolverSettings] = None,
 ) -> Plan:
     """Replace the active plan at t_now, replanning from the commanded
     reference (not the measured state) so the command stream stays C2
@@ -312,4 +290,4 @@ def preempt(
 
     Raises like plan(); on failure the caller keeps executing the old plan.
     """
-    return plan(new_request, chain, active.state(t_now), degree=degree, settings=settings)
+    return plan(new_request, chain, active.state(t_now), degree=degree)

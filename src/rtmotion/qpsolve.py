@@ -3,28 +3,32 @@ a dense KKT solve used as the equality-only verification oracle.
 
 The iteration follows the standard splitting: factor (P + sigma*I +
 A^T diag(rho) A) once, then alternate a linear solve, a relaxed averaging
-step, projection of z onto [l, u], and a dual update. Tight rows (l == u) get
+step, projection of z onto [l, u], and a dual update, with OSQP's rho, sigma
+and alpha (Stellato et al., Math. Prog. Comp. 2020). Tight rows (l == u) get
 a 1000x penalty weight, and the problem is internally equilibrated (cost
 scaling + row normalization of A) so the fixed penalty works across the wide
 dynamic range the short-segment problems produce. Both transformations leave
-the minimizer unchanged and are invisible to callers.
+the minimizer unchanged and are invisible to callers. The 1e-8 default
+tolerances keep limit, junction and terminal residuals inside the 1e-6
+contracts.
 
 The iterate does not start at zero. One symmetric-indefinite solve of the
 KKT system [P A_eq^T; A_eq 0] over the tight rows of the head (all columns
 at once) gives the minimizer over the equalities and its multipliers; x
 starts there, z at A x clipped to [l, u], y at the multipliers on the tight
 rows and 0 elsewhere. When no limit row is active at that point it is a
-fixed point of the iteration, so the stopping test also runs after
-iteration 1 and such a problem reports iterations == 1. When a limit binds,
-the iteration continues from there unchanged. A KKT matrix that is singular
-to working precision falls back to the zero start, silently.
+fixed point of the iteration, so the stopping test runs after iteration 1
+(and then every 25 iterations) and such a problem reports iterations == 1.
+When a limit binds, the iteration continues from there unchanged. A KKT
+matrix that is singular to working precision falls back to the zero start,
+silently.
 
 A is taken as qpbuild.BlockRows (a dense matrix is a head with no tail), so
 one iteration costs products with the dense head, O(N * R * (L+1)) for the
 per-segment blocks, and a pair of n x n triangular solves with the factor.
 
-Several independent problems that share Q and A (one per joint of a request)
-can be solved as columns of one batch, which amortizes the factorization and
+The problems of a request's joints share Q and A and are solved as the
+columns of one batch (solve_batch), which amortizes the factorization and
 the per-iteration matrix products.
 """
 
@@ -46,6 +50,11 @@ STATUS_SOLVED = "solved"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_PRIMAL_INFEASIBLE = "primal_infeasible"
 
+_RHO = 0.1
+_SIGMA = 1e-6
+_ALPHA = 1.6
+_CHECK_INTERVAL = 25
+
 _EQUALITY_GAP = 1e-12
 _EQUALITY_RHO_SCALE = 1e3
 _STALL_RATIO = 0.99
@@ -59,21 +68,13 @@ class FactorizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-6
-    max_iters: int = 4000
-    check_interval: int = 25
+    eps_abs: float = 1e-8
+    eps_rel: float = 1e-8
+    max_iters: int = 20000
 
     def __post_init__(self):
-        if min(self.rho, self.sigma, self.eps_abs, self.eps_rel) <= 0:
-            raise ValueError("rho, sigma and tolerances must be positive")
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError("relaxation alpha must lie in (0, 2)")
-        if self.max_iters <= 0 or self.check_interval <= 0:
-            raise ValueError("max_iters and check_interval must be positive")
+        if min(self.eps_abs, self.eps_rel, self.max_iters) <= 0:
+            raise ValueError("tolerances and max_iters must be positive")
 
 
 @dataclass
@@ -131,11 +132,11 @@ def solve_batch(
     p_s = p_full * cost_scale
 
     m = a.n_padded
-    rho = np.full(m, settings.rho)
+    rho = np.full(m, _RHO)
     tight = np.all(u_s - l_s <= _EQUALITY_GAP, axis=1)
-    rho[tight] = settings.rho * _EQUALITY_RHO_SCALE
+    rho[tight] = _RHO * _EQUALITY_RHO_SCALE
 
-    reduced = p_s + settings.sigma * np.eye(n) + a_s.gram(rho)
+    reduced = p_s + _SIGMA * np.eye(n) + a_s.gram(rho)
     try:
         factor, lower_factor = scipy.linalg.cho_factor(reduced, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -169,16 +170,16 @@ def solve_batch(
     stall = 0
 
     for iteration in range(1, settings.max_iters + 1):
-        rhs = settings.sigma * x + a_s.tdot(rho_col * z - y)
+        rhs = _SIGMA * x + a_s.tdot(rho_col * z - y)
         x_tilde, _ = potrs(factor, rhs, lower=lower_factor)
         z_tilde = a_s.dot(x_tilde)
-        x = settings.alpha * x_tilde + (1.0 - settings.alpha) * x
-        v = settings.alpha * z_tilde + (1.0 - settings.alpha) * z + y / rho_col
+        x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
+        v = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + y / rho_col
         z = np.minimum(np.maximum(v, l_s), u_s)  # np.clip, without its overhead
         y = rho_col * (v - z)
 
         # the start is a fixed point when no limit row is active: check at once
-        if iteration == 1 or iteration % settings.check_interval == 0 or iteration == settings.max_iters:
+        if iteration == 1 or iteration % _CHECK_INTERVAL == 0 or iteration == settings.max_iters:
             ax = a_s.dot(x)
             # primal residual in physical row units (undo the row scaling)
             prim_gap = np.abs(ax - z) * inv_e
@@ -257,6 +258,8 @@ def _equality_start(p_s: Array, a_eq: Array, b_eq: Array) -> Optional[tuple[Arra
 
 def solve(problem: QpProblem, settings: Optional[SolverSettings] = None) -> Solution:
     """Solve one QpProblem; deterministic for fixed settings."""
+    if problem.lower.ndim != 1:
+        raise ValueError("problem has one bound column per joint: solve it with solve_batch")
     problem.validate()
     batch = solve_batch(
         problem.q_matrix,

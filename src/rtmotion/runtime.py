@@ -115,16 +115,13 @@ class Session:
         chain: ChainConfig,
         initial_q,
         robot_id: str = "sim",
-        control_frequency: Optional[float] = None,
         tracking_lag: float = 0.0,
         noise_std: float = 0.0,
-        degree: int = planner.DEFAULT_DEGREE,
         history: Optional[int] = None,
     ):
         self.chain = chain
         self.robot_id = robot_id
-        self.fc = control_frequency or chain.control_frequency
-        self.degree = degree
+        self.fc = chain.control_frequency
         self._hold = RobotState.rest(chain.clamp(np.asarray(initial_q, dtype=float)))
         self.arm = SimArm(chain, self._hold, tracking_lag=tracking_lag, noise_std=noise_std)
         self.active_plan: Optional[Plan] = None
@@ -182,11 +179,9 @@ class Session:
             try:
                 if old_plan is None:
                     state = RobotState(self._hold.q, self._hold.qd, self._hold.qdd, t_now)
-                    new_plan = planner.plan(request, self.chain, state, degree=self.degree)
+                    new_plan = planner.plan(request, self.chain, state)
                 else:
-                    new_plan = planner.preempt(
-                        old_plan, t_preempt, request, self.chain, degree=self.degree
-                    )
+                    new_plan = planner.preempt(old_plan, t_preempt, request, self.chain)
             except (planner.ValidationError, planner.PlanningError) as exc:
                 record.reason = f"{getattr(exc, 'stage', 'validation')}: {exc}"
                 self.requests.append(record)
@@ -327,10 +322,15 @@ def load_scenario(path: str | Path) -> ScenarioScript:
         teleop_events, master_samples = _expand_teleop(raw, base_dir)
         events = events + teleop_events
     events.sort(key=lambda e: e["t"])
+    fc = float(raw.get("fc", chain.control_frequency))
+    if fc != chain.control_frequency:  # the QP samples the limits at the chain's rate
+        raise ScenarioError(
+            f"scenario fc {fc} Hz differs from chain '{chain.name}' at {chain.control_frequency} Hz"
+        )
     return ScenarioScript(
         name=raw.get("name", path.stem),
         chain=chain,
-        fc=float(raw.get("fc", chain.control_frequency)),
+        fc=fc,
         q0=np.asarray(raw["q0"], dtype=float),
         settle_time=float(raw.get("settle_time", 0.5)),
         events=events,
@@ -440,7 +440,7 @@ def run_scenario(script: ScenarioScript | str | Path) -> ScenarioResult:
     if not isinstance(script, ScenarioScript):
         script = load_scenario(script)
     chain = script.chain
-    session = Session(chain, script.q0, control_frequency=script.fc)
+    session = Session(chain, script.q0)
     archive: dict[str, Plan] = {}
     dt = 1.0 / script.fc
     markers: list[tuple[float, str]] = []

@@ -9,9 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtmotion.planner import PLANNER_SETTINGS
 from rtmotion.poly import basis_row
-from rtmotion.qpbuild import DEFAULT_RIDGE, BlockRows, assemble_qp, build_equality, joint_bounds
+from rtmotion.qpbuild import RIDGE, BlockRows, assemble_qp, build_equality
 from rtmotion.qpsolve import STATUS_SOLVED, solve_batch, solve_kkt_equality
 
 FC = 100.0
@@ -46,7 +45,7 @@ def reference_assembly(degree, durations):
     limit_rows = []
     for i, d in enumerate(durations):
         cols = slice(i * width, (i + 1) * width)
-        samples = np.linspace(0.0, 1.0, max(2, int(round(FC * d))))
+        samples = np.linspace(0.0, 1.0, max(2, int(round(FC * d)) + 1))
         jerk = np.array([basis_row(degree, u, 3) for u in samples])
         q_matrix[cols, cols] = jerk.T @ jerk * d**-6
         for u in samples:
@@ -71,7 +70,7 @@ def test_dense_view_matches_row_by_row_assembly(case):
     np.testing.assert_allclose(dense[problem.n_eq :], limit_rows, rtol=BASIS_RTOL, atol=0.0)
     np.testing.assert_array_equal(np.asarray(problem.a_matrix), dense)
     assert problem.a_matrix.shape == dense.shape
-    jerk = problem.q_matrix - DEFAULT_RIDGE * np.eye(problem.n_vars)
+    jerk = problem.q_matrix - RIDGE * np.eye(problem.n_vars)
     np.testing.assert_allclose(jerk, q_ref, rtol=1e-12, atol=1e-12 * np.abs(q_ref).max())
     limits = np.tile([V_MAX, A_MAX], len(limit_rows) // 2)
     np.testing.assert_array_equal(problem.lower, np.concatenate([b_eq, -limits]))
@@ -80,33 +79,35 @@ def test_dense_view_matches_row_by_row_assembly(case):
 
 @PROPERTY
 @given(segment_problems(dof=3))
-def test_joint_bounds_match_per_joint_equalities(case):
+def test_bound_columns_match_per_joint_assembly(case):
     degree, durations, targets, initial = case
-    problem = assemble_qp(waypoints_of(targets, durations), tuple(initial[:, 0]), degree, FC, V_MAX, A_MAX)
     v_max, a_max = np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0])
-    lower, upper = joint_bounds(problem, targets, initial, v_max, a_max)
+    problem = assemble_qp(list(zip(targets, durations)), initial, degree, FC, v_max, a_max)
+    assert problem.lower.shape == problem.upper.shape == (problem.a_matrix.shape[0], 3)
     for j in range(3):
-        _, b_eq = build_equality(waypoints_of(targets, durations, j), tuple(initial[:, j]), degree)
-        limits = np.tile([v_max[j], a_max[j]], (problem.a_matrix.shape[0] - problem.n_eq) // 2)
-        np.testing.assert_array_equal(lower[:, j], np.concatenate([b_eq, -limits]))
-        np.testing.assert_array_equal(upper[:, j], np.concatenate([b_eq, limits]))
+        wps = waypoints_of(targets, durations, j)
+        single = assemble_qp(wps, tuple(initial[:, j]), degree, FC, v_max[j], a_max[j])
+        np.testing.assert_array_equal(problem.q_matrix, single.q_matrix)
+        np.testing.assert_array_equal(problem.a_matrix.toarray(), single.a_matrix.toarray())
+        np.testing.assert_array_equal(problem.lower[:, j], single.lower)
+        np.testing.assert_array_equal(problem.upper[:, j], single.upper)
 
 
 @PROPERTY
 @given(segment_problems(dof=2))
 def test_structured_solve_matches_dense_solve(case):
     degree, durations, targets, initial = case
-    problem = assemble_qp(waypoints_of(targets, durations), tuple(initial[:, 0]), degree, FC, V_MAX, A_MAX)
-    lower, upper = joint_bounds(problem, targets, initial, np.full(2, V_MAX), np.full(2, A_MAX))
-    structured = solve_batch(problem.q_matrix, problem.a_matrix, lower, upper)
-    dense = solve_batch(problem.q_matrix, problem.a_matrix.toarray(), lower, upper)
+    v_max, a_max = np.full(2, V_MAX), np.full(2, A_MAX)
+    problem = assemble_qp(list(zip(targets, durations)), initial, degree, FC, v_max, a_max)
+    structured = solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper)
+    dense = solve_batch(problem.q_matrix, problem.a_matrix.toarray(), problem.lower, problem.upper)
     assert structured.status == dense.status
     if dense.status == STATUS_SOLVED:
         scale = 1.0 + np.max(np.abs(dense.p))
         assert np.max(np.abs(structured.p - dense.p)) <= 1e-6 * scale
 
 
-# the planner's tolerances, degrees 5-7 and the durations of acceptance
+# the default tolerances, degrees 5-7 and the durations of acceptance
 # criterion 2; much shorter segments next to long ones make the KKT matrix
 # itself ill-conditioned. ADMM starts at the equality-constrained minimizer,
 # so this holds at degree 6 too, where the zero start's stopping test
@@ -120,7 +121,7 @@ def test_equality_only_structured_solve_matches_kkt(case):
     a_eq, b_eq = build_equality(wps, tuple(initial[:, 0]), degree)
     # the equality head over per-segment blocks without rows
     rows = BlockRows(a_eq, np.zeros((len(durations), 0, degree + 1)))
-    admm = solve_batch(problem.q_matrix, rows, b_eq[:, None], b_eq[:, None], PLANNER_SETTINGS)
+    admm = solve_batch(problem.q_matrix, rows, b_eq[:, None], b_eq[:, None])
     assert admm.status == STATUS_SOLVED
     kkt = solve_kkt_equality(problem.q_matrix, a_eq, b_eq)
     assert np.max(np.abs(admm.p[:, 0] - kkt)) <= 1e-5 * (1.0 + np.max(np.abs(kkt)))

@@ -4,9 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtmotion import planner
-from rtmotion.chain import forward_kinematics
+from rtmotion.chain import forward_kinematics, load_chain
 from rtmotion.iface import RobotServer, encode_line, handle_request_line
 from rtmotion.runtime import Session, load_scenario
 
@@ -112,6 +114,74 @@ class TestHandleRequestLine:
         assert session.active_plan.epoch == 1.0
 
 
+ARM6 = load_chain(data_path("chains", "arm6.json"))
+REST_POSE = forward_kinematics(ARM6, ARM6.mid_position())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def teleop_payloads(draw, robot=st.just("sim"), duration=st.just(0.04)):
+    """A buffered teleop window of 1-5 poses within 1 cm of the rest pose."""
+    offsets = draw(st.lists(st.tuples(*[st.floats(-0.01, 0.01)] * 3), min_size=1, max_size=5))
+    waypoints = [
+        {"pose": (REST_POSE.translation + offset).tolist() + REST_POSE.rpy.tolist(), "duration": 0.04}
+        for offset in offsets
+    ]
+    waypoints[draw(st.integers(0, len(waypoints) - 1))]["duration"] = draw(duration)
+    return {"id": draw(JSON_VALUES), "robot": draw(robot), "type": "rt-move-cartesian", "waypoints": waypoints}
+
+
+def _truncated(line_and_cut):
+    line, cut = line_and_cut
+    return line[: cut % len(line)]
+
+
+WIRE_LINES = st.one_of(
+    teleop_payloads().map(json.dumps),
+    st.tuples(teleop_payloads().map(json.dumps), st.integers(0, 10**6)).map(_truncated),
+    JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
+    teleop_payloads(robot=JSON_VALUES.filter(lambda r: r != "sim")).map(json.dumps),
+    teleop_payloads(duration=st.sampled_from([0.0, -0.04, 0.005])).map(json.dumps),
+    st.text(max_size=40),
+    st.sampled_from(['{"id": 1e400}', '{"id": NaN}', "[" * 5000]),
+)
+
+
+def strict_json(line):
+    """The line's JSON value if it has no NaN or infinity, else None."""
+    try:
+        payload = json.loads(line)
+        json.dumps(payload, allow_nan=False)
+    except (ValueError, RecursionError):
+        return None
+    return payload
+
+
+class TestOneAckProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(WIRE_LINES, min_size=1, max_size=4))
+    def test_every_line_yields_one_ack_and_rejections_keep_the_plan(self, lines):
+        session = Session(ARM6, ARM6.mid_position(), robot_id="sim")
+        sessions = {"sim": session}
+        for k, line in enumerate(lines):
+            payload = strict_json(line)
+            before = session.active_plan
+            ack = handle_request_line(sessions, line, 0.04 * k)
+            assert isinstance(ack, dict) and ack["status"] in ("accepted", "rejected")
+            encode_line(ack)  # the ack can go on the wire
+            want_id = payload.get("id") if isinstance(payload, dict) else None
+            assert json.dumps(ack["id"]) == json.dumps(want_id)
+            if ack["status"] == "accepted":
+                assert session.active_plan is not before
+                assert session.active_plan.request_id == str(want_id)
+            else:
+                assert session.active_plan is before
+
+
 class TestWireFidelity:
     def test_round_trip_bit_identical(self):
         values = [0.1234567891234567, -1.9999999999999998e-05, np.pi, 0.45]
@@ -130,8 +200,8 @@ class _LineClient:
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.buffer = b""
 
-    def send_line(self, text: str):
-        self.sock.sendall(text.encode() + b"\n")
+    def send_line(self, line: str | bytes):
+        self.sock.sendall((line.encode() if isinstance(line, str) else line) + b"\n")
 
     def read_message(self):
         while b"\n" not in self.buffer:
@@ -190,14 +260,15 @@ class TestServer:
             lines = [
                 request_line("q1", hold_waypoints(arm6)),
                 "{broken",
+                b"\xff\xfe not utf-8",
                 request_line("q2", hold_waypoints(arm6, duration=0.0)),
                 request_line("q3", hold_waypoints(arm6)),
             ]
             for line in lines:
                 client.send_line(line)
-            acks = client.read_acks(4)
-            assert [a.get("id") for a in acks] == ["q1", None, "q2", "q3"]
-            assert [a["status"] for a in acks] == ["accepted", "rejected", "rejected", "accepted"]
+            acks = client.read_acks(5)
+            assert [a.get("id") for a in acks] == ["q1", None, None, "q2", "q3"]
+            assert [a["status"] for a in acks] == ["accepted", "rejected", "rejected", "rejected", "accepted"]
         finally:
             client.close()
 
@@ -247,7 +318,7 @@ class TestJitterRobustness:
             events.append((t, event["request"]))
         events.sort(key=lambda pair: pair[0])
 
-        session = Session(arm6, script.q0, control_frequency=script.fc)
+        session = Session(arm6, script.q0)
         bound = arm6.v_max / script.fc * 1.001
         horizon = events[-1][0] + 5 * 0.04 + 0.3
         cursor = 0

@@ -61,7 +61,7 @@ def test_state_at_matches_per_joint_eval(plan_, data):
     """Random times, every segment boundary, the exact end and past it."""
     trajectories = oracle(plan_)
     total = plan_.total_time
-    times = plan_.boundary_times() + [total + 1.0]
+    times = plan_.starts + [total, total + 1.0]
     times += [data.draw(st.floats(0.0, total * 1.2)) for _ in range(5)]
     for t in times:
         want = np.array([traj.eval(t) for traj in trajectories]).T  # (3, dof)

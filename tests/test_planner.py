@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -77,6 +78,27 @@ class TestPlan:
             _, qd, qdd = plan_.state_at(t)
             assert np.all(np.abs(qd) <= arm6.v_max + 1e-6)
             assert np.all(np.abs(qdd) <= arm6.a_max + 1e-6)
+
+    def test_binding_velocity_limit_holds_on_every_tick(self, arm6):
+        # degree 7, one 1 s waypoint turning the base: joint 0's unconstrained
+        # peak is 5% over its v_max. Sampling the limits at round(fc * D)
+        # points, one short of the segment's ticks, let the plan exceed v_max
+        # by 4.2e-4 rad/s at tick times
+        q0 = arm6.mid_position()
+        q1 = q0.copy()
+        q1[0] += 1.0
+        request = make_request([CartesianWaypoint(forward_kinematics(arm6, q1), 1.0)])
+        free = plan(request, arm6, RobotState.rest(q0), degree=7)
+        peak = max(abs(free.state_at(t)[1][0]) for t in np.linspace(0.0, 1.0, 1001))
+        v_max = arm6.v_max.copy()
+        v_max[0] = peak / 1.05
+        chain = dataclasses.replace(arm6, v_max=v_max)
+        plan_ = plan(request, chain, RobotState.rest(q0), degree=7)
+        assert plan_.iterations > 1  # the limit binds
+        for k in range(101):
+            _, qd, qdd = plan_.state_at(k / chain.control_frequency)
+            assert np.all(np.abs(qd) <= chain.v_max + 1e-6)
+            assert np.all(np.abs(qdd) <= chain.a_max + 1e-6)
 
     def test_hold_request_is_constant(self, arm6):
         # the IK fixed point returns q0 exactly, so the plan is the constant

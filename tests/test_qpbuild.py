@@ -42,7 +42,8 @@ class TestJerkCostMatrix:
 
     def test_sample_count_floor(self):
         assert len(segment_samples(0.001, 100.0)) == 2
-        assert len(segment_samples(0.5, 100.0)) == 50
+        # one sample per control tick of the segment, both ends included
+        np.testing.assert_allclose(segment_samples(0.5, 100.0), np.arange(51) / 50)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(QpBuildError):
@@ -124,10 +125,10 @@ class TestBuildEquality:
 
 class TestBuildInequality:
     def test_row_count(self):
-        # one segment, D=1, fc=10: 10 samples -> 20 interval rows
+        # one segment, D=1, fc=10: 11 samples -> 22 interval rows
         a_in, l_in, u_in = build_inequality(5, [1.0], 10.0, 1.0, 2.0)
-        assert a_in.shape == (20, 6)
-        assert l_in.shape == (20,) and u_in.shape == (20,)
+        assert a_in.shape == (22, 6)
+        assert l_in.shape == (22,) and u_in.shape == (22,)
 
     def test_zero_coefficients_strictly_feasible(self):
         a_in, l_in, u_in = build_inequality(5, [1.0, 0.5], 25.0, 1.0, 2.0)
@@ -182,15 +183,3 @@ class TestAssembleQp:
         wps = [(1.0, 1.0)]
         problem = assemble_qp(wps, (0.0, 0.0, 0.0), 5, 100.0, 2.0, 8.0)
         assert not np.any(np.all(problem.a_matrix.toarray() == 0.0, axis=1))
-
-    def test_json_dump_round_trip(self, tmp_path):
-        import json
-
-        wps = [(1.0, 1.0)]
-        problem = assemble_qp(wps, (0.0, 0.0, 0.0), 5, 100.0, 2.0, 8.0)
-        path = tmp_path / "qp.json"
-        problem.dump_json(path)
-        raw = json.loads(path.read_text())
-        assert raw["n_eq"] == 6
-        np.testing.assert_array_equal(np.array(raw["Q"]), problem.q_matrix)
-        np.testing.assert_array_equal(np.array(raw["A"]), problem.a_matrix)

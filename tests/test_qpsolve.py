@@ -3,9 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from rtmotion.planner import PLANNER_SETTINGS
 from rtmotion.poly import basis_row
-from rtmotion.qpbuild import DEFAULT_RIDGE, BlockRows, QpProblem, assemble_qp, build_equality, jerk_cost_matrix
+from rtmotion.qpbuild import RIDGE, BlockRows, QpProblem, assemble_qp, build_equality, jerk_cost_matrix
 from rtmotion.qpsolve import (
     STATUS_PRIMAL_INFEASIBLE,
     STATUS_SOLVED,
@@ -29,6 +28,12 @@ QUINTIC = quintic_by_boundary_conditions()
 
 def rest_to_rest_problem():
     return assemble_qp([(1.0, 1.0)], (0.0, 0.0, 0.0), 5, 100.0, 5.0, 10.0)
+
+
+def binding_problem():
+    """Degree 7 leaves two coefficients free; the velocity limit sits 5%
+    below the unconstrained peak velocity of 1.90 rad/s."""
+    return assemble_qp([(1.0, 1.0)], (0.0, 0.0, 0.0), 7, 100.0, 1.8, 100.0)
 
 
 def random_equality_problem(rng):
@@ -113,7 +118,7 @@ class TestAdmm:
         problem = assemble_qp([(0.7, 0.5), (0.7, 0.5), (0.7, 0.5)], (0.7, 0.0, 0.0), 5, 100.0, 2.0, 8.0)
         solution = solve(problem)
         assert solution.status == STATUS_SOLVED
-        jerk_gram = problem.q_matrix - DEFAULT_RIDGE * np.eye(problem.n_vars)
+        jerk_gram = problem.q_matrix - RIDGE * np.eye(problem.n_vars)
         assert solution.p @ jerk_gram @ solution.p <= 1e-10
         for i in range(3):
             block = solution.p[i * 6 : (i + 1) * 6]
@@ -202,8 +207,7 @@ def relative_gap(p, reference):
 class TestWarmStart:
     """ADMM starts at the minimizer over the tight rows and its multipliers."""
 
-    @pytest.mark.parametrize("settings", [SolverSettings(), PLANNER_SETTINGS], ids=["default", "planner"])
-    def test_equality_only_degree_6_matches_kkt(self, settings):
+    def test_equality_only_degree_6_matches_kkt(self):
         # from the zero start the stopping test accepted this problem at
         # iteration 50 with coefficients about 4e-5 (relative) from the optimum
         waypoints = [(0.0, 1.0), (0.0, 1.5), (0.0, 0.375)]
@@ -211,22 +215,20 @@ class TestWarmStart:
         problem = assemble_qp(waypoints, (0.0, 0.0, 0.5), 6, 100.0, 100.0, 1000.0)  # for its Q
         kkt = solve_kkt_equality(problem.q_matrix, a_eq, b_eq)
         for rows in (a_eq, BlockRows(a_eq, np.zeros((3, 0, 7)))):
-            admm = solve_batch(problem.q_matrix, rows, b_eq[:, None], b_eq[:, None], settings)
+            admm = solve_batch(problem.q_matrix, rows, b_eq[:, None], b_eq[:, None])
             assert admm.status == STATUS_SOLVED
             assert relative_gap(admm.p[:, 0], kkt) <= 1e-5
 
     def test_inactive_limits_stop_after_one_iteration(self):
         problem = rest_to_rest_problem()
-        solution = solve(problem, PLANNER_SETTINGS)
+        solution = solve(problem)
         assert solution.status == STATUS_SOLVED
         assert solution.iterations == 1
         np.testing.assert_allclose(solution.p, QUINTIC, atol=1e-9)
 
     def test_binding_velocity_limit_runs_admm(self):
-        # degree 7 leaves two coefficients free; the limit sits 5% below the
-        # unconstrained peak velocity of 1.90 rad/s
-        problem = assemble_qp([(1.0, 1.0)], (0.0, 0.0, 0.0), 7, 100.0, 1.8, 100.0)
-        solution = solve(problem, PLANNER_SETTINGS)
+        problem = binding_problem()
+        solution = solve(problem)
         assert solution.status == STATUS_SOLVED
         assert solution.iterations > 1
         dense = problem.a_matrix.toarray()
@@ -263,13 +265,25 @@ class TestWarmStart:
 
 
 class TestSettings:
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            SolverSettings(alpha=2.5)
-
     def test_rejects_non_positive_tolerance(self):
         with pytest.raises(ValueError):
             SolverSettings(eps_abs=0.0)
+
+    def test_default_settings_hold_a_binding_limit(self):
+        # at 1e-6 tolerances the solver stopped "solved" with the velocity
+        # 6.5e-6 over its limit, breaking the 1e-6 limit contract
+        problem = binding_problem()
+        solution = solve(problem)
+        assert solution.status == STATUS_SOLVED
+        values = problem.a_matrix @ solution.p
+        assert np.all(values >= problem.lower - 1e-6)
+        assert np.all(values <= problem.upper + 1e-6)
+
+    def test_solve_rejects_bound_columns(self):
+        wps = [(np.array([1.0, 0.5]), 1.0)]
+        problem = assemble_qp(wps, np.zeros((3, 2)), 5, 100.0, np.full(2, 5.0), np.full(2, 10.0))
+        with pytest.raises(ValueError, match="solve_batch"):
+            solve(problem)
 
 
 class TestScaleConsistency:

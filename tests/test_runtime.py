@@ -279,6 +279,15 @@ class TestScenarioLoading:
             assert script.chain.dof == 6
             assert script.fc == 100.0
 
+    def test_scenario_rate_must_be_the_chains(self, tmp_path, arm6):
+        # the QP samples the limits at the chain's rate, so a script may not
+        # tick at another
+        script = {"name": "slow", "chain": "arm6.json", "fc": 50.0, "q0": arm6.mid_position().tolist()}
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(script))
+        with pytest.raises(ScenarioError, match="fc 50.0 Hz"):
+            load_scenario(path)
+
     def test_chase_expansion(self):
         script = load_scenario(data_path("scenarios", "chase.json"))
         sends = [e for e in script.events if e["action"] == "send_request"]
