@@ -4,7 +4,7 @@ simulated arm at a fixed control frequency.
 """
 
 from rtmotion.chain import ChainConfig, Pose, forward_kinematics, inverse_kinematics, jacobian, load_chain
-from rtmotion.planner import CartesianWaypoint, Plan, PlanRequest, RobotState, plan, preempt, reference_at
+from rtmotion.planner import CartesianWaypoint, Plan, PlanRequest, RobotState, plan, reference_at
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,6 @@ __all__ = [
     "PlanRequest",
     "RobotState",
     "plan",
-    "preempt",
     "reference_at",
     "__version__",
 ]

@@ -20,7 +20,7 @@ Array = NDArray[np.float64]
 
 
 class IkConvergenceError(RuntimeError):
-    """Raised when the IK iteration exhausts max_iters without converging."""
+    """Raised when the IK iteration exhausts IK_MAX_ITERS without converging."""
 
     def __init__(self, message: str, position_error: float, orientation_error: float):
         super().__init__(message)
@@ -327,34 +327,32 @@ def pose_error(target: Pose, current: Array) -> Array:
     return np.concatenate([pos_err, rot_err])
 
 
-def inverse_kinematics(
-    config: ChainConfig,
-    target: Pose,
-    seed,
-    pos_tol: float = 1e-4,
-    ori_tol: float = 1e-3,
-    max_iters: int = 200,
-    damping: float = 1e-3,
-) -> Array:
+IK_POS_TOL = 1e-4  # m
+IK_ORI_TOL = 1e-3  # rad
+IK_MAX_ITERS = 200
+IK_DAMPING = 1e-3
+
+
+def inverse_kinematics(config: ChainConfig, target: Pose, seed) -> Array:
     """Damped-least-squares IK seeded from a reference configuration.
 
     The damping factor adapts Levenberg-style (x10 on error increase, /10 on
     decrease) and every iterate is clamped to the joint limits, so the seed
     continuity of consecutive solves is inherited directly from the iteration.
-    Raises IkConvergenceError if the target is unreachable within max_iters.
+    Raises IkConvergenceError if the target is unreachable within IK_MAX_ITERS.
     """
     q = config.clamp(_check_q(config, seed))
-    lam = damping
+    lam = IK_DAMPING
     # one walk down the chain per iterate: the accepted iterate's walk gives
     # the next Jacobian
     walk = _frames(config, q)
     err = pose_error(target, walk[1])
     err_norm = np.linalg.norm(err)
     eye = np.eye(config.dof)
-    for _ in range(max_iters):
+    for _ in range(IK_MAX_ITERS):
         pos_err = np.linalg.norm(err[:3])
         ori_err = np.linalg.norm(err[3:])
-        if pos_err <= pos_tol and ori_err <= ori_tol:
+        if pos_err <= IK_POS_TOL and ori_err <= IK_ORI_TOL:
             return q
         jac = jacobian(config, q, walk)
         step = np.linalg.solve(jac.T @ jac + lam * eye, jac.T @ err)
@@ -369,10 +367,10 @@ def inverse_kinematics(
             lam = min(lam * 10.0, 1e8)
     pos_err = float(np.linalg.norm(err[:3]))
     ori_err = float(np.linalg.norm(err[3:]))
-    if pos_err <= pos_tol and ori_err <= ori_tol:
+    if pos_err <= IK_POS_TOL and ori_err <= IK_ORI_TOL:
         return q
     raise IkConvergenceError(
-        f"IK did not converge after {max_iters} iterations "
+        f"IK did not converge after {IK_MAX_ITERS} iterations "
         f"(position error {pos_err:.3e} m, orientation error {ori_err:.3e} rad)",
         pos_err,
         ori_err,

@@ -26,8 +26,9 @@ def _parse_q0(text: str | None, chain) -> np.ndarray:
     return values
 
 
-def _write_trajectory_csv(path: Path, plan_: planner.Plan, fc: float) -> None:
+def _write_trajectory_csv(path: Path, plan_: planner.Plan) -> None:
     dof = plan_.chain.dof
+    fc = plan_.chain.control_frequency
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["t"]
@@ -60,7 +61,7 @@ def cmd_plan(args) -> int:
         f"qdd {junction[2]:.2e}"
     )
     if args.out:
-        _write_trajectory_csv(Path(args.out), plan_, chain.control_frequency)
+        _write_trajectory_csv(Path(args.out), plan_)
         print(f"trajectory written to {args.out}")
     return 0
 

@@ -38,6 +38,10 @@ from rtmotion.runtime import Session, TelemetryRecord
 
 # telemetry and request records a served session keeps: 10 s at 100 Hz
 SERVE_HISTORY = 1000
+# lines queued to one client before it counts as slow and is dropped
+OUTBOX_LINES = 512
+# longest inbound line read; a longer one is rejected and skipped unread
+MAX_LINE_BYTES = 65536
 
 
 def encode_line(message: dict) -> bytes:
@@ -107,7 +111,7 @@ class _Client:
     def __init__(self, server: "RobotServer", conn: socket.socket):
         self.server = server
         self.conn = conn
-        self.outbox: queue.Queue[Optional[bytes]] = queue.Queue(maxsize=server.max_queue)
+        self.outbox: queue.Queue[Optional[bytes]] = queue.Queue(maxsize=OUTBOX_LINES)
         self.alive = True
         self._writer = threading.Thread(target=self._write_loop, daemon=True)
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
@@ -150,24 +154,28 @@ class _Client:
                 return
 
     def _read_loop(self):
-        buffer = b""
+        stream = self.conn.makefile("rb")
         try:
             while self.alive:
-                chunk = self.conn.recv(4096)
-                if not chunk:
-                    break
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    if not line.strip():
-                        continue
-                    ack = handle_request_line(
-                        self.server.sessions, line.decode("utf-8", "replace"), self.server.now()
-                    )
-                    self.send(encode_line(ack))
+                line = stream.readline(MAX_LINE_BYTES + 1)
+                if not line.endswith(b"\n"):
+                    if len(line) <= MAX_LINE_BYTES:
+                        break  # closed, possibly mid-line
+                    reason = f"parse: line exceeds {MAX_LINE_BYTES} bytes"
+                    self.send(encode_line({"id": None, "status": "rejected", "reason": reason}))
+                    while line and not line.endswith(b"\n"):
+                        line = stream.readline(MAX_LINE_BYTES + 1)
+                    continue
+                if not line.strip():
+                    continue
+                ack = handle_request_line(
+                    self.server.sessions, line[:-1].decode("utf-8", "replace"), self.server.now()
+                )
+                self.send(encode_line(ack))
         except OSError:
             pass
         finally:
+            stream.close()
             self.close()
 
 
@@ -187,12 +195,10 @@ class RobotServer:
         host: str = "127.0.0.1",
         port: int = 0,
         initial_q=None,
-        max_queue: int = 512,
     ):
         q0 = chain.mid_position() if initial_q is None else np.asarray(initial_q, dtype=float)
         self.session = Session(chain, q0, robot_id=robot_id, history=SERVE_HISTORY)
         self.sessions = {robot_id: self.session}
-        self.max_queue = max_queue
         self._sock = socket.create_server((host, port))
         self.host, self.port = self._sock.getsockname()[:2]
         self._clients: set[_Client] = set()

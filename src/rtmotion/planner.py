@@ -22,12 +22,16 @@ from numpy.typing import NDArray
 
 from rtmotion import qpbuild, qpsolve
 from rtmotion.chain import ChainConfig, IkConvergenceError, Pose, forward_kinematics, inverse_kinematics
-from rtmotion.poly import JointTrajectory, Segment, state_rows
+from rtmotion.poly import MIN_DEGREE, JointTrajectory, Segment, state_rows
 
 Array = NDArray[np.float64]
 
 DEFAULT_DEGREE = 5
 REQUEST_TYPE = "rt-move-cartesian"
+# admission bounds: QP memory grows about as N^2 and linearly in duration,
+# and the session's intake lock is held while a request plans
+MAX_WAYPOINTS = 100
+MAX_WAYPOINT_DURATION_S = 10.0
 
 
 class ValidationError(ValueError):
@@ -200,12 +204,18 @@ def _validate_request(request: PlanRequest, chain: ChainConfig) -> None:
         raise ValidationError(f"unsupported request type '{request.request_type}'")
     if not request.waypoints:
         raise ValidationError("waypoints: empty")
+    if len(request.waypoints) > MAX_WAYPOINTS:
+        raise ValidationError(f"waypoints: {len(request.waypoints)} exceed {MAX_WAYPOINTS}")
     min_duration = 2.0 / chain.control_frequency
     for i, wp in enumerate(request.waypoints):
         if wp.duration < min_duration:
             raise ValidationError(
                 f"waypoint {i}: duration {wp.duration} below two control ticks "
                 f"({min_duration})"
+            )
+        if wp.duration > MAX_WAYPOINT_DURATION_S:
+            raise ValidationError(
+                f"waypoint {i}: duration {wp.duration} exceeds {MAX_WAYPOINT_DURATION_S} s"
             )
 
 
@@ -235,6 +245,8 @@ def plan(
     rest, and respects the velocity/acceleration limits on the control grid.
     """
     _validate_request(request, chain)
+    if degree < MIN_DEGREE:
+        raise ValidationError(f"polynomial degree must be >= {MIN_DEGREE}, got {degree}")
     if s0.q.shape != (chain.dof,) or not np.isfinite(s0.q).all():
         raise ValidationError("initial state does not match chain dof")
 
@@ -243,10 +255,13 @@ def plan(
 
     t_build0 = time.perf_counter()
     durations = np.array([wp.duration for wp in request.waypoints])
-    problem = qpbuild.assemble_qp(
-        list(zip(joint_targets, durations)), np.stack([q0, s0.qd, s0.qdd]),
-        degree, chain.control_frequency, chain.v_max, chain.a_max,
-    )
+    try:
+        problem = qpbuild.assemble_qp(
+            list(zip(joint_targets, durations)), np.stack([q0, s0.qd, s0.qdd]),
+            degree, chain.control_frequency, chain.v_max, chain.a_max,
+        )
+    except qpbuild.QpBuildError as exc:  # e.g. too few coefficients for the equality rows
+        raise ValidationError(str(exc)) from exc
     build_time = time.perf_counter() - t_build0
 
     batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper)
@@ -275,19 +290,3 @@ def reference_at(plan_: Plan, t: float) -> tuple[RobotState, Pose]:
     """
     state = plan_.state(t)
     return state, forward_kinematics(plan_.chain, state.q)
-
-
-def preempt(
-    active: Plan,
-    t_now: float,
-    new_request: PlanRequest,
-    chain: ChainConfig,
-    degree: int = DEFAULT_DEGREE,
-) -> Plan:
-    """Replace the active plan at t_now, replanning from the commanded
-    reference (not the measured state) so the command stream stays C2
-    continuous regardless of tracking error.
-
-    Raises like plan(); on failure the caller keeps executing the old plan.
-    """
-    return plan(new_request, chain, active.state(t_now), degree=degree)

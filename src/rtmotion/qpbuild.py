@@ -18,7 +18,7 @@ O(m * n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -138,8 +138,7 @@ class QpProblem:
 
     The first n_eq rows of A are equalities (lower == upper). a_matrix is
     BlockRows (or a dense array); lower and upper follow the rows of its
-    dense view, with one column per joint when they are 2-D. degree and
-    durations map solutions back to trajectories.
+    dense view, with one column per joint when they are 2-D.
     """
 
     q_matrix: Array
@@ -147,8 +146,6 @@ class QpProblem:
     lower: Array
     upper: Array
     n_eq: int
-    degree: int
-    durations: Array = field(default_factory=lambda: np.zeros(0))
 
     @property
     def n_vars(self) -> int:
@@ -354,8 +351,6 @@ def assemble_qp(
         lower=np.concatenate([b_eq, l_in]),
         upper=np.concatenate([b_eq, u_in]),
         n_eq=a_eq.shape[0],
-        degree=degree,
-        durations=durations,
     )
     problem.validate()
     return problem

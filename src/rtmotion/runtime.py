@@ -134,9 +134,9 @@ class Session:
         plan_ = self.active_plan  # read once: swap is atomic
         if plan_ is None:
             return RobotState(self._hold.q, self._hold.qd, self._hold.qdd, t)
-        # a wall-clock tick stamped just before a concurrent swap may trail
-        # the new epoch by under one period; the plan's initial state equals
-        # the old reference there, so evaluating at the epoch stays continuous
+        # a tick or receipt stamp may trail the epoch of a plan swapped in
+        # meanwhile; the plan's initial state equals the old reference there,
+        # so evaluating at the epoch stays continuous
         return plan_.state(max(t, plan_.epoch))
 
     def tick(self, t: float) -> TelemetryRecord:
@@ -165,7 +165,9 @@ class Session:
         return record
 
     def submit(self, request: PlanRequest, t_now: float) -> RequestRecord:
-        """Plan (idle) or preempt (active) at receipt time t_now.
+        """Plan (idle) or preempt (active) at receipt time t_now, starting
+        from the commanded reference (not the measured state) so the command
+        stream stays C2 continuous regardless of tracking error.
 
         A rejected request leaves the active plan untouched. Serialized so
         concurrent clients multiplex onto one intake activity.
@@ -173,15 +175,9 @@ class Session:
         with self._intake_lock:
             old_plan = self.active_plan
             record = RequestRecord(request_id=request.request_id, t_submitted=t_now, accepted=False)
-            # receipt stamps from different connections may interleave within
-            # a planning window; never preempt before the epoch
-            t_preempt = t_now if old_plan is None else max(t_now, old_plan.epoch)
+            start = self.reference(t_now)
             try:
-                if old_plan is None:
-                    state = RobotState(self._hold.q, self._hold.qd, self._hold.qdd, t_now)
-                    new_plan = planner.plan(request, self.chain, state)
-                else:
-                    new_plan = planner.preempt(old_plan, t_preempt, request, self.chain)
+                new_plan = planner.plan(request, self.chain, start)
             except (planner.ValidationError, planner.PlanningError) as exc:
                 record.reason = f"{getattr(exc, 'stage', 'validation')}: {exc}"
                 self.requests.append(record)
@@ -194,12 +190,11 @@ class Session:
             record.junction_residual = (float(jr[0]), float(jr[1]), float(jr[2]))
             if old_plan is not None:
                 record.preempted_request = old_plan.request_id
-                old_state = old_plan.state(t_preempt)
                 q, qd, qdd = new_plan.state_at(0.0)
                 record.preemption_jump = (
-                    float(np.max(np.abs(q - old_state.q))),
-                    float(np.max(np.abs(qd - old_state.qd))),
-                    float(np.max(np.abs(qdd - old_state.qdd))),
+                    float(np.max(np.abs(q - start.q))),
+                    float(np.max(np.abs(qd - start.qd))),
+                    float(np.max(np.abs(qdd - start.qdd))),
                 )
             self.active_plan = new_plan  # atomic swap
             self.requests.append(record)
@@ -212,13 +207,10 @@ class ScenarioScript:
 
     name: str
     chain: ChainConfig
-    fc: float
     q0: Array
     settle_time: float
     events: list[dict]
     shape: Optional[dict] = None
-    teleop: Optional[dict] = None
-    chase: Optional[dict] = None
     master_samples: Optional[list[tuple[float, Array]]] = None
 
 
@@ -330,13 +322,10 @@ def load_scenario(path: str | Path) -> ScenarioScript:
     return ScenarioScript(
         name=raw.get("name", path.stem),
         chain=chain,
-        fc=fc,
         q0=np.asarray(raw["q0"], dtype=float),
         settle_time=float(raw.get("settle_time", 0.5)),
         events=events,
         shape=raw.get("shape"),
-        teleop=raw.get("teleop"),
-        chase=raw.get("chase"),
         master_samples=master_samples,
     )
 
@@ -436,13 +425,13 @@ def _teleop_delay(session: Session, script: ScenarioScript) -> dict:
 
 
 def run_scenario(script: ScenarioScript | str | Path) -> ScenarioResult:
-    """Execute the scripted request schedule on a simulated clock at fc."""
+    """Execute the scripted request schedule on a simulated clock at the chain's rate."""
     if not isinstance(script, ScenarioScript):
         script = load_scenario(script)
     chain = script.chain
     session = Session(chain, script.q0)
     archive: dict[str, Plan] = {}
-    dt = 1.0 / script.fc
+    dt = 1.0 / chain.control_frequency
     markers: list[tuple[float, str]] = []
 
     horizon = script.settle_time
@@ -452,9 +441,9 @@ def run_scenario(script: ScenarioScript | str | Path) -> ScenarioResult:
             horizon = max(horizon, event["t"] + total + script.settle_time)
         else:
             horizon = max(horizon, event["t"])
-    n_ticks = int(round(horizon * script.fc)) + 1
+    n_ticks = int(round(horizon * chain.control_frequency)) + 1
 
-    pending = sorted(script.events, key=lambda e: e["t"])
+    pending = script.events  # sorted by load_scenario
     cursor = 0
     for k in range(n_ticks):
         t = k * dt
@@ -524,7 +513,7 @@ def _summarize(
     acc_excess = np.max(np.abs(qdd) - chain.a_max, initial=-np.inf)
     violations = int(np.sum(np.any(np.abs(qd) > chain.v_max + 1e-6, axis=1) | np.any(np.abs(qdd) > chain.a_max + 1e-6, axis=1)))
     tick_step = np.max(np.abs(np.diff(qs, axis=0)), axis=0) if len(qs) > 1 else np.zeros(chain.dof)
-    step_bound = chain.v_max / script.fc * (1.0 + 1e-3)
+    step_bound = chain.v_max / chain.control_frequency * (1.0 + 1e-3)
 
     def _stack(records, attr):
         vals = [getattr(r, attr) for r in records if getattr(r, attr) is not None]
@@ -536,7 +525,7 @@ def _summarize(
 
     summary = {
         "scenario": script.name,
-        "fc": script.fc,
+        "fc": chain.control_frequency,
         "ticks": len(session.telemetry),
         "requests_accepted": len(accepted),
         "requests_rejected": len(session.requests) - len(accepted),
@@ -555,6 +544,6 @@ def _summarize(
     }
     if script.shape:
         summary["path_deviation_m"] = _path_deviation(session, script, archive)
-    if script.teleop:
+    if script.master_samples is not None:
         summary["pipeline_delay"] = _teleop_delay(session, script)
     return summary

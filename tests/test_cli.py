@@ -1,5 +1,5 @@
 import json
-
+from pathlib import Path
 
 from rtmotion.cli import main
 
@@ -37,6 +37,19 @@ class TestPlanCommand:
         code = main(["plan", CHAIN, WAYPOINTS, "--q0", "0,0"])
         assert code != 0
         assert "--q0" in capsys.readouterr().err
+
+    def test_degree_below_minimum_is_an_input_error(self, capsys):
+        code = main(["plan", CHAIN, WAYPOINTS, "--degree", "3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: polynomial degree must be >= 4")
+
+    def test_rank_deficient_problem_is_an_input_error(self, tmp_path, capsys):
+        # one segment of degree 4 has 5 coefficients for 6 boundary rows
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps(json.loads(Path(WAYPOINTS).read_text())[:1]))
+        code = main(["plan", CHAIN, str(one), "--degree", "4"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: equality constraints are rank-deficient")
 
 
 class TestSimCommand:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtmotion import planner
-from rtmotion.chain import forward_kinematics, load_chain
+from rtmotion.chain import forward_kinematics, inverse_kinematics, load_chain
 from rtmotion.iface import RobotServer, encode_line, handle_request_line
 from rtmotion.runtime import Session, load_scenario
 
@@ -75,6 +75,23 @@ class TestHandleRequestLine:
         )
         assert ack["status"] == "rejected"
         assert ack["reason"].startswith("ik")
+
+    @pytest.mark.parametrize("count, duration", [(101, 0.04), (1, 11.0)])
+    def test_oversized_request_rejected_before_ik(self, arm6, monkeypatch, count, duration):
+        calls = []
+
+        def counted_ik(*args):
+            calls.append(args)
+            return inverse_kinematics(*args)
+
+        monkeypatch.setattr(planner, "inverse_kinematics", counted_ik)
+        sessions = {"sim": make_session(arm6)}
+        line = request_line("big", hold_waypoints(arm6, duration) * count)
+        ack = handle_request_line(sessions, line, 0.0)
+        assert ack["status"] == "rejected"
+        assert ack["reason"].startswith("validation: ")
+        assert calls == []
+        assert sessions["sim"].active_plan is None
 
     def test_preemption_keeps_stream_continuous(self, arm6):
         # two requests one second apart with 1.5 s horizons
@@ -272,6 +289,19 @@ class TestServer:
         finally:
             client.close()
 
+    def test_overlong_line_rejected_unread(self, arm6, server):
+        # a valid request padded past the line bound is not parsed
+        client = _LineClient(server.host, server.port)
+        try:
+            client.send_line(request_line("big", hold_waypoints(arm6)) + " " * 100_000)
+            client.send_line(request_line("q1", hold_waypoints(arm6)))
+            acks = client.read_acks(2)
+            assert [a.get("id") for a in acks] == [None, "q1"]
+            assert [a["status"] for a in acks] == ["rejected", "accepted"]
+            assert acks[0]["reason"].startswith("parse: ")
+        finally:
+            client.close()
+
     def test_telemetry_rate_and_fields(self, server):
         client = _LineClient(server.host, server.port)
         try:
@@ -319,13 +349,14 @@ class TestJitterRobustness:
         events.sort(key=lambda pair: pair[0])
 
         session = Session(arm6, script.q0)
-        bound = arm6.v_max / script.fc * 1.001
+        fc = arm6.control_frequency
+        bound = arm6.v_max / fc * 1.001
         horizon = events[-1][0] + 5 * 0.04 + 0.3
         cursor = 0
         prev = None
         accepted = 0
-        for k in range(int(horizon * script.fc) + 1):
-            t = k / script.fc
+        for k in range(int(horizon * fc) + 1):
+            t = k / fc
             while cursor < len(events) and events[cursor][0] <= t + 1e-9:
                 jt, payload = events[cursor]
                 cursor += 1

@@ -15,7 +15,6 @@ from rtmotion.planner import (
     RobotState,
     ValidationError,
     plan,
-    preempt,
     reference_at,
 )
 
@@ -263,7 +262,7 @@ class TestPreempt:
         second = make_request(
             [CartesianWaypoint(Pose(np.array([0.67, 0.10, 0.45]), rpy), 1.5)], "t2"
         )
-        replanned = preempt(active, t_preempt, second, arm6)
+        replanned = plan(second, arm6, active.state(t_preempt))
         assert replanned.epoch == t_preempt
         q, qd, qdd = replanned.state_at(0.0)
         assert np.max(np.abs(q - expected.q)) <= 1e-9
@@ -275,7 +274,7 @@ class TestPreempt:
         pose = forward_kinematics(arm6, q0)
         request = make_request([CartesianWaypoint(pose, 1.0)], "hold")
         active = plan(request, arm6, RobotState.rest(q0))
-        replanned = preempt(active, active.epoch + 1.2, request, arm6)  # at rest, post-hold
+        replanned = plan(request, arm6, active.state(active.epoch + 1.2))  # at rest, post-hold
         expected, _ = reference_at(active, active.epoch + 1.2)
         q, qd, _ = replanned.state_at(0.0)
         assert np.max(np.abs(q - expected.q)) <= 1e-8
@@ -287,7 +286,7 @@ class TestPreempt:
         active = plan(make_request([CartesianWaypoint(pose, 1.0)], "ok"), arm6, RobotState.rest(q0))
         bad = make_request([CartesianWaypoint(Pose(np.array([9.9, 0, 0]), np.zeros(3)), 0.5)], "bad")
         with pytest.raises(IkFailure):
-            preempt(active, active.epoch + 0.5, bad, arm6)
+            plan(bad, arm6, active.state(active.epoch + 0.5))
         state, _ = reference_at(active, active.epoch + 0.6)  # still evaluable
         assert np.isfinite(state.q).all()
 
@@ -314,7 +313,7 @@ class TestPreempt:
                 active = plan(request, arm6, RobotState.rest(q0, timestamp=t_now))
             else:
                 expected, _ = reference_at(active, t_now)
-                active = preempt(active, t_now, request, arm6)
+                active = plan(request, arm6, active.state(t_now))
                 q, qd, qdd = active.state_at(0.0)
                 worst = np.maximum(
                     worst,

@@ -55,7 +55,7 @@ def random_equality_problem(rng):
     q += 1e-9 * np.eye(width * n_seg)
     return QpProblem(
         q_matrix=q, a_matrix=a_eq, lower=b_eq.copy(), upper=b_eq.copy(),
-        n_eq=a_eq.shape[0], degree=degree, durations=durations,
+        n_eq=a_eq.shape[0],
     )
 
 
@@ -153,8 +153,6 @@ class TestAdmm:
             lower=np.concatenate([problem.lower, [-100.0]]),
             upper=np.concatenate([problem.upper, [100.0]]),
             n_eq=problem.n_eq,
-            degree=problem.degree,
-            durations=problem.durations,
         )
         augmented = solve(loose)
         assert augmented.status == STATUS_SOLVED
@@ -193,8 +191,6 @@ class TestAdmm:
                 lower=lower[:, j],
                 upper=upper[:, j],
                 n_eq=problem.n_eq,
-                degree=problem.degree,
-                durations=problem.durations,
             )
             result = solve(single)
             assert np.max(np.abs(result.p - batch.p[:, j])) <= 1e-6

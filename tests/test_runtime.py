@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rtmotion import planner, poly, qpbuild, runtime
-from rtmotion.chain import forward_kinematics
+from rtmotion.chain import Pose, forward_kinematics
 from rtmotion.iface import SERVE_HISTORY, RobotServer
 from rtmotion.planner import CartesianWaypoint, PlanRequest, RobotState
 from rtmotion.runtime import ScenarioError, Session, SimArm, load_scenario, run_scenario
@@ -110,6 +110,35 @@ class TestSession:
             prev = record
         jump = session.requests[-1].preemption_jump
         assert jump is not None and max(jump) <= 1e-6
+
+    def test_lagging_arm_preemptions_stay_continuous(self, arm6):
+        # the encoder trails the reference; each new plan starts from the
+        # commanded reference, so the command stream stays C2 regardless
+        q0 = arm6.mid_position()
+        base = forward_kinematics(arm6, q0)
+        session = Session(arm6, q0, tracking_lag=0.05, noise_std=1e-4)
+        bound = arm6.v_max / session.fc * 1.001
+        prev = None
+        for k in range(240):
+            t = k / session.fc
+            if k % 40 == 0:  # a plan, then five mid-flight preemptions
+                target = base.translation + [0.0, 0.02 * (k // 40 + 1), 0.01 * (-1) ** (k // 40)]
+                request = PlanRequest("sim", (CartesianWaypoint(Pose(target, base.rpy), 0.6),), f"r{k}")
+                before = session.reference(t)
+                offset = np.max(np.abs(session.arm.encoder_state.q - before.q))
+                record = session.submit(request, t)
+                assert record.accepted, record.reason
+                if k:
+                    assert offset > 1e-3  # the swap happens while the arm lags
+                    after = session.reference(t)
+                    for a, b in ((after.q, before.q), (after.qd, before.qd), (after.qdd, before.qdd)):
+                        assert np.max(np.abs(a - b)) <= 1e-6
+                    assert max(record.preemption_jump) <= 1e-6
+            rec = session.tick(t)
+            if prev is not None:
+                assert np.all(np.abs(rec.reference.q - prev.reference.q) <= bound)
+            prev = rec
+        assert sum(r.preemption_jump is not None for r in session.requests) == 5
 
     def test_no_record_mixes_plans(self, arm6):
         # each record's joints must come from one plan: with two plans whose
@@ -277,7 +306,7 @@ class TestScenarioLoading:
         for name in ("draw-line", "draw-circle", "chase", "teleop-replay"):
             script = load_scenario(data_path("scenarios", f"{name}.json"))
             assert script.chain.dof == 6
-            assert script.fc == 100.0
+            assert script.chain.control_frequency == 100.0
 
     def test_scenario_rate_must_be_the_chains(self, tmp_path, arm6):
         # the QP samples the limits at the chain's rate, so a script may not
