@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,53 +95,40 @@ class Pose:
 
 
 @dataclass(frozen=True)
-class JointSpec:
-    """Revolute joint: unit rotation axis plus the fixed transform from the
-    parent joint frame to this joint's frame."""
-
-    axis: Array
-    offset: Array  # 4x4, applied before the joint rotation
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        norm = np.linalg.norm(axis)
-        if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError(f"joint axis must be a unit vector, |axis| = {norm}")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
-
-
-@dataclass(frozen=True)
 class ChainConfig:
     """Robot description consumed by the planner and runtime.
 
-    joint_limits is (dof, 2) [min, max] radians; v_max / a_max are per-joint
-    magnitude limits; ee_transform maps the last joint frame to the
-    end-effector frame.
+    Joint i is revolute about the unit axes[i] of its own frame, which
+    offsets[i] (4x4, applied before the joint rotation) places in the parent
+    joint's frame: axes is (dof, 3), offsets (dof, 4, 4). joint_limits is
+    (dof, 2) [min, max] radians; v_max / a_max are per-joint magnitude
+    limits; ee_transform maps the last joint frame to the end-effector frame.
     """
 
-    joints: tuple[JointSpec, ...]
+    axes: Array
+    offsets: Array
     joint_limits: Array
     v_max: Array
     a_max: Array
     control_frequency: float
     ee_transform: Array
     name: str = "robot"
-    # the joints' axes (dof, 3) and offsets (dof, 4, 4), stacked
-    axes: Array = field(init=False, repr=False, compare=False)
-    offsets: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "joints", tuple(self.joints))
-        object.__setattr__(self, "axes", np.array([j.axis for j in self.joints]).reshape(-1, 3))
-        object.__setattr__(self, "offsets", np.array([j.offset for j in self.joints]).reshape(-1, 4, 4))
+        object.__setattr__(self, "axes", np.asarray(self.axes, dtype=float))
+        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=float))
         object.__setattr__(self, "joint_limits", np.asarray(self.joint_limits, dtype=float))
         object.__setattr__(self, "v_max", np.asarray(self.v_max, dtype=float))
         object.__setattr__(self, "a_max", np.asarray(self.a_max, dtype=float))
         object.__setattr__(self, "ee_transform", np.asarray(self.ee_transform, dtype=float))
-        dof = len(self.joints)
+        dof = len(self.axes)
         if dof < 1:
             raise ValueError("chain needs at least one joint")
+        if self.axes.shape != (dof, 3) or self.offsets.shape != (dof, 4, 4):
+            raise ValueError(f"axes must be ({dof}, 3) and offsets ({dof}, 4, 4)")
+        norms = np.linalg.norm(self.axes, axis=1)
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
+            raise ValueError(f"joint axes must be unit vectors, |axis| = {norms}")
         if self.joint_limits.shape != (dof, 2):
             raise ValueError(f"joint_limits must be ({dof}, 2)")
         if np.any(self.joint_limits[:, 0] >= self.joint_limits[:, 1]):
@@ -152,15 +139,17 @@ class ChainConfig:
             raise ValueError("a_max must be positive per joint")
         if self.control_frequency <= 0:
             raise ValueError("control_frequency must be positive")
-        for name, rot in [("ee_transform", self.ee_transform[:3, :3])] + [
-            (f"joint {i} offset", j.offset[:3, :3]) for i, j in enumerate(self.joints)
-        ]:
-            if abs(np.linalg.det(rot) - 1.0) > 1e-9 or np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-9:
-                raise ValueError(f"{name} rotation is not orthonormal with det +1")
+        rots = np.concatenate([self.ee_transform[None, :3, :3], self.offsets[:, :3, :3]])
+        gram_error = np.abs(rots @ rots.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
+        good = (np.abs(np.linalg.det(rots) - 1.0) <= 1e-9) & (gram_error <= 1e-9)
+        if not np.all(good):
+            bad = int(np.argmin(good))
+            name = "ee_transform" if bad == 0 else f"joint {bad - 1} offset"
+            raise ValueError(f"{name} rotation is not orthonormal with det +1")
 
     @property
     def dof(self) -> int:
-        return len(self.joints)
+        return len(self.axes)
 
     def clamp(self, q: Array) -> Array:
         return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
@@ -178,18 +167,13 @@ def load_chain(path: str | Path) -> ChainConfig:
     """
     path = Path(path)
     raw = json.loads(path.read_text())
-    joints = [
-        JointSpec(
-            axis=np.asarray(j["axis"], dtype=float),
-            offset=make_transform(j["offset"]["xyz"], j["offset"]["rpy"]),
-        )
-        for j in raw["joints"]
-    ]
+    joints = raw["joints"]
     if raw.get("dof") is not None and raw["dof"] != len(joints):
         raise ValueError(f"{path}: dof {raw['dof']} does not match {len(joints)} joints")
     ee = raw["ee_offset"]
     return ChainConfig(
-        joints=tuple(joints),
+        axes=[j["axis"] for j in joints],
+        offsets=[make_transform(j["offset"]["xyz"], j["offset"]["rpy"]) for j in joints],
         joint_limits=np.asarray(raw["joint_limits"], dtype=float),
         v_max=np.asarray(raw["v_max"], dtype=float),
         a_max=np.asarray(raw["a_max"], dtype=float),

@@ -135,6 +135,9 @@ def bench_problems(n_waypoints: int, degree: int, joints: int, fc: float, durati
 
 
 def cmd_bench(args) -> int:
+    for name in ("n", "joints", "samples"):
+        if getattr(args, name) < 1:
+            raise planner.ValidationError(f"--{name} must be at least 1")
     rng = np.random.default_rng(args.seed)
     records = []
     for _ in range(args.samples):
@@ -212,10 +215,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (planner.ValidationError, planner.PlanningError, runtime.ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (planner.ValidationError, planner.PlanningError, qpbuild.QpBuildError,
+            runtime.ScenarioError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

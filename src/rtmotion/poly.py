@@ -1,21 +1,24 @@
 """Monomial basis rows, their derivatives, and piecewise-polynomial joint
 trajectories.
 
-A plan keeps every joint's coefficients in one array and evaluates them with
-state_rows; Segment and JointTrajectory are per-joint views of that array and
-the reference evaluation the tests compare it against.
+state_rows builds every row the QP constrains and every row a plan is
+evaluated with; basis_row is its scalar reference. A plan keeps every
+joint's coefficients in one array; Segment and JointTrajectory are per-joint
+views of that array and the reference evaluation the tests compare it
+against.
 
 Each segment is parameterized over normalized local time u = (t - start) / D
 in [0, 1]; evaluating the k-th derivative therefore multiplies by D**-k. The
 reparameterization keeps the basis conditioned for arbitrarily long
-trajectories and is invisible at the API boundary as long as the constraint
-rows built elsewhere apply the same scaling (they do).
+trajectories and is invisible at the API boundary, since state_rows applies
+the scaling to the constraint rows and the evaluation alike.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,41 +47,25 @@ def basis_row(degree: int, u: float, k: int = 0) -> Array:
     return row
 
 
-def basis_rows(degree: int, u: Array, k: int = 0) -> Array:
-    """basis_row at every entry of an array of normalized times, stacked
-    along a new last axis: shape u.shape + (degree + 1,)."""
-    if degree < MIN_DEGREE:
-        raise ValueError(f"polynomial degree must be >= {MIN_DEGREE}, got {degree}")
-    if not 0 <= k <= MAX_DERIVATIVE:
-        raise ValueError(f"derivative order must be in 0..{MAX_DERIVATIVE}, got {k}")
-    u = np.asarray(u, dtype=float)
-    if u.size and not (0.0 <= u.min() and u.max() <= 1.0):
-        raise ValueError("normalized time must lie in [0, 1]")
-    j = np.arange(degree + 1)
-    factor = np.ones(degree + 1)
-    for step in range(k):
-        factor *= j - step  # zero for j < k
-    return factor * u[..., None] ** np.maximum(j - k, 0)
-
-
 @functools.cache
-def _state_table(degree: int) -> tuple[Array, Array, Array]:
-    """Derivative factors and u exponents of the (q, qd, qdd) rows, each
-    (3, degree + 1), and the derivative orders (3, 1)."""
-    j = np.arange(degree + 1)
-    orders = np.arange(3)[:, None]
-    factors = np.stack([np.ones(degree + 1), j, j * (j - 1)]).astype(float)
-    return factors, np.maximum(j - orders, 0), orders
+def _state_table(degree: int, orders: tuple[int, ...]) -> tuple[Array, Array, Array]:
+    """Derivative factors j! / (j - k)! and u exponents of the rows of the
+    given orders k, each (len(orders), degree + 1), and the orders as a
+    column."""
+    k = np.array(orders)[:, None]
+    factors = [[math.perm(j, order) for j in range(degree + 1)] for order in orders]
+    return np.array(factors, dtype=float), np.maximum(np.arange(degree + 1) - k, 0), k
 
 
-def state_rows(degree: int, u, duration) -> Array:
-    """Rows that map one segment's coefficients to (q, qd, qdd) in absolute
-    time at normalized time u: basis_row for k = 0, 1, 2 scaled by
-    duration**-k. u and duration broadcast; shape (..., 3, degree + 1)."""
-    factors, exponents, orders = _state_table(degree)
+def state_rows(degree: int, u, duration, orders: tuple[int, ...] = (0, 1, 2)) -> Array:
+    """Rows that map one segment's coefficients to its derivatives of the
+    given orders in absolute time at normalized time u: basis_row for each
+    order k scaled by duration**-k. u and duration broadcast; shape
+    (..., len(orders), degree + 1)."""
+    factors, exponents, k = _state_table(degree, orders)
     u = np.asarray(u, dtype=float)[..., None, None]
     duration = np.asarray(duration, dtype=float)[..., None, None]
-    return factors * u**exponents / duration**orders
+    return factors * u**exponents / duration**k
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ third-derivative basis rows; equalities pin the initial state, the terminal
 rest state, waypoint pass-through, and junction continuity; inequalities
 bound velocity and acceleration on the same sampling grid as the cost, in
 two-sided interval form l <= A p <= u (equality rows are tight intervals).
+Every row is poly.state_rows of the segment, so it carries the D**-k scaling
+that a plan is evaluated with.
 A segment of D seconds has round(f_c * D) + 1 samples (at least 2), so one
 of whole control periods is sampled on every tick it spans. Only the bounds
 differ between joints: assemble_qp builds one column of them per joint.
@@ -23,7 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from rtmotion.poly import basis_row, basis_rows
+# basis_row is imported but not called: perfbench's COUNTED table and
+# test_runtime's no-basis_row tick test look the name up in this module, and
+# tests/test_trace_tables.py fails without it
+from rtmotion.poly import MIN_DEGREE, basis_row, state_rows  # noqa: F401
 
 Array = NDArray[np.float64]
 
@@ -171,10 +176,10 @@ class QpProblem:
 def _sample_grid(durations: Array, control_frequency: float) -> tuple[Array, NDArray[np.bool_]]:
     """segment_samples of every segment, padded to a common length: the
     (N, S) sample times and the (N, S) mask of real samples."""
-    if np.any(durations <= 0):
-        raise QpBuildError("segment duration must be positive")
-    if control_frequency <= 0:
-        raise QpBuildError("control frequency must be positive")
+    if not np.all(np.isfinite(durations) & (durations > 0)):
+        raise QpBuildError("segment duration must be positive and finite")
+    if not (np.isfinite(control_frequency) and control_frequency > 0):
+        raise QpBuildError("control frequency must be positive and finite")
     counts = np.maximum(2, np.round(control_frequency * durations).astype(int) + 1)
     steps = np.arange(counts.max())
     u = steps * (1.0 / (counts - 1))[:, None]  # np.linspace's arithmetic
@@ -194,9 +199,9 @@ def segment_samples(duration: float, control_frequency: float) -> Array:
 def _jerk_blocks(degree: int, durations: Array, control_frequency: float) -> Array:
     """jerk_cost_matrix of every segment: (N, L+1, L+1)."""
     u, real = _sample_grid(durations, control_frequency)
-    rows = basis_rows(degree, u, 3)
+    rows = state_rows(degree, u, durations[:, None], orders=(3,))[:, :, 0]
     rows[~real] = 0.0
-    q = np.matmul(rows.transpose(0, 2, 1), rows) * (durations**-6)[:, None, None]
+    q = np.matmul(rows.transpose(0, 2, 1), rows)
     return 0.5 * (q + q.transpose(0, 2, 1))
 
 
@@ -230,30 +235,19 @@ FULL_RANK_DEGREE = 5
 def _equality_rows(degree: int, durations: Array) -> Array:
     """build_equality's A_eq for positive durations."""
     n_seg = len(durations)
-    width = degree + 1
-    a_eq = np.zeros((4 * n_seg + 2, width * n_seg))
-
-    def block(i: int) -> slice:
-        return slice(i * width, (i + 1) * width)
-
-    # every row is a segment-start or segment-end basis row, scaled
-    start = [basis_row(degree, 0.0, k) for k in range(3)]
-    end = [basis_row(degree, 1.0, k) for k in range(3)]
-    row = 0
-    for k in range(3):  # initial state of segment 1
-        a_eq[row, block(0)] = start[k] * durations[0] ** -k
-        row += 1
-    for k in range(3):  # terminal rest at the last waypoint
-        a_eq[row, block(n_seg - 1)] = end[k] * durations[-1] ** -k
-        row += 1
-    for i in range(n_seg - 1):  # interior junctions
-        a_eq[row, block(i)] = end[0]
-        row += 1
-        for k in range(3):
-            a_eq[row, block(i)] = end[k] * durations[i] ** -k
-            a_eq[row, block(i + 1)] = -start[k] * durations[i + 1] ** -k
-            row += 1
-    return a_eq
+    # every row is a segment's start or end (q, qd, qdd) row
+    start = state_rows(degree, 0.0, durations)
+    end = state_rows(degree, 1.0, durations)
+    a_eq = np.zeros((4 * n_seg + 2, n_seg, degree + 1))
+    a_eq[0:3, 0] = start[0]  # initial state of segment 1
+    a_eq[3:6, -1] = end[-1]  # terminal rest at the last waypoint
+    # per interior junction i: pass-through row, then three continuity rows
+    junctions = a_eq[6:].reshape(n_seg - 1, 4, n_seg, degree + 1)
+    i = np.arange(n_seg - 1)
+    junctions[i, 0, i] = end[:-1, 0]
+    junctions[i, 1:, i] = end[:-1]
+    junctions[i, 1:, i + 1] = -start[1:]
+    return a_eq.reshape(4 * n_seg + 2, -1)
 
 
 def build_equality(
@@ -272,12 +266,14 @@ def build_equality(
     """
     if not waypoints:
         raise QpBuildError("waypoints: empty")
-    if not np.all(np.isfinite(initial_state)):
-        raise QpBuildError("initial state contains non-finite entries")
     positions = np.array([w[0] for w in waypoints], dtype=float)
     durations = np.array([w[1] for w in waypoints], dtype=float)
-    if np.any(durations <= 0):
-        raise QpBuildError("waypoint durations must be positive")
+    if not (np.all(np.isfinite(initial_state)) and np.all(np.isfinite(positions))):
+        raise QpBuildError("initial state or waypoint positions contain non-finite entries")
+    if not np.all(np.isfinite(durations) & (durations > 0)):
+        raise QpBuildError("waypoint durations must be positive and finite")
+    if degree < MIN_DEGREE:
+        raise QpBuildError(f"polynomial degree must be >= {MIN_DEGREE}, got {degree}")
     a_eq = _equality_rows(degree, durations)
     n_rows = a_eq.shape[0]
     if degree < FULL_RANK_DEGREE and np.linalg.matrix_rank(a_eq) < n_rows:
@@ -309,14 +305,13 @@ def build_inequality(
     Two rows per sample (velocity then acceleration), one block per segment
     and no head; the two-sided interval form absorbs the absolute values.
     """
-    if np.min(v_max) <= 0 or np.min(a_max) <= 0:
-        raise QpBuildError("velocity and acceleration limits must be positive")
+    if not all(np.all(np.isfinite(x) & (np.asarray(x) > 0)) for x in (v_max, a_max)):
+        raise QpBuildError("velocity and acceleration limits must be positive and finite")
     durations = np.asarray(durations, dtype=float)
     n_seg = len(durations)
     width = degree + 1
     u, real = _sample_grid(durations, control_frequency)
-    scale = durations[:, None, None]
-    rows = np.stack([basis_rows(degree, u, k) * scale**-k for k in (1, 2)], axis=2)
+    rows = state_rows(degree, u, durations[:, None], orders=(1, 2))
     rows[~real] = 0.0
     blocks = rows.reshape(n_seg, -1, width)
     a_in = BlockRows(np.zeros((0, width * n_seg)), blocks, 2 * real.sum(axis=1))
@@ -345,12 +340,10 @@ def assemble_qp(
     q_matrix = _block_diagonal(_jerk_blocks(degree, durations, control_frequency))
     q_matrix += RIDGE * np.eye(q_matrix.shape[0])
 
-    problem = QpProblem(
+    return QpProblem(
         q_matrix=q_matrix,
         a_matrix=BlockRows(a_eq, a_in.blocks, a_in.counts),
         lower=np.concatenate([b_eq, l_in]),
         upper=np.concatenate([b_eq, u_in]),
         n_eq=a_eq.shape[0],
     )
-    problem.validate()
-    return problem

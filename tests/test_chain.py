@@ -5,7 +5,6 @@ from rtmotion import chain
 from rtmotion.chain import (
     ChainConfig,
     IkConvergenceError,
-    JointSpec,
     Pose,
     forward_kinematics,
     inverse_kinematics,
@@ -114,7 +113,8 @@ class TestJacobian:
 
     def test_one_dof_angular_row_is_axis(self):
         chain = ChainConfig(
-            joints=(JointSpec(axis=np.array([0.0, 1.0, 0.0]), offset=np.eye(4)),),
+            axes=np.array([[0.0, 1.0, 0.0]]),
+            offsets=np.eye(4)[None],
             joint_limits=np.array([[-3.0, 3.0]]),
             v_max=np.array([1.0]),
             a_max=np.array([1.0]),
@@ -252,7 +252,8 @@ class TestConfigValidation:
     def test_rejects_bad_limits(self):
         with pytest.raises(ValueError, match="min < max"):
             ChainConfig(
-                joints=(JointSpec(axis=np.array([0.0, 0.0, 1.0]), offset=np.eye(4)),),
+                axes=np.array([[0.0, 0.0, 1.0]]),
+                offsets=np.eye(4)[None],
                 joint_limits=np.array([[1.0, -1.0]]),
                 v_max=np.array([1.0]),
                 a_max=np.array([1.0]),
@@ -262,14 +263,23 @@ class TestConfigValidation:
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError, match="unit vector"):
-            JointSpec(axis=np.array([0.0, 0.0, 2.0]), offset=np.eye(4))
+            ChainConfig(
+                axes=np.array([[0.0, 0.0, 2.0]]),
+                offsets=np.eye(4)[None],
+                joint_limits=np.array([[-1.0, 1.0]]),
+                v_max=np.array([1.0]),
+                a_max=np.array([1.0]),
+                control_frequency=100.0,
+                ee_transform=np.eye(4),
+            )
 
     def test_rejects_non_orthonormal_rotation(self):
         bad = np.eye(4)
         bad[0, 0] = 1.5
         with pytest.raises(ValueError, match="orthonormal"):
             ChainConfig(
-                joints=(JointSpec(axis=np.array([0.0, 0.0, 1.0]), offset=bad),),
+                axes=np.array([[0.0, 0.0, 1.0]]),
+                offsets=bad[None],
                 joint_limits=np.array([[-1.0, 1.0]]),
                 v_max=np.array([1.0]),
                 a_max=np.array([1.0]),

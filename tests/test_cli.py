@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from rtmotion.cli import main
 
 from conftest import data_path
@@ -103,3 +105,23 @@ class TestBenchCommand:
         ra = [json.loads(l)["iterations"] for l in a.read_text().splitlines()]
         rb = [json.loads(l)["iterations"] for l in b.read_text().splitlines()]
         assert ra == rb
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--L", "3"],
+            ["--n", "0"],
+            ["--n", "-1"],
+            ["--n", "1", "--L", "4"],
+            ["--samples", "0"],
+            ["--joints", "0"],
+            ["--duration", "nan"],
+            ["--fc", "nan"],
+            ["--vmax", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_arguments_are_input_errors(self, capsys, args):
+        code = main(["bench", "--samples", "2", *args])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

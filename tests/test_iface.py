@@ -199,6 +199,44 @@ class TestOneAckProperty:
                 assert session.active_plan is before
 
 
+class TestNoPartialSwap:
+    def test_ik_and_qp_failures_leave_the_active_plan_and_its_stream(self, arm6):
+        # one line that fails at IK (x = 3 m is out of reach) and one that
+        # fails at the QP (test_planner's 1.2 rad base turn in 0.5 s needs
+        # ~4.5 rad/s against v_max = 2.5)
+        turned = arm6.mid_position()
+        turned[0] += 1.2
+        turned_pose = forward_kinematics(arm6, turned).to_vector().tolist()
+        bad_lines = {
+            "ik": request_line("far", [{"pose": [3, 0, 0, 0, 0, 0], "duration": 0.5}]),
+            "qp": request_line("fast", [{"pose": turned_pose, "duration": 0.5}]),
+        }
+        sessions = {"sim": make_session(arm6)}
+        session = sessions["sim"]
+        # a moving plan, so that a swap would show in the reference stream
+        base = forward_kinematics(arm6, arm6.mid_position())
+        move = [{"pose": (base.translation + [0, 0.06, 0]).tolist() + base.rpy.tolist(), "duration": 1.5}]
+        assert handle_request_line(sessions, request_line("move", move), 0.0)["status"] == "accepted"
+        before = session.active_plan
+        t = 0.0
+        for stage, line in bad_lines.items():
+            t += 0.1
+            n_records = len(session.requests)
+            ack = handle_request_line(sessions, line, t)
+            assert ack["status"] == "rejected"
+            assert ack["reason"].startswith(f"{stage}:")
+            assert len(session.requests) == n_records + 1
+            assert session.active_plan is before
+            record = session.tick(t)
+            expected = before.state(t)
+            assert record.active_request_id == "move"
+            for got, want in zip(
+                (record.reference.q, record.reference.qd, record.reference.qdd),
+                (expected.q, expected.qd, expected.qdd),
+            ):
+                np.testing.assert_array_equal(got, want)
+
+
 class TestWireFidelity:
     def test_round_trip_bit_identical(self):
         values = [0.1234567891234567, -1.9999999999999998e-05, np.pi, 0.45]

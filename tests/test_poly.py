@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtmotion.poly import JointTrajectory, Segment, basis_row
+from rtmotion.poly import JointTrajectory, Segment, basis_row, state_rows
 
 QUINTIC_REST = np.array([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
 
@@ -32,6 +34,20 @@ class TestBasisRow:
             basis_row(5, 0.5, 4)
         with pytest.raises(ValueError):
             basis_row(3, 0.5, 0)
+
+
+class TestStateRows:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(4, 8),
+        st.floats(0.0, 1.0),
+        st.floats(0.02, 10.0),
+        st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    )
+    def test_matches_scaled_basis_row(self, degree, u, duration, orders):
+        rows = state_rows(degree, u, duration, tuple(orders))
+        expected = [basis_row(degree, u, k) * duration**-k for k in orders]
+        np.testing.assert_allclose(rows, expected, rtol=1e-13, atol=0)
 
 
 class TestSegment:

@@ -114,6 +114,29 @@ class TestBuildEquality:
         build_equality([(1.0, 0.5), (2.0, 0.5)], (0.0, 0.0, 0.0), FULL_RANK_DEGREE - 1)
         assert calls == [(10, 10)]
 
+    @pytest.mark.parametrize("n_seg", range(1, 9))
+    def test_rows_match_row_by_row_basis_row_assembly(self, n_seg):
+        degree = 5
+        durations = np.random.default_rng(n_seg).uniform(0.02, 3.0, n_seg)
+        width = degree + 1
+
+        def row(i, u, k):
+            out = np.zeros(width * n_seg)
+            out[i * width : (i + 1) * width] = basis_row(degree, u, k) * durations[i] ** -k
+            return out
+
+        # 3 initial rows, 3 terminal rows, then per junction one pass-through
+        # row and 3 continuity rows
+        expected = [row(0, 0.0, k) for k in range(3)] + [row(n_seg - 1, 1.0, k) for k in range(3)]
+        for i in range(n_seg - 1):
+            expected.append(row(i, 1.0, 0))
+            expected += [row(i, 1.0, k) - row(i + 1, 0.0, k) for k in range(3)]
+        np.testing.assert_allclose(_equality_rows(degree, durations), expected, rtol=1e-13, atol=0)
+
+    def test_degree_below_minimum_is_a_build_error(self):
+        with pytest.raises(QpBuildError, match="degree must be >= 4"):
+            build_equality([(1.0, 1.0), (2.0, 1.0)], (0.0, 0.0, 0.0), 3)
+
     def test_empty_waypoints(self):
         with pytest.raises(QpBuildError, match="waypoints: empty"):
             build_equality([], (0.0, 0.0, 0.0), 5)
@@ -178,6 +201,23 @@ class TestAssembleQp:
         assert np.array_equal(a.a_matrix, b.a_matrix)
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
+
+    @pytest.mark.parametrize(
+        "position, duration, fc, v_max",
+        [
+            (1.0, np.nan, 100.0, 5.0),
+            (1.0, 1.0, 100.0, np.nan),
+            (1.0, 1.0, np.nan, 5.0),
+            (1.0, 1.0, np.inf, 5.0),
+            (np.nan, 1.0, 100.0, 5.0),
+        ],
+        ids=["nan duration", "nan v_max", "nan fc", "inf fc", "nan position"],
+    )
+    def test_non_finite_inputs_are_build_errors(self, position, duration, fc, v_max):
+        # NaN compares False with 0 either way, so a sign check alone lets it
+        # through, and a NaN target used to run ADMM to its iteration cap
+        with pytest.raises(QpBuildError, match="finite"):
+            assemble_qp([(position, duration)], (0.0, 0.0, 0.0), 5, fc, v_max, 10.0)
 
     def test_no_zero_rows(self):
         wps = [(1.0, 1.0)]
