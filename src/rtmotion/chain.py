@@ -131,14 +131,16 @@ class ChainConfig:
             raise ValueError(f"joint axes must be unit vectors, |axis| = {norms}")
         if self.joint_limits.shape != (dof, 2):
             raise ValueError(f"joint_limits must be ({dof}, 2)")
-        if np.any(self.joint_limits[:, 0] >= self.joint_limits[:, 1]):
-            raise ValueError("each joint limit must satisfy min < max")
-        if self.v_max.shape != (dof,) or np.any(self.v_max <= 0):
-            raise ValueError("v_max must be positive per joint")
-        if self.a_max.shape != (dof,) or np.any(self.a_max <= 0):
-            raise ValueError("a_max must be positive per joint")
-        if self.control_frequency <= 0:
-            raise ValueError("control_frequency must be positive")
+        # written so that NaN fails: every comparison with NaN is False
+        lo, hi = self.joint_limits.T
+        if not (np.isfinite(self.joint_limits).all() and np.all(lo < hi)):
+            raise ValueError("each joint limit must be finite with min < max")
+        if self.v_max.shape != (dof,) or not np.all(np.isfinite(self.v_max) & (self.v_max > 0)):
+            raise ValueError("v_max must be positive and finite per joint")
+        if self.a_max.shape != (dof,) or not np.all(np.isfinite(self.a_max) & (self.a_max > 0)):
+            raise ValueError("a_max must be positive and finite per joint")
+        if not (math.isfinite(self.control_frequency) and self.control_frequency > 0):
+            raise ValueError("control_frequency must be positive and finite")
         rots = np.concatenate([self.ee_transform[None, :3, :3], self.offsets[:, :3, :3]])
         gram_error = np.abs(rots @ rots.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
         good = (np.abs(np.linalg.det(rots) - 1.0) <= 1e-9) & (gram_error <= 1e-9)
@@ -167,20 +169,23 @@ def load_chain(path: str | Path) -> ChainConfig:
     """
     path = Path(path)
     raw = json.loads(path.read_text())
-    joints = raw["joints"]
-    if raw.get("dof") is not None and raw["dof"] != len(joints):
-        raise ValueError(f"{path}: dof {raw['dof']} does not match {len(joints)} joints")
-    ee = raw["ee_offset"]
-    return ChainConfig(
-        axes=[j["axis"] for j in joints],
-        offsets=[make_transform(j["offset"]["xyz"], j["offset"]["rpy"]) for j in joints],
-        joint_limits=np.asarray(raw["joint_limits"], dtype=float),
-        v_max=np.asarray(raw["v_max"], dtype=float),
-        a_max=np.asarray(raw["a_max"], dtype=float),
-        control_frequency=float(raw["control_frequency"]),
-        ee_transform=make_transform(ee["xyz"], ee["rpy"]),
-        name=raw.get("name", path.stem),
-    )
+    try:
+        joints = raw["joints"]
+        if raw.get("dof") is not None and raw["dof"] != len(joints):
+            raise ValueError(f"{path}: dof {raw['dof']} does not match {len(joints)} joints")
+        ee = raw["ee_offset"]
+        return ChainConfig(
+            axes=[j["axis"] for j in joints],
+            offsets=[make_transform(j["offset"]["xyz"], j["offset"]["rpy"]) for j in joints],
+            joint_limits=np.asarray(raw["joint_limits"], dtype=float),
+            v_max=np.asarray(raw["v_max"], dtype=float),
+            a_max=np.asarray(raw["a_max"], dtype=float),
+            control_frequency=float(raw["control_frequency"]),
+            ee_transform=make_transform(ee["xyz"], ee["rpy"]),
+            name=raw.get("name", path.stem),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
 
 
 def _check_q(config: ChainConfig, q) -> Array:

@@ -215,8 +215,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (planner.ValidationError, planner.PlanningError, qpbuild.QpBuildError,
-            runtime.ScenarioError, FileNotFoundError) as exc:
+    # every input error is a ValueError: planner.ValidationError,
+    # qpbuild.QpBuildError, a malformed number, JSON file or chain
+    except (ValueError, planner.PlanningError, runtime.ScenarioError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

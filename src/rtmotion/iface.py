@@ -90,13 +90,7 @@ def handle_request_line(sessions: dict[str, Session], line: str, t_now: float) -
     if session is None:
         return {"id": request_id, "status": "rejected", "reason": f"unknown robot '{robot}'"}
     try:
-        waypoints = planner.waypoints_from_payload(payload.get("waypoints"))
-        request = planner.PlanRequest(
-            robot_id=robot,
-            waypoints=tuple(waypoints),
-            request_id=str(request_id),
-            request_type=payload.get("type", ""),
-        )
+        request = planner.request_from_payload(payload)
     except planner.ValidationError as exc:
         return {"id": request_id, "status": "rejected", "reason": f"validation: {exc}"}
     record = session.submit(request, t_now)

@@ -180,7 +180,10 @@ class Plan:
 
 def load_waypoints(path: str | Path) -> list[CartesianWaypoint]:
     """Read a waypoint list file: JSON array of {pose: [6], duration: s}."""
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     return waypoints_from_payload(raw)
 
 
@@ -197,6 +200,18 @@ def waypoints_from_payload(items: Sequence[dict]) -> list[CartesianWaypoint]:
             raise ValidationError(f"waypoint {i}: {exc}") from exc
         out.append(CartesianWaypoint(pose, duration))
     return out
+
+
+def request_from_payload(payload: dict) -> PlanRequest:
+    """The request of one wire payload (schema in rtmotion.iface); the
+    waypoints are checked here and the type when it is planned, so a missing
+    type is rejected then. Routing on the robot is the caller's."""
+    return PlanRequest(
+        robot_id=payload.get("robot"),
+        waypoints=tuple(waypoints_from_payload(payload.get("waypoints"))),
+        request_id=str(payload.get("id")),
+        request_type=payload.get("type", ""),
+    )
 
 
 def _validate_request(request: PlanRequest, chain: ChainConfig) -> None:
@@ -243,6 +258,8 @@ def plan(
     The returned trajectory starts at s0 exactly, passes through the IK image
     of every waypoint at its cumulative time, ends at the final target at
     rest, and respects the velocity/acceleration limits on the control grid.
+    The QP bounds no position, so s0 may lie past a joint limit (IK clamps
+    its own seed).
     """
     _validate_request(request, chain)
     if degree < MIN_DEGREE:
@@ -250,14 +267,13 @@ def plan(
     if s0.q.shape != (chain.dof,) or not np.isfinite(s0.q).all():
         raise ValidationError("initial state does not match chain dof")
 
-    q0 = chain.clamp(s0.q)
-    joint_targets = _solve_joint_waypoints(request, chain, q0)
+    joint_targets = _solve_joint_waypoints(request, chain, s0.q)
 
     t_build0 = time.perf_counter()
     durations = np.array([wp.duration for wp in request.waypoints])
     try:
         problem = qpbuild.assemble_qp(
-            list(zip(joint_targets, durations)), np.stack([q0, s0.qd, s0.qdd]),
+            list(zip(joint_targets, durations)), np.stack([s0.q, s0.qd, s0.qdd]),
             degree, chain.control_frequency, chain.v_max, chain.a_max,
         )
     except qpbuild.QpBuildError as exc:  # e.g. too few coefficients for the equality rows

@@ -15,7 +15,9 @@ differ between joints: assemble_qp builds one column of them per joint.
 A is held as BlockRows: the 4N+2 equality rows form a dense head (continuity
 rows span two segments), and the limit rows form one (R, L+1) block per
 segment, so products with A cost O(N * R * (L+1)) for the tail instead of
-O(m * n).
+O(m * n). assemble_qp computes the sample grid once, for the cost and the
+limit rows, and builds the limit rows straight into the problem's one
+BlockRows, which the solver iterates on as it is.
 """
 
 from __future__ import annotations
@@ -106,13 +108,6 @@ class BlockRows:
         out[self._rows] = values
         return out
 
-    def scale_rows(self, scale: Array) -> "BlockRows":
-        """The rows of the dense view multiplied by scale, one entry per row."""
-        padded = self.pad(scale, 0.0)
-        m_head = self.head.shape[0]
-        tail = padded[m_head:].reshape(self._real.shape)
-        return BlockRows(self.head * padded[:m_head, None], self.blocks * tail[..., None], self.counts)
-
     def dot(self, x: Array) -> Array:
         """A x in the padded layout, for x of shape (n, k)."""
         n_blocks, _, width = self.blocks.shape
@@ -196,9 +191,8 @@ def segment_samples(duration: float, control_frequency: float) -> Array:
     return u[0]
 
 
-def _jerk_blocks(degree: int, durations: Array, control_frequency: float) -> Array:
-    """jerk_cost_matrix of every segment: (N, L+1, L+1)."""
-    u, real = _sample_grid(durations, control_frequency)
+def _jerk_blocks(degree: int, durations: Array, u: Array, real: NDArray[np.bool_]) -> Array:
+    """jerk_cost_matrix of every segment, on its _sample_grid: (N, L+1, L+1)."""
     rows = state_rows(degree, u, durations[:, None], orders=(3,))[:, :, 0]
     rows[~real] = 0.0
     q = np.matmul(rows.transpose(0, 2, 1), rows)
@@ -211,7 +205,8 @@ def jerk_cost_matrix(degree: int, duration: float, control_frequency: float) -> 
     Symmetric PSD by construction; the D**-6 factor is the squared chain-rule
     scaling of the jerk under normalized local time.
     """
-    return _jerk_blocks(degree, np.array([duration], dtype=float), control_frequency)[0]
+    durations = np.array([duration], dtype=float)
+    return _jerk_blocks(degree, durations, *_sample_grid(durations, control_frequency))[0]
 
 
 def _equality_rhs(targets: Array, initial_states: Array) -> Array:
@@ -284,41 +279,6 @@ def build_equality(
     return a_eq, _equality_rhs(positions, np.asarray(initial_state, dtype=float))
 
 
-def _limit_rows(n_rows: int, v_max: ArrayLike, a_max: ArrayLike) -> Array:
-    """Upper limits of the inequality rows, which alternate velocity and
-    acceleration sample by sample; one column per entry of v_max and a_max."""
-    limits = np.empty((n_rows,) + np.shape(v_max))
-    limits[0::2] = v_max
-    limits[1::2] = a_max
-    return limits
-
-
-def build_inequality(
-    degree: int,
-    durations,
-    control_frequency: float,
-    v_max: ArrayLike,
-    a_max: ArrayLike,
-) -> tuple[BlockRows, Array, Array]:
-    """Velocity/acceleration interval rows on the cost sampling grid.
-
-    Two rows per sample (velocity then acceleration), one block per segment
-    and no head; the two-sided interval form absorbs the absolute values.
-    """
-    if not all(np.all(np.isfinite(x) & (np.asarray(x) > 0)) for x in (v_max, a_max)):
-        raise QpBuildError("velocity and acceleration limits must be positive and finite")
-    durations = np.asarray(durations, dtype=float)
-    n_seg = len(durations)
-    width = degree + 1
-    u, real = _sample_grid(durations, control_frequency)
-    rows = state_rows(degree, u, durations[:, None], orders=(1, 2))
-    rows[~real] = 0.0
-    blocks = rows.reshape(n_seg, -1, width)
-    a_in = BlockRows(np.zeros((0, width * n_seg)), blocks, 2 * real.sum(axis=1))
-    limits = _limit_rows(a_in.shape[0], v_max, a_max)
-    return a_in, -limits, limits
-
-
 def assemble_qp(
     waypoints: list[tuple[ArrayLike, float]],
     initial_state: ArrayLike,
@@ -328,22 +288,33 @@ def assemble_qp(
     a_max: ArrayLike,
 ) -> QpProblem:
     """Full problem of every joint: block-diagonal jerk cost, equality rows as
-    the dense head (tight intervals) above the per-segment sampled limit rows.
+    the dense head (tight intervals) above the limit rows.
 
     Positions and initial state as in build_equality, the limits alike. The
-    tiny diagonal ridge lifts the cubic-and-below nullspace of the jerk Gram
-    matrix so downstream factorizations stay stable.
+    limit rows sit on the cost's sampling grid: per sample a velocity row then
+    an acceleration row, one block per segment; the two-sided interval form
+    absorbs the absolute values. The tiny diagonal ridge lifts the
+    cubic-and-below nullspace of the jerk Gram matrix so downstream
+    factorizations stay stable.
     """
     durations = np.array([w[1] for w in waypoints], dtype=float)
     a_eq, b_eq = build_equality(waypoints, initial_state, degree)
-    a_in, l_in, u_in = build_inequality(degree, durations, control_frequency, v_max, a_max)
-    q_matrix = _block_diagonal(_jerk_blocks(degree, durations, control_frequency))
+    if not all(np.all(np.isfinite(x) & (np.asarray(x) > 0)) for x in (v_max, a_max)):
+        raise QpBuildError("velocity and acceleration limits must be positive and finite")
+    u, real = _sample_grid(durations, control_frequency)
+    rows = state_rows(degree, u, durations[:, None], orders=(1, 2))
+    rows[~real] = 0.0
+    a_matrix = BlockRows(a_eq, rows.reshape(len(durations), -1, degree + 1), 2 * real.sum(axis=1))
+    limits = np.empty((a_matrix.shape[0] - a_eq.shape[0],) + np.shape(v_max))
+    limits[0::2] = v_max
+    limits[1::2] = a_max
+    q_matrix = _block_diagonal(_jerk_blocks(degree, durations, u, real))
     q_matrix += RIDGE * np.eye(q_matrix.shape[0])
 
     return QpProblem(
         q_matrix=q_matrix,
-        a_matrix=BlockRows(a_eq, a_in.blocks, a_in.counts),
-        lower=np.concatenate([b_eq, l_in]),
-        upper=np.concatenate([b_eq, u_in]),
+        a_matrix=a_matrix,
+        lower=np.concatenate([b_eq, -limits]),
+        upper=np.concatenate([b_eq, limits]),
         n_eq=a_eq.shape[0],
     )

@@ -5,20 +5,23 @@ The iteration follows the standard splitting: factor (P + sigma*I +
 A^T diag(rho) A) once, then alternate a linear solve, a relaxed averaging
 step, projection of z onto [l, u], and a dual update, with OSQP's rho, sigma
 and alpha (Stellato et al., Math. Prog. Comp. 2020). Tight rows (l == u) get
-a 1000x penalty weight, and the problem is internally equilibrated (cost
-scaling + row normalization of A) so the fixed penalty works across the wide
-dynamic range the short-segment problems produce. Both transformations leave
-the minimizer unchanged and are invisible to callers. The 1e-8 default
-tolerances keep limit, junction and terminal residuals inside the 1e-6
-contracts.
+a 1000x penalty weight. So that the fixed penalty works across the wide
+dynamic range the short-segment problems produce, the cost is scaled near
+unity and each row's penalty is divided by its squared max-abs norm: that is
+the iteration on rows normalized to unit norm, run on the caller's rows with
+z and y in their own units, so no scaled copy of A is built and the primal
+residuals are read directly. Neither changes the minimizer. The 1e-8
+default tolerances keep limit, junction and terminal residuals inside the
+1e-6 contracts.
 
 The iterate does not start at zero. One symmetric-indefinite solve of the
-KKT system [P A_eq^T; A_eq 0] over the tight rows of the head (all columns
-at once) gives the minimizer over the equalities and its multipliers; x
-starts there, z at A x clipped to [l, u], y at the multipliers on the tight
-rows and 0 elsewhere. When no limit row is active at that point it is a
-fixed point of the iteration, so the stopping test runs after iteration 1
-(and then every 25 iterations) and such a problem reports iterations == 1.
+KKT system [P A_eq^T; A_eq 0] over the tight rows of the head, normalized
+to unit norm (all columns at once), gives the minimizer over the equalities
+and its multipliers; x starts there, z at A x clipped to [l, u], y at the
+multipliers on the tight rows and 0 elsewhere. When no limit row is active
+at that point it is a fixed point of the iteration, so the stopping test
+runs after iteration 1 (and then every 25 iterations) and such a problem
+reports iterations == 1.
 When a limit binds, the iteration continues from there unchanged. A KKT
 matrix that is singular to working precision falls back to the zero start,
 silently.
@@ -119,24 +122,22 @@ def solve_batch(
     n = q_matrix.shape[0]
     n_problems = lower.shape[1]
 
-    # equilibration: unit-inf-norm rows of A, cost matrix scaled near unity
     row_norms = a.row_norms()
     if np.any(row_norms <= 0):
         raise ValueError("A contains an all-zero row")
-    e_scale = 1.0 / row_norms
-    a_s = a.scale_rows(e_scale)
-    l_s = a.pad(lower * e_scale[:, None], -np.inf)
-    u_s = a.pad(upper * e_scale[:, None], np.inf)
+    # equilibration (see the module docstring): rho / norm**2 per row
+    norms = a.pad(row_norms, 1.0)
+    # the bounds in the padded layout, unbounded on the padding rows
+    lower = a.pad(lower, -np.inf)
+    upper = a.pad(upper, np.inf)
     p_full = 2.0 * q_matrix  # gradient convention for the p^T Q p objective
     cost_scale = 1.0 / max(float(np.max(np.abs(p_full))), 1e-12)
     p_s = p_full * cost_scale
 
-    m = a.n_padded
-    rho = np.full(m, _RHO)
-    tight = np.all(u_s - l_s <= _EQUALITY_GAP, axis=1)
-    rho[tight] = _RHO * _EQUALITY_RHO_SCALE
+    tight = np.all(upper - lower <= _EQUALITY_GAP * norms[:, None], axis=1)
+    rho = np.where(tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / norms**2
 
-    reduced = p_s + _SIGMA * np.eye(n) + a_s.gram(rho)
+    reduced = p_s + _SIGMA * np.eye(n) + a.gram(rho)
     try:
         factor, lower_factor = scipy.linalg.cho_factor(reduced, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -146,20 +147,21 @@ def solve_batch(
     # costs more than the solve itself at teleop sizes
     (potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (factor,))
     x = np.zeros((n, n_problems))
-    z = np.zeros((m, n_problems))
-    y = np.zeros((m, n_problems))
+    z = np.zeros((a.n_padded, n_problems))
+    y = np.zeros_like(z)
     # start at the minimizer over the tight rows of the head, with its
     # multipliers (tight rows in the blocks, which no caller builds, are left
     # to the iteration)
     eq_rows = np.flatnonzero(tight[: a.head.shape[0]])
-    start_point = _equality_start(p_s, a_s.head[eq_rows], l_s[eq_rows])
+    unit = 1.0 / norms[eq_rows, None]  # the start solves on unit-norm rows
+    start_point = _equality_start(p_s, a.head[eq_rows] * unit, lower[eq_rows] * unit)
     if start_point is not None:
-        x, y[eq_rows] = start_point
-        z = np.minimum(np.maximum(a_s.dot(x), l_s), u_s)
-    # per-row factors as full (m, k) arrays: broadcasting an (m, 1) column
+        x, y_unit = start_point
+        y[eq_rows] = y_unit * unit
+        z = np.minimum(np.maximum(a.dot(x), lower), upper)
+    # per-row penalties as a full (m, k) array: broadcasting an (m, 1) column
     # over the k problems defeats numpy's contiguous inner loops
     rho_col = np.repeat(rho[:, None], n_problems, axis=1)
-    inv_e = np.repeat(a.pad(row_norms[:, None], 1.0), n_problems, axis=1)
 
     status = STATUS_MAX_ITERS
     iterations = settings.max_iters
@@ -170,22 +172,20 @@ def solve_batch(
     stall = 0
 
     for iteration in range(1, settings.max_iters + 1):
-        rhs = _SIGMA * x + a_s.tdot(rho_col * z - y)
+        rhs = _SIGMA * x + a.tdot(rho_col * z - y)
         x_tilde, _ = potrs(factor, rhs, lower=lower_factor)
-        z_tilde = a_s.dot(x_tilde)
+        z_tilde = a.dot(x_tilde)
         x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
         v = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + y / rho_col
-        z = np.minimum(np.maximum(v, l_s), u_s)  # np.clip, without its overhead
+        z = np.minimum(np.maximum(v, lower), upper)  # np.clip, without its overhead
         y = rho_col * (v - z)
 
         # the start is a fixed point when no limit row is active: check at once
         if iteration == 1 or iteration % _CHECK_INTERVAL == 0 or iteration == settings.max_iters:
-            ax = a_s.dot(x)
-            # primal residual in physical row units (undo the row scaling)
-            prim_gap = np.abs(ax - z) * inv_e
-            prim_res = prim_gap.max(axis=0)
-            prim_ref = np.maximum(np.abs(ax) * inv_e, np.abs(z) * inv_e).max(axis=0)
-            px, aty = p_s @ x, a_s.tdot(y)
+            ax = a.dot(x)
+            prim_res = np.abs(ax - z).max(axis=0)
+            prim_ref = np.maximum(np.abs(ax), np.abs(z)).max(axis=0)
+            px, aty = p_s @ x, a.tdot(y)
             dual_res = np.abs(px + aty).max(axis=0)
             dual_ref = np.maximum(np.abs(px).max(axis=0), np.abs(aty).max(axis=0))
             converged = (prim_res <= settings.eps_abs + settings.eps_rel * prim_ref) & (

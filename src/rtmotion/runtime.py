@@ -451,18 +451,21 @@ def run_scenario(script: ScenarioScript | str | Path) -> ScenarioResult:
             event = pending[cursor]
             cursor += 1
             if event["action"] == "send_request":
-                payload = event["request"]
-                request = PlanRequest(
-                    robot_id=payload.get("robot", session.robot_id),
-                    waypoints=tuple(planner.waypoints_from_payload(payload["waypoints"])),
-                    request_id=payload["id"],
-                    request_type=payload.get("type", planner.REQUEST_TYPE),
-                )
-                record = session.submit(request, t)
-                if not record.accepted:
+                # the wire's rule: a rejected request fails the script
+                try:
+                    request = planner.request_from_payload(event["request"])
+                except planner.ValidationError as exc:
+                    reason = f"validation: {exc}"
+                else:
+                    reason = (
+                        session.submit(request, t).reason
+                        if request.robot_id == session.robot_id
+                        else f"unknown robot '{request.robot_id}'"
+                    )
+                if reason is not None:
                     raise ScenarioError(
-                        f"scenario '{script.name}': request {request.request_id} at t={t:.3f} "
-                        f"rejected ({record.reason})"
+                        f"scenario '{script.name}': request {event['request'].get('id')} "
+                        f"at t={t:.3f} rejected ({reason})"
                     )
                 archive[request.request_id] = session.active_plan
             elif event["action"] == "marker":

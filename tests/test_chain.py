@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,21 @@ class TestConfigValidation:
                 control_frequency=100.0,
                 ee_transform=np.eye(4),
             )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("v_max", np.full(6, np.nan), "v_max must be positive and finite"),
+            ("v_max", np.full(6, np.inf), "v_max must be positive and finite"),
+            ("a_max", np.full(6, np.nan), "a_max must be positive and finite"),
+            ("control_frequency", np.nan, "control_frequency must be positive and finite"),
+            ("control_frequency", np.inf, "control_frequency must be positive and finite"),
+            ("joint_limits", np.full((6, 2), np.nan), "finite with min < max"),
+            ("joint_limits", np.tile([-np.inf, 1.0], (6, 1)), "finite with min < max"),
+        ],
+        ids=["nan v_max", "inf v_max", "nan a_max", "nan rate", "inf rate", "nan limits", "inf limit"],
+    )
+    def test_rejects_non_finite_limits_and_rate(self, arm6, field, value, message):
+        # every comparison with NaN is False, so a sign check alone passes it
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(arm6, **{field: value})

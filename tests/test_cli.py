@@ -40,6 +40,29 @@ class TestPlanCommand:
         assert code != 0
         assert "--q0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("q0", "could not convert string to float: 'a'"),
+            ("waypoints", "Expecting value"),
+            ("chain", "missing key 'joints'"),
+        ],
+        ids=["non-numeric q0", "malformed waypoint JSON", "chain without joints"],
+    )
+    def test_malformed_inputs_are_input_errors(self, tmp_path, capsys, case, message):
+        raw_chain = json.loads(Path(CHAIN).read_text())
+        if case == "chain":
+            del raw_chain["joints"]
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(raw_chain))
+        waypoints = tmp_path / "wps.json"
+        waypoints.write_text('[{"pose": ' if case == "waypoints" else Path(WAYPOINTS).read_text())
+        q0 = ["--q0", "a,b,c,d,e,f"] if case == "q0" else []
+        code = main(["plan", str(chain), str(waypoints)] + q0)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_degree_below_minimum_is_an_input_error(self, capsys):
         code = main(["plan", CHAIN, WAYPOINTS, "--degree", "3"])
         assert code == 2

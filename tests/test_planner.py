@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from rtmotion import planner
+from rtmotion import planner, qpbuild
 from rtmotion.chain import Pose, forward_kinematics
 from rtmotion.planner import (
     CartesianWaypoint,
@@ -134,6 +134,26 @@ class TestPlan:
         request = make_request([CartesianWaypoint(forward_kinematics(arm6, q0), 0.5)], "hold")
         plan_ = plan(request, arm6, RobotState.rest(q0))
         assert 0.0 < plan_.build_time < ik_delay
+
+    def test_one_sample_grid_and_one_block_rows_per_request(self, arm6, monkeypatch):
+        # the limit rows go straight into the problem's BlockRows, and the
+        # solver iterates on them: no second grid, no scaled copy
+        calls = {"grid": 0, "rows": 0}
+        sample_grid, init = qpbuild._sample_grid, qpbuild.BlockRows.__init__
+
+        def counted_grid(*args):
+            calls["grid"] += 1
+            return sample_grid(*args)
+
+        def counted_init(self, *args):
+            calls["rows"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(qpbuild, "_sample_grid", counted_grid)
+        monkeypatch.setattr(qpbuild.BlockRows, "__init__", counted_init)
+        q0, waypoints = scenario_request("draw-line")
+        plan(make_request(waypoints), arm6, RobotState.rest(q0))
+        assert calls == {"grid": 1, "rows": 1}
 
     def test_epoch_from_initial_state(self, arm6):
         q0, waypoints = scenario_request("draw-line")

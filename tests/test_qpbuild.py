@@ -10,7 +10,6 @@ from rtmotion.qpbuild import (
     _equality_rows,
     assemble_qp,
     build_equality,
-    build_inequality,
     jerk_cost_matrix,
     segment_samples,
 )
@@ -146,27 +145,34 @@ class TestBuildEquality:
             build_equality([(1.0, 1.0)], (np.nan, 0.0, 0.0), 5)
 
 
-class TestBuildInequality:
+def limit_rows(problem):
+    """assemble_qp's limit rows (below the equalities) and their bounds."""
+    rows = slice(problem.n_eq, None)
+    return problem.a_matrix.toarray()[rows], problem.lower[rows], problem.upper[rows]
+
+
+class TestLimitRows:
     def test_row_count(self):
         # one segment, D=1, fc=10: 11 samples -> 22 interval rows
-        a_in, l_in, u_in = build_inequality(5, [1.0], 10.0, 1.0, 2.0)
+        a_in, l_in, u_in = limit_rows(assemble_qp([(1.0, 1.0)], (0.0, 0.0, 0.0), 5, 10.0, 1.0, 2.0))
         assert a_in.shape == (22, 6)
         assert l_in.shape == (22,) and u_in.shape == (22,)
 
     def test_zero_coefficients_strictly_feasible(self):
-        a_in, l_in, u_in = build_inequality(5, [1.0, 0.5], 25.0, 1.0, 2.0)
+        problem = assemble_qp([(0.0, 1.0), (0.0, 0.5)], (0.0, 0.0, 0.0), 5, 25.0, 1.0, 2.0)
+        a_in, l_in, u_in = limit_rows(problem)
         vals = a_in @ np.zeros(12)
         assert np.all(vals > l_in) and np.all(vals < u_in)
 
     def test_bounds_alternate_velocity_acceleration(self):
-        _, l_in, u_in = build_inequality(5, [1.0], 10.0, 1.5, 7.0)
+        _, l_in, u_in = limit_rows(assemble_qp([(1.0, 1.0)], (0.0, 0.0, 0.0), 5, 10.0, 1.5, 7.0))
         np.testing.assert_array_equal(u_in[0::2], 1.5)
         np.testing.assert_array_equal(u_in[1::2], 7.0)
         np.testing.assert_array_equal(l_in, -u_in)
 
     def test_rejects_non_positive_limits(self):
-        with pytest.raises(QpBuildError):
-            build_inequality(5, [1.0], 10.0, 0.0, 1.0)
+        with pytest.raises(QpBuildError, match="positive"):
+            assemble_qp([(1.0, 1.0)], (0.0, 0.0, 0.0), 5, 10.0, 0.0, 1.0)
 
 
 class TestAssembleQp:

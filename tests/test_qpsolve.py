@@ -260,6 +260,24 @@ class TestWarmStart:
         assert np.max(np.abs(duplicated.p[:, 0] - reference.p)) <= 1e-5
 
 
+class TestRowScaling:
+    @pytest.mark.parametrize("make_problem", [binding_problem, rest_to_rest_problem])
+    def test_row_scaling_leaves_the_solve_unchanged(self, make_problem):
+        # each row's penalty is divided by its squared norm, so scaling a row
+        # and its bounds changes neither the iterates nor the stopping test
+        problem = make_problem()
+        dense = problem.a_matrix.toarray()
+        scale = 10.0 ** np.random.default_rng(7).uniform(-3.0, 3.0, len(dense))
+        bounds = problem.lower[:, None], problem.upper[:, None]
+        plain = solve_batch(problem.q_matrix, dense, *bounds)
+        scaled = solve_batch(
+            problem.q_matrix, dense * scale[:, None], *(b * scale[:, None] for b in bounds)
+        )
+        assert plain.status == scaled.status == STATUS_SOLVED
+        assert plain.iterations == scaled.iterations
+        assert relative_gap(scaled.p, plain.p) <= 1e-8
+
+
 class TestSettings:
     def test_rejects_non_positive_tolerance(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from rtmotion import planner, poly, qpbuild, runtime
 from rtmotion.chain import Pose, forward_kinematics
-from rtmotion.iface import SERVE_HISTORY, RobotServer
+from rtmotion.iface import SERVE_HISTORY, RobotServer, handle_request_line
 from rtmotion.planner import CartesianWaypoint, PlanRequest, RobotState
 from rtmotion.runtime import ScenarioError, Session, SimArm, load_scenario, run_scenario
 
@@ -140,6 +140,23 @@ class TestSession:
             prev = rec
         assert sum(r.preemption_jump is not None for r in session.requests) == 5
 
+    def test_preemption_past_a_joint_limit_is_continuous(self, arm6):
+        # the QP bounds no position, so the reference overshoots joint 0's
+        # 2.9 rad limit; a plan from a clamped start would jump by 0.12 rad
+        q0 = arm6.mid_position()
+        q0[0] = 2.3
+        session = Session(arm6, q0)
+        q1 = q0.copy()
+        q1[0] = 2.89
+        targets = [q1, q1 + [0.0, 0.2, 0, 0, 0, 0], q1 + [0.0, 0.4, 0, 0, 0, 0]]
+        waypoints = tuple(CartesianWaypoint(forward_kinematics(arm6, q), 0.5) for q in targets)
+        assert session.submit(PlanRequest("sim", waypoints, "over"), 0.0).accepted
+        t_over = 0.694
+        assert session.reference(t_over).q[0] > arm6.joint_limits[0, 1] + 0.1
+        record = session.submit(hold_request(arm6, targets[-1], "next"), t_over)
+        assert record.accepted, record.reason
+        assert max(record.preemption_jump) <= 1e-6
+
     def test_no_record_mixes_plans(self, arm6):
         # each record's joints must come from one plan: with two plans whose
         # targets differ per joint, a mixed evaluation would break FK(q) vs
@@ -270,6 +287,29 @@ class TestScenarios:
         path.write_text(json.dumps(script))
         with pytest.raises(ScenarioError, match="rejected"):
             run_scenario(path)
+
+    @pytest.mark.parametrize(
+        "key, value, accepted",
+        [("type", None, False), ("robot", "arm-b", False), ("id", None, True)],
+        ids=["no type", "other robot", "no id"],
+    )
+    def test_requests_get_the_wire_decision(self, tmp_path, arm6, key, value, accepted):
+        # the scenario runner accepts exactly what the wire accepts
+        raw = json.loads(data_path("scenarios", "draw-line.json").read_text())
+        request = raw["events"][0]["request"]
+        if value is None:
+            del request[key]
+        else:
+            request[key] = value
+        ack = handle_request_line({"sim": Session(arm6, raw["q0"])}, json.dumps(request), 0.0)
+        assert (ack["status"] == "accepted") == accepted
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        if accepted:
+            assert run_scenario(path).summary["requests_accepted"] == 1
+        else:
+            with pytest.raises(ScenarioError, match="rejected"):
+                run_scenario(path)
 
     def test_assert_action_failure(self, tmp_path, arm6):
         script = {
