@@ -4,13 +4,16 @@ damped-least-squares inverse kinematics.
 All functions here are pure and operate on immutable inputs, so they are safe
 to call from any thread. Orientation is carried everywhere as Z-Y-X intrinsic
 Euler angles (roll, pitch, yaw), i.e. R = Rz(yaw) @ Ry(pitch) @ Rx(roll).
+The chain walk, the Jacobian and the pose error also take a stack of inputs
+over a leading axis, which is how IK solves all of a request's waypoints at
+once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,26 +23,33 @@ Array = NDArray[np.float64]
 
 
 class IkConvergenceError(RuntimeError):
-    """Raised when the IK iteration exhausts IK_MAX_ITERS without converging."""
+    """Raised when the IK iteration exhausts IK_MAX_ITERS without converging;
+    index is the position of the failing target in the solved sequence."""
 
-    def __init__(self, message: str, position_error: float, orientation_error: float):
+    def __init__(self, message: str, position_error: float, orientation_error: float, index: int = 0):
         super().__init__(message)
         self.position_error = position_error
         self.orientation_error = orientation_error
+        self.index = index
 
 
-def rpy_to_matrix(roll: float, pitch: float, yaw: float) -> Array:
-    """Rotation matrix for Z-Y-X intrinsic Euler angles."""
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    return np.array(
-        [
-            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-            [-sp, cp * sr, cp * cr],
-        ]
-    )
+def rpy_to_matrix(roll, pitch, yaw) -> Array:
+    """Rotation matrix for Z-Y-X intrinsic Euler angles; angle arrays of one
+    shape give that shape of matrices, (..., 3, 3)."""
+    angles = np.array([roll, pitch, yaw], dtype=float)
+    (cr, cp, cy), (sr, sp, sy) = np.cos(angles), np.sin(angles)
+    cy_sp, sy_sp = cy * sp, sy * sp
+    rot = np.empty(angles.shape[1:] + (3, 3))
+    rot[..., 0, 0] = cy * cp
+    rot[..., 0, 1] = cy_sp * sr - sy * cr
+    rot[..., 0, 2] = cy_sp * cr + sy * sr
+    rot[..., 1, 0] = sy * cp
+    rot[..., 1, 1] = sy_sp * sr + cy * cr
+    rot[..., 1, 2] = sy_sp * cr - cy * sr
+    rot[..., 2, 0] = -sp
+    rot[..., 2, 1] = cp * sr
+    rot[..., 2, 2] = cp * cr
+    return rot
 
 
 def matrix_to_rpy(rot: Array) -> tuple[float, float, float]:
@@ -103,6 +113,10 @@ class ChainConfig:
     joint's frame: axes is (dof, 3), offsets (dof, 4, 4). joint_limits is
     (dof, 2) [min, max] radians; v_max / a_max are per-joint magnitude
     limits; ee_transform maps the last joint frame to the end-effector frame.
+
+    With K the cross-product matrix of a joint's axis, the joint's rotated
+    offset is offR + sin(q) offR K + (1 - cos(q)) offR K^2 (Rodrigues);
+    offset_k and offset_k2 hold offR K and offR K^2, (dof, 3, 3).
     """
 
     axes: Array
@@ -113,6 +127,8 @@ class ChainConfig:
     control_frequency: float
     ee_transform: Array
     name: str = "robot"
+    offset_k: Array = field(init=False, repr=False, compare=False)
+    offset_k2: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axes", np.asarray(self.axes, dtype=float))
@@ -148,13 +164,16 @@ class ChainConfig:
             bad = int(np.argmin(good))
             name = "ee_transform" if bad == 0 else f"joint {bad - 1} offset"
             raise ValueError(f"{name} rotation is not orthonormal with det +1")
+        offset_k = self.offsets[:, :3, :3] @ _skew(self.axes)
+        object.__setattr__(self, "offset_k", offset_k)
+        object.__setattr__(self, "offset_k2", offset_k @ _skew(self.axes))
 
     @property
     def dof(self) -> int:
         return len(self.axes)
 
     def clamp(self, q: Array) -> Array:
-        return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
+        return np.minimum(np.maximum(q, self.joint_limits[:, 0]), self.joint_limits[:, 1])
 
     def mid_position(self) -> Array:
         """Midpoint of the joint limits; the default rest configuration."""
@@ -188,9 +207,11 @@ def load_chain(path: str | Path) -> ChainConfig:
         raise ValueError(f"{path}: missing key {exc}") from exc
 
 
-def _check_q(config: ChainConfig, q) -> Array:
+def _check_q(config: ChainConfig, q, stack: bool = False) -> Array:
+    """q as a float array of one configuration, (dof,), or with stack also of
+    several, (N, dof)."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (config.dof,):
+    if q.shape[-1:] != (config.dof,) or q.ndim > (2 if stack else 1):
         raise ValueError(f"expected {config.dof} joint values, got shape {q.shape}")
     if not np.isfinite(q).all():
         raise ValueError("joint vector contains non-finite entries")
@@ -208,37 +229,31 @@ _SKEW = np.array(
 
 
 def _skew(vectors: Array) -> Array:
-    """Cross-product matrices K(v), K(v) @ w = v x w, of (n, 3) vectors."""
-    return (vectors @ _SKEW).reshape(-1, 3, 3)
-
-
-def _axis_rotation(axes: Array, angles: Array) -> Array:
-    """Rodrigues' formula R = I + sin(a) K + (1 - cos(a)) K^2, written as
-    cos(a) I + sin(a) K + (1 - cos(a)) k k^T, for unit axes k of shape
-    (n, 3) and angles a of shape (n,): the (n, 3, 3) rotation matrices."""
-    c = np.cos(angles)[:, None, None]
-    s = np.sin(angles)[:, None, None]
-    outer = axes[:, :, None] * axes[:, None, :]
-    return c * np.eye(3) + s * _skew(axes) + (1.0 - c) * outer
+    """Cross-product matrices K(v), K(v) @ w = v x w, of (..., 3) vectors."""
+    return (vectors @ _SKEW).reshape(vectors.shape[:-1] + (3, 3))
 
 
 def _frames(config: ChainConfig, q) -> tuple[Array, Array]:
     """One walk down the chain: every joint's 4x4 frame in the base frame
     after its fixed offset and its own rotation, shape (dof, 4, 4), and the
-    end-effector transform.
+    end-effector transform. A stack of configurations q, (N, dof), walks
+    them all at once: (N, dof, 4, 4) and (N, 4, 4).
 
     A joint's rotation moves neither its origin nor its axis, so frame i
     also carries joint i's origin (its translation) and axis (its rotation
     applied to the joint-frame axis).
     """
-    q = _check_q(config, q)
-    local = config.offsets.copy()
-    local[:, :3, :3] = config.offsets[:, :3, :3] @ _axis_rotation(config.axes, q)
+    q = _check_q(config, q, stack=True)
+    s = np.sin(q)[..., None, None]
+    versine = 1.0 - np.cos(q)[..., None, None]
+    local = np.empty(q.shape + (4, 4))
+    local[...] = config.offsets
+    local[..., :3, :3] += s * config.offset_k + versine * config.offset_k2
     frames = np.empty_like(local)
-    frames[0] = local[0]
+    frames[..., 0, :, :] = local[..., 0, :, :]
     for i in range(1, config.dof):
-        np.matmul(frames[i - 1], local[i], out=frames[i])
-    return frames, frames[-1] @ config.ee_transform
+        np.matmul(frames[..., i - 1, :, :], local[..., i, :, :], out=frames[..., i, :, :])
+    return frames, frames[..., -1, :, :] @ config.ee_transform
 
 
 def fk_transform(config: ChainConfig, q) -> Array:
@@ -248,72 +263,94 @@ def fk_transform(config: ChainConfig, q) -> Array:
 
 def forward_kinematics(config: ChainConfig, q) -> Pose:
     """Compose joint transforms in order and extract the end-effector pose."""
-    t = fk_transform(config, q)
+    t = fk_transform(config, _check_q(config, q))
     return Pose(t[:3, 3].copy(), np.array(matrix_to_rpy(t[:3, :3])))
 
 
 def jacobian(config: ChainConfig, q, walk: tuple[Array, Array] | None = None) -> Array:
-    """Geometric Jacobian of the end-effector in the base frame.
+    """Geometric Jacobian of the end-effector in the base frame, (6, dof),
+    or (N, 6, dof) for a stack of configurations.
 
     Rows 0-2 are linear (m/rad), rows 3-5 angular (rad/rad); column i is the
     contribution of joint i. walk is _frames(config, q) when the caller has
     already walked the chain at q.
     """
     frames, ee = walk or _frames(config, q)
-    origins = frames[:, :3, 3]
-    axes = (frames[:, :3, :3] @ config.axes[:, :, None])[:, :, 0]
-    jac = np.empty((6, config.dof))
-    jac[:3] = (_skew(axes) @ (ee[:3, 3] - origins)[:, :, None])[:, :, 0].T
-    jac[3:] = axes.T
+    origins = frames[..., :3, 3]
+    axes = (frames[..., :3, :3] @ config.axes[:, :, None])[..., 0]
+    lever = ee[..., None, :3, 3] - origins
+    jac = np.empty(axes.shape[:-2] + (6, config.dof))
+    jac[..., :3, :] = (_skew(axes) @ lever[..., None])[..., 0].swapaxes(-1, -2)
+    jac[..., 3:, :] = axes.swapaxes(-1, -2)
     return jac
 
 
+def _shepperd_map() -> Array:
+    """Shepperd's symmetric 4x4 matrix, less the identity, as a linear map of
+    the row-major flattened rotation, (9, 16): row k of the matrix is the
+    quaternion (w, x, y, z) times 4 times its own component k."""
+    entries = {
+        (0, 0): {0: 1, 4: 1, 8: 1},  # 1 + trace
+        (1, 1): {0: 1, 4: -1, 8: -1},  # 1 + 2 r00 - trace
+        (2, 2): {0: -1, 4: 1, 8: -1},
+        (3, 3): {0: -1, 4: -1, 8: 1},
+        (0, 1): {7: 1, 5: -1},  # r21 - r12
+        (0, 2): {2: 1, 6: -1},
+        (0, 3): {3: 1, 1: -1},
+        (1, 2): {1: 1, 3: 1},  # r01 + r10
+        (1, 3): {2: 1, 6: 1},
+        (2, 3): {5: 1, 7: 1},
+    }
+    out = np.zeros((9, 4, 4))
+    for (a, b), terms in entries.items():
+        for k, coefficient in terms.items():
+            out[k, a, b] = out[k, b, a] = coefficient
+    return out.reshape(9, 16)
+
+
+_SHEPPERD = _shepperd_map()
+_EYE4 = np.eye(4)
+
+
 def rotation_log(rot: Array) -> Array:
-    """Rotation vector (axis times angle in [0, pi]) of a rotation matrix.
+    """Rotation vector (axis times angle in [0, pi]) of a rotation matrix,
+    (3,), or of each of a stack of them, (..., 3, 3) -> (..., 3).
 
     The quaternion comes by Shepperd's method: the diagonal picks its
     largest component c, and sums and differences of the entries give the
     quaternion times 4c >= 2, so no branch loses digits, near pi included.
-    Only the direction of that scaled quaternion is used.
+    Only the direction of that scaled quaternion is used: the angle is
+    2 atan2(|xyz|, w), which keeps its relative precision near 0, and the
+    axis xyz / |xyz|.
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
-    trace = r00 + r11 + r22
-    pick = max(trace, r00, r11, r22)
-    if pick == trace:
-        w = 1.0 + trace
-        x, y, z = r21 - r12, r02 - r20, r10 - r01
-    elif pick == r00:
-        x = 1.0 + 2.0 * r00 - trace
-        w, y, z = r21 - r12, r01 + r10, r02 + r20
-    elif pick == r11:
-        y = 1.0 + 2.0 * r11 - trace
-        w, x, z = r02 - r20, r01 + r10, r12 + r21
-    else:
-        z = 1.0 + 2.0 * r22 - trace
-        w, x, y = r10 - r01, r02 + r20, r12 + r21
-    if w < 0.0:  # the quaternion with w >= 0 gives the angle in [0, pi]
-        w, x, y, z = -w, -x, -y, -z
-    xyz_norm = math.sqrt(x * x + y * y + z * z)
-    norm = math.sqrt(w * w + xyz_norm * xyz_norm)
-    angle = 2.0 * math.atan2(xyz_norm, w)
-    # angle / sin(angle / 2), by its series where the quotient loses digits
-    if angle <= 1e-3:
-        scale = 2.0 + angle * angle / 12.0 + 7.0 * angle**4 / 2880.0
-    else:
-        scale = angle / math.sin(0.5 * angle)
-    scale /= norm
-    return np.array([scale * x, scale * y, scale * z])
+    lead = rot.shape[:-2]
+    shepperd = rot.reshape(-1, 9) @ _SHEPPERD + _EYE4.ravel()
+    pick = np.argmax(shepperd[:, ::5], axis=1)  # the diagonal
+    quat = shepperd.reshape(-1, 4, 4)[np.arange(len(shepperd)), pick]
+    w, xyz = quat[:, 0], quat[:, 1:]
+    xyz_norm = np.sqrt(np.einsum("ij,ij->i", xyz, xyz))
+    # the quaternion with w >= 0 gives the angle in [0, pi]
+    angle = 2.0 * np.arctan2(xyz_norm, np.abs(w))
+    # xyz_norm is 0 only at angle 0, where xyz is 0 too
+    factor = np.where(w < 0.0, -angle, angle) / np.where(xyz_norm > 0.0, xyz_norm, 1.0)
+    return (factor[:, None] * xyz).reshape(lead + (3,))
 
 
-def pose_error(target: Pose, current: Array) -> Array:
+def pose_error(target, current: Array) -> Array:
     """6-vector (position, rotation-vector) error from a current 4x4 transform.
 
-    The rotation part is the log map of R_target @ R_current^T, which avoids
-    Euler wrap artifacts near the representation boundaries.
+    target is a Pose or (..., 4, 4) target transforms, current (..., 4, 4);
+    the two broadcast, and the error is (..., 6). The rotation part is the
+    log map of R_target @ R_current^T, which avoids Euler wrap artifacts near
+    the representation boundaries.
     """
-    pos_err = target.translation - current[:3, 3]
-    rot_err = rotation_log(target.rotation_matrix() @ current[:3, :3].T)
-    return np.concatenate([pos_err, rot_err])
+    if isinstance(target, Pose):
+        target = make_transform(target.translation, target.rpy)
+    rot = target[..., :3, :3] @ current[..., :3, :3].swapaxes(-1, -2)
+    err = np.empty(rot.shape[:-2] + (6,))
+    err[..., :3] = target[..., :3, 3] - current[..., :3, 3]
+    err[..., 3:] = rotation_log(rot)
+    return err
 
 
 IK_POS_TOL = 1e-4  # m
@@ -322,45 +359,105 @@ IK_MAX_ITERS = 200
 IK_DAMPING = 1e-3
 
 
-def inverse_kinematics(config: ChainConfig, target: Pose, seed) -> Array:
-    """Damped-least-squares IK seeded from a reference configuration.
+# a lockstep solution farther than this from its predecessor's, in any joint,
+# may sit on another IK branch than the chained solve; it is solved again,
+# seeded from that predecessor (rad)
+IK_BRANCH_STEP = 0.5
+_SQUARED_TOLS = np.array([IK_POS_TOL, IK_ORI_TOL]) ** 2
 
-    The damping factor adapts Levenberg-style (x10 on error increase, /10 on
-    decrease) and every iterate is clamped to the joint limits, so the seed
-    continuity of consecutive solves is inherited directly from the iteration.
-    Raises IkConvergenceError if the target is unreachable within IK_MAX_ITERS.
+
+def _lockstep(config: ChainConfig, goals: Array, seed: Array) -> tuple[Array, Array, Array]:
+    """Damped-least-squares iteration of every goal transform, (N, 4, 4),
+    from one clamped seed, in lockstep: each iteration takes one batched
+    step for all targets not yet converged. The damping factor adapts per
+    target, Levenberg-style (x10 on error increase, /10 on decrease), and
+    every iterate is clamped to the joint limits.
+
+    Returns the solutions (N, dof), their errors (N, 6) and which converged.
     """
-    q = config.clamp(_check_q(config, seed))
-    lam = IK_DAMPING
-    # one walk down the chain per iterate: the accepted iterate's walk gives
-    # the next Jacobian
-    walk = _frames(config, q)
-    err = pose_error(target, walk[1])
-    err_norm = np.linalg.norm(err)
-    eye = np.eye(config.dof)
+    n, dof = len(goals), config.dof
+    # one walk down the chain per iteration: an accepted iterate's walk
+    # gives its next Jacobian, and the first is the seed's, shared by all
+    seed_frames, seed_ee = _frames(config, seed)
+    frames = np.empty((n,) + seed_frames.shape)
+    frames[:] = seed_frames
+    ee = np.empty((n, 4, 4))
+    ee[:] = seed_ee
+    q = np.empty((n, dof))
+    q[:] = seed
+    err = pose_error(goals, seed_ee)
+    err_sq, done = _error_norms(err)
+    lam = np.full(n, IK_DAMPING)
+    eye = np.eye(dof)
     for _ in range(IK_MAX_ITERS):
-        pos_err = np.linalg.norm(err[:3])
-        ori_err = np.linalg.norm(err[3:])
-        if pos_err <= IK_POS_TOL and ori_err <= IK_ORI_TOL:
-            return q
-        jac = jacobian(config, q, walk)
-        step = np.linalg.solve(jac.T @ jac + lam * eye, jac.T @ err)
-        q_new = config.clamp(q + step)
-        walk_new = _frames(config, q_new)
-        err_new = pose_error(target, walk_new[1])
-        new_norm = np.linalg.norm(err_new)
-        if new_norm < err_norm:
-            q, err, err_norm, walk = q_new, err_new, new_norm, walk_new
-            lam = max(lam / 10.0, 1e-10)
-        else:
-            lam = min(lam * 10.0, 1e8)
-    pos_err = float(np.linalg.norm(err[:3]))
-    ori_err = float(np.linalg.norm(err[3:]))
-    if pos_err <= IK_POS_TOL and ori_err <= IK_ORI_TOL:
-        return q
-    raise IkConvergenceError(
-        f"IK did not converge after {IK_MAX_ITERS} iterations "
-        f"(position error {pos_err:.3e} m, orientation error {ori_err:.3e} rad)",
-        pos_err,
-        ori_err,
-    )
+        active = (~done).nonzero()[0]
+        if not active.size:
+            break
+        # views while every target iterates, copies once some have converged
+        sub = slice(None) if active.size == n else active
+        q_sub, lam_sub = q[sub], lam[sub]
+        jac = jacobian(config, q_sub, (frames[sub], ee[sub]))
+        jac_t = jac.swapaxes(1, 2)
+        step = np.linalg.solve(jac_t @ jac + lam_sub[:, None, None] * eye, jac_t @ err[sub, :, None])
+        q_new = config.clamp(q_sub + step[..., 0])
+        frames_new, ee_new = _frames(config, q_new)
+        err_new = pose_error(goals[sub], ee_new)
+        sq_new, done_new = _error_norms(err_new)
+        better = sq_new < err_sq[sub]
+        lam[sub] = np.where(better, np.maximum(lam_sub / 10.0, 1e-10), np.minimum(lam_sub * 10.0, 1e8))
+        accepted = active[better]
+        q[accepted] = q_new[better]
+        frames[accepted] = frames_new[better]
+        ee[accepted] = ee_new[better]
+        err[accepted] = err_new[better]
+        err_sq[accepted] = sq_new[better]
+        done[accepted] = done_new[better]
+    return q, err, done
+
+
+def _error_norms(err: Array) -> tuple[Array, Array]:
+    """Squared norms of (N, 6) pose errors, and which meet both tolerances."""
+    parts = err.reshape(-1, 2, 3)
+    sq = np.einsum("ijk,ijk->ij", parts, parts)
+    return np.add.reduce(sq, axis=1), np.logical_and.reduce(sq <= _SQUARED_TOLS, axis=1)
+
+
+def inverse_kinematics(config: ChainConfig, targets, seed) -> Array:
+    """Damped-least-squares IK of one target Pose, (dof,), or of a sequence
+    of N target Poses, (N, dof), seeded from a reference configuration.
+
+    A sequence is solved as the chained rule defines it: target i seeded
+    from solution i - 1, target 0 from the seed, so the seed continuity of
+    consecutive solves is inherited directly from the iteration. All targets
+    are iterated in lockstep from the seed; from the first one that fails
+    there or lands more than IK_BRANCH_STEP from its predecessor's solution,
+    each is solved again from its predecessor, one at a time.
+    Raises IkConvergenceError, naming the first failing target, if one is
+    unreachable within IK_MAX_ITERS.
+    """
+    single = isinstance(targets, Pose)
+    poses = [targets] if single else list(targets)
+    q0 = config.clamp(_check_q(config, seed))
+    xyz, rpy = np.array([(p.translation, p.rpy) for p in poses]).reshape(-1, 2, 3).transpose(1, 0, 2)
+    goals = np.zeros((len(poses), 4, 4))
+    goals[:, :3, :3] = rpy_to_matrix(*rpy.T)
+    goals[:, :3, 3] = xyz
+    goals[:, 3, 3] = 1.0
+    q, err, done = _lockstep(config, goals, q0)
+    off_branch = np.abs(np.diff(q, axis=0)).max(axis=1, initial=0.0) > IK_BRANCH_STEP
+    redo = np.flatnonzero(~done | np.concatenate([[False], off_branch]))
+    start = redo[0] if redo.size else len(poses)
+    for i in range(start, len(poses)):
+        if i > 0:
+            q[i : i + 1], err[i : i + 1], done[i : i + 1] = _lockstep(config, goals[i : i + 1], q[i - 1])
+        if not done[i]:
+            pos_err = float(np.linalg.norm(err[i, :3]))
+            ori_err = float(np.linalg.norm(err[i, 3:]))
+            raise IkConvergenceError(
+                f"IK did not converge after {IK_MAX_ITERS} iterations "
+                f"(position error {pos_err:.3e} m, orientation error {ori_err:.3e} rad)",
+                pos_err,
+                ori_err,
+                i,
+            )
+    return q[0] if single else q

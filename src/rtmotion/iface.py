@@ -28,6 +28,7 @@ import queue
 import socket
 import threading
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -44,22 +45,31 @@ OUTBOX_LINES = 512
 MAX_LINE_BYTES = 65536
 
 
-def encode_line(message: dict) -> bytes:
-    # repr-based float serialization: shortest exact round trip (>= 17 digits
-    # where needed), satisfying the 9-significant-digit wire contract
-    return (json.dumps(message, allow_nan=False) + "\n").encode("utf-8")
+def encode_line(message: dict | str) -> bytes:
+    """One wire line from a message object, or from the JSON text of one, as
+    telemetry_message returns it.
+
+    repr-based float serialization: shortest exact round trip (>= 17 digits
+    where needed), satisfying the 9-significant-digit wire contract."""
+    if not isinstance(message, str):
+        message = json.dumps(message, allow_nan=False)
+    return (message + "\n").encode("utf-8")
 
 
-def telemetry_message(robot_id: str, record: TelemetryRecord) -> dict:
-    return {
-        "robot": robot_id,
-        "t": record.t,
-        "q": record.reference.q.tolist(),
-        "qd": record.reference.qd.tolist(),
-        "qdd": record.reference.qdd.tolist(),
-        "pose": record.ee_pose_ref.to_vector().tolist(),
-        "request": record.active_request_id,
-    }
+def telemetry_message(robot_id: str, record: TelemetryRecord) -> str:
+    """The telemetry object of one tick as JSON text, byte for byte what
+    json.dumps gives for it (t sent as a float), built without the dict: the
+    repr of a list of floats is its JSON array."""
+    ref, pose = record.reference, record.ee_pose_ref
+    numbers = (
+        f'"t": {float(record.t)!r}, "q": {ref.q.tolist()!r}, "qd": {ref.qd.tolist()!r}, '
+        f'"qdd": {ref.qdd.tolist()!r}, "pose": {pose.translation.tolist() + pose.rpy.tolist()!r}'
+    )
+    if "n" in numbers:  # nan or inf, which JSON cannot carry
+        raise ValueError(f"Out of range float values are not JSON compliant: {numbers}")
+    request = record.active_request_id
+    request = "null" if request is None else encode_basestring_ascii(request)
+    return f'{{"robot": {encode_basestring_ascii(robot_id)}, {numbers}, "request": {request}}}'
 
 
 def _finite_float(text: str) -> float:

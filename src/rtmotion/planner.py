@@ -1,8 +1,9 @@
 """Low-level motion planner: turns an rt-move-cartesian request into an
 evaluable multi-joint trajectory.
 
-Waypoints are resolved to joint space by chaining the IK solver (each solve
-seeded from the previous solution, the first from the current position), then
+Waypoints are resolved to joint space by chained IK in one call (each
+solution is the one seeded from the previous solution, the first from the
+current position; all are iterated in lockstep), then
 one minimum-jerk QP per joint is assembled on a shared segment-time grid and
 solved as a batch. Any IK or QP failure rejects the whole request; a
 previously active plan is never touched by a failed replan.
@@ -235,16 +236,11 @@ def _validate_request(request: PlanRequest, chain: ChainConfig) -> None:
 
 
 def _solve_joint_waypoints(request: PlanRequest, chain: ChainConfig, q0: Array) -> Array:
-    """Chained IK: d_0 is the current position, each solve seeds the next."""
-    targets = np.empty((len(request.waypoints), chain.dof))
-    seed = q0
-    for i, wp in enumerate(request.waypoints):
-        try:
-            seed = inverse_kinematics(chain, wp.pose, seed)
-        except IkConvergenceError as exc:
-            raise IkFailure(i, exc) from exc
-        targets[i] = seed
-    return targets
+    """Chained IK of every waypoint in one call: d_0 is the current position."""
+    try:
+        return inverse_kinematics(chain, [wp.pose for wp in request.waypoints], q0)
+    except IkConvergenceError as exc:
+        raise IkFailure(exc.index, exc) from exc
 
 
 def plan(

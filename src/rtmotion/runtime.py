@@ -299,11 +299,29 @@ def _expand_teleop(raw: dict, base_dir: Path) -> tuple[list[dict], list[tuple[fl
     return events, samples
 
 
+def _check_shape(raw, path: Path) -> None:
+    """The keys and event shapes the runner reads without further checks."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path}: a scenario is a JSON object")
+    for key in ("chain", "q0"):
+        if key not in raw:
+            raise ScenarioError(f"{path}: missing '{key}'")
+    events = raw.get("events", [])
+    if not isinstance(events, list):
+        raise ScenarioError(f"{path}: 'events' must be a list")
+    for i, event in enumerate(events):
+        if not (isinstance(event, dict) and isinstance(event.get("t"), (int, float)) and "action" in event):
+            raise ScenarioError(f"{path}: event {i} must be an object with a numeric 't' and an 'action'")
+        if event["action"] == "send_request" and not isinstance(event.get("request"), dict):
+            raise ScenarioError(f"{path}: event {i} sends a request that is not an object")
+
+
 def load_scenario(path: str | Path) -> ScenarioScript:
     path = Path(path)
     if not path.exists() and path.parent == Path("."):
         path = _resource_path("scenarios", path.name)
     raw = json.loads(path.read_text())
+    _check_shape(raw, path)
     base_dir = path.parent
     chain = load_chain(_resolve(base_dir, "chains", raw["chain"]))
     events = list(raw.get("events", []))
@@ -319,10 +337,13 @@ def load_scenario(path: str | Path) -> ScenarioScript:
         raise ScenarioError(
             f"scenario fc {fc} Hz differs from chain '{chain.name}' at {chain.control_frequency} Hz"
         )
+    q0 = np.asarray(raw["q0"], dtype=float)
+    if q0.shape != (chain.dof,) or not np.isfinite(q0).all():
+        raise ScenarioError(f"{path}: q0 must hold {chain.dof} finite joint values")
     return ScenarioScript(
         name=raw.get("name", path.stem),
         chain=chain,
-        q0=np.asarray(raw["q0"], dtype=float),
+        q0=q0,
         settle_time=float(raw.get("settle_time", 0.5)),
         events=events,
         shape=raw.get("shape"),
@@ -437,7 +458,10 @@ def run_scenario(script: ScenarioScript | str | Path) -> ScenarioResult:
     horizon = script.settle_time
     for event in script.events:
         if event["action"] == "send_request":
-            total = sum(w["duration"] for w in event["request"]["waypoints"])
+            try:
+                total = sum(float(w["duration"]) for w in event["request"]["waypoints"])
+            except (KeyError, TypeError, ValueError):
+                total = 0.0  # malformed: rejected when sent, which fails the script
             horizon = max(horizon, event["t"] + total + script.settle_time)
         else:
             horizon = max(horizon, event["t"])

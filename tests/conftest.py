@@ -2,9 +2,15 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from rtmotion import runtime
 from rtmotion.chain import load_chain
+
+# every property test replays the same examples and has no time limit: the
+# planner is slow next to hypothesis's default deadline on a loaded machine
+settings.register_profile("rtmotion", deadline=None, derandomize=True)
+settings.load_profile("rtmotion")
 
 
 def data_path(kind: str, name: str) -> Path:

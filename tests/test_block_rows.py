@@ -17,7 +17,7 @@ FC = 100.0
 V_MAX, A_MAX = 2.0, 20.0
 # numpy's vectorized pow may differ from Python's scalar pow in the last bit
 BASIS_RTOL = 1e-13
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=30)
 
 
 @st.composite

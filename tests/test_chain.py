@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rtmotion import chain
+from rtmotion import chain, planner
 from rtmotion.chain import (
     ChainConfig,
     IkConvergenceError,
@@ -17,6 +19,9 @@ from rtmotion.chain import (
     rpy_to_matrix,
     fk_transform,
 )
+from rtmotion.runtime import load_scenario
+
+from conftest import data_path
 
 # FK of the 6-DOF fixture at fixed configurations, computed with an
 # independent product-of-transforms implementation (explicit Rodrigues and
@@ -248,6 +253,110 @@ class TestSharedChainWalks:
             inverse_kinematics(arm6, target, seed)
             assert len(jacobians) >= 1
             assert len(walks) == len(jacobians) + 1
+
+
+def sequential_inverse_kinematics(config, targets, seed):
+    """The chained rule one target at a time: target i seeded from solution
+    i - 1, target 0 from seed."""
+    out = []
+    for target in targets:
+        seed = inverse_kinematics(config, target, seed)
+        out.append(seed)
+    return np.array(out)
+
+
+def joint_path(config, n, seed):
+    """n targets: the FK of a seeded walk of small joint steps from a start
+    with the elbow and the wrist bent; the targets, the start and the walk."""
+    rng = np.random.default_rng(seed)
+    lo, hi = config.joint_limits[:, 0], config.joint_limits[:, 1]
+    start = lo + (hi - lo) * (0.15 + 0.7 * rng.random(config.dof))
+    start[2] = rng.uniform(-2.2, -0.6)
+    start[4] = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 1.2)
+    path = config.clamp(start + np.cumsum(rng.uniform(-0.04, 0.04, (n, config.dof)), axis=0))
+    return [forward_kinematics(config, q) for q in path], start, path
+
+
+# a wrist motion through the wrist's singular point q4 = 0 with the elbow
+# nearly straight: iterated from the start alone, the later targets land on
+# the mirrored elbow branch
+BRANCH_START = np.array([-0.45, -0.55, -0.37, -1.2, -0.1, 1.3])
+BRANCH_END = np.array([-0.45, -0.55, -0.37, 0.05, 1.4, 0.65])
+
+
+class TestLockstepIk:
+    @settings(max_examples=25)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_sequential_chained_solve(self, arm6, n, seed):
+        targets, start, path = joint_path(arm6, n, seed)
+        # near a singular configuration the tolerances leave the joints
+        # free, and the two solves may stop far apart on the same branch
+        assume(min(np.linalg.svd(jacobian(arm6, q), compute_uv=False)[-1] for q in [start, *path]) >= 0.05)
+        expected = sequential_inverse_kinematics(arm6, targets, start)
+        q = inverse_kinematics(arm6, targets, start)
+        assert q.shape == (n, arm6.dof)
+        for target, got, want in zip(targets, q, expected):
+            err = pose_error(target, fk_transform(arm6, got))
+            assert np.linalg.norm(err[:3]) <= chain.IK_POS_TOL
+            assert np.linalg.norm(err[3:]) <= chain.IK_ORI_TOL
+            # both stop anywhere inside the tolerances, so they differ by
+            # what their two residuals explain through the Jacobian, to
+            # first order, and no more: the same branch
+            gap = err - pose_error(target, fk_transform(arm6, want))
+            inverse_norm = np.linalg.norm(np.linalg.inv(jacobian(arm6, want)), 2)
+            assert np.linalg.norm(got - want) <= 1.25 * inverse_norm * np.linalg.norm(gap) + 1e-9
+
+    def test_packaged_requests_within_1e_3_rad_of_the_sequential_solve(self, arm6):
+        for name in ("draw-line", "draw-circle", "chase", "teleop-replay"):
+            script = load_scenario(data_path("scenarios", f"{name}.json"))
+            for event in script.events:
+                if event["action"] != "send_request":
+                    continue
+                targets = [Pose.from_vector(w["pose"]) for w in event["request"]["waypoints"]]
+                expected = sequential_inverse_kinematics(arm6, targets, script.q0)
+                got = inverse_kinematics(arm6, targets, script.q0)
+                assert np.abs(got - expected).max() <= 1e-3, (name, event["request"]["id"])
+
+    def test_branch_crossing_falls_back_to_the_sequential_branch(self, arm6, monkeypatch):
+        path = BRANCH_START + np.linspace(0.0, 1.0, 9)[1:, None] * (BRANCH_END - BRANCH_START)
+        targets = [forward_kinematics(arm6, q) for q in path]
+        expected = sequential_inverse_kinematics(arm6, targets, BRANCH_START)
+        goals = np.array([make_transform(t.translation, t.rpy) for t in targets])
+        lockstep, _, converged = chain._lockstep(arm6, goals, BRANCH_START)
+        assert converged.all()
+        assert np.abs(lockstep - expected).max() > chain.IK_BRANCH_STEP
+        calls = []
+        solve = chain._lockstep
+        monkeypatch.setattr(chain, "_lockstep", lambda *a: calls.append(1) or solve(*a))
+        q = inverse_kinematics(arm6, targets, BRANCH_START)
+        assert len(calls) > 1
+        assert np.abs(q - expected).max() <= 1e-3
+        assert np.abs(np.diff(q, axis=0)).max() <= chain.IK_BRANCH_STEP
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_unreachable_target_is_named(self, arm6, k):
+        targets, start, _ = joint_path(arm6, 7, 5)
+        targets[k] = Pose(np.array([3.0, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(IkConvergenceError) as excinfo:
+            inverse_kinematics(arm6, targets, start)
+        assert excinfo.value.index == k
+        assert excinfo.value.position_error > chain.IK_POS_TOL
+        request = planner.PlanRequest("sim", tuple(planner.CartesianWaypoint(t, 0.5) for t in targets), "far")
+        with pytest.raises(planner.IkFailure) as failure:
+            planner.plan(request, arm6, planner.RobotState.rest(start))
+        assert failure.value.waypoint_index == k
+        assert f"waypoint {k}" in str(failure.value) and "position error" in str(failure.value)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
+    def test_one_walk_per_lockstep_iteration_plus_the_seed(self, arm6, monkeypatch, n):
+        targets, start, _ = joint_path(arm6, n, 11)
+        walks, jacobians = [], []
+        frames, jac = chain._frames, chain.jacobian
+        monkeypatch.setattr(chain, "_frames", lambda *a: walks.append(1) or frames(*a))
+        monkeypatch.setattr(chain, "jacobian", lambda *a: jacobians.append(1) or jac(*a))
+        inverse_kinematics(arm6, targets, start)
+        assert len(jacobians) >= 1
+        assert len(walks) == len(jacobians) + 1
 
 
 class TestConfigValidation:

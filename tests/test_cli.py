@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from rtmotion.cli import main
+from rtmotion.runtime import ScenarioError, run_scenario
 
 from conftest import data_path
 
@@ -107,6 +108,27 @@ class TestSimCommand:
         code = main(["sim", str(path)])
         assert code != 0
         assert "rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw.pop("chain"), "missing 'chain'"),
+            (lambda raw: raw.pop("q0"), "missing 'q0'"),
+            (lambda raw: raw.update(events={"t": 0.0}), "'events' must be a list"),
+            (lambda raw: raw["events"][0].update(request="line-1"), "request that is not an object"),
+        ],
+        ids=["no chain", "no q0", "events not a list", "request not an object"],
+    )
+    def test_malformed_scenario_is_an_input_error(self, tmp_path, capsys, edit, message):
+        raw = json.loads(data_path("scenarios", "draw-line.json").read_text())
+        edit(raw)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(path)
+        assert main(["sim", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestBenchCommand:

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from rtmotion.chain import Pose, _axis_rotation, pose_error, rotation_log, rpy_to_matrix
+from rtmotion.chain import ChainConfig, Pose, fk_transform, pose_error, rotation_log, rpy_to_matrix
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=200)
 # products of a few unit-magnitude terms: within a few ulp of 1
 ROTATION_ATOL = 1e-14
 # angles within this of 0 or of pi are the log map's special cases
@@ -39,10 +39,24 @@ edge_angles = st.one_of(
 rpys = st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
 
 
+def axis_rotation(axis, angle):
+    """The rotation the chain walk gives one joint about axis, at no offset."""
+    joint = ChainConfig(
+        axes=axis[None],
+        offsets=np.eye(4)[None],
+        joint_limits=[[-7.0, 7.0]],
+        v_max=[1.0],
+        a_max=[1.0],
+        control_frequency=100.0,
+        ee_transform=np.eye(4),
+    )
+    return fk_transform(joint, [angle])[:3, :3]
+
+
 @PROPERTY
 @given(axis=unit_axes(), angle=angles)
 def test_axis_rotation_matches_from_rotvec(axis, angle):
-    got = _axis_rotation(axis[None], np.array([angle]))[0]
+    got = axis_rotation(axis, angle)
     want = Rotation.from_rotvec(axis * angle).as_matrix()
     np.testing.assert_allclose(got, want, rtol=0, atol=ROTATION_ATOL)
 
@@ -76,7 +90,7 @@ def test_pose_error_rotation_near_zero_and_pi(rpy, axis, angle):
 @PROPERTY
 @given(axis=unit_axes(), angle=edge_angles)
 def test_rotation_log_inverts_axis_rotation(axis, angle):
-    got = rotation_log(_axis_rotation(axis[None], np.array([angle]))[0])
+    got = rotation_log(axis_rotation(axis, angle))
     want = axis * angle
     gap = min(np.max(np.abs(got - want)), np.max(np.abs(got + want)))
     assert gap <= 1e-9
@@ -88,6 +102,19 @@ def test_rotation_log_of_identity_and_half_turns():
         half_turn = 2.0 * np.outer(axis, axis) - np.eye(3)
         np.testing.assert_allclose(np.abs(rotation_log(half_turn)), math.pi * axis, atol=1e-15)
     np.testing.assert_allclose(rotation_log(rpy_to_matrix(0.0, 0.0, 0.3)), [0.0, 0.0, 0.3], atol=1e-15)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(rpys, unit_axes(), st.floats(0.0, math.pi)), min_size=1, max_size=8))
+def test_stacked_pose_error_matches_one_at_a_time(cases):
+    targets = np.array([Pose(np.zeros(3), np.array(rpy)).rotation_matrix() for rpy, _, _ in cases])
+    currents = np.zeros((len(cases), 4, 4))
+    currents[:, :3, :3] = [Rotation.from_rotvec(axis * angle).as_matrix() for _, axis, angle in cases]
+    goals = np.zeros((len(cases), 4, 4))
+    goals[:, :3, :3] = targets
+    stacked = pose_error(goals, currents)
+    for (rpy, _, _), current, row in zip(cases, currents, stacked):
+        np.testing.assert_array_equal(row, pose_error(Pose(np.zeros(3), np.array(rpy)), current))
 
 
 def test_importing_rtmotion_does_not_import_scipy_spatial():

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtmotion import planner
-from rtmotion.chain import forward_kinematics, inverse_kinematics, load_chain
-from rtmotion.iface import RobotServer, encode_line, handle_request_line
-from rtmotion.runtime import Session, load_scenario
+from rtmotion.chain import Pose, forward_kinematics, inverse_kinematics, load_chain
+from rtmotion.iface import RobotServer, encode_line, handle_request_line, telemetry_message
+from rtmotion.planner import RobotState
+from rtmotion.runtime import Session, TelemetryRecord, load_scenario
 
 from conftest import data_path
 
@@ -179,7 +180,7 @@ def strict_json(line):
 
 
 class TestOneAckProperty:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(st.lists(WIRE_LINES, min_size=1, max_size=4))
     def test_every_line_yields_one_ack_and_rejections_keep_the_plan(self, lines):
         session = Session(ARM6, ARM6.mid_position(), robot_id="sim")
@@ -243,6 +244,38 @@ class TestWireFidelity:
         line = encode_line({"pose": values})
         decoded = json.loads(line.decode())
         assert decoded["pose"] == values
+
+    @settings(max_examples=100)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 0.0, 1e-5, -1e-5, 1e16, 1.7976931348623157e308, 5e-324]),
+            min_size=25,
+            max_size=25,
+        ),
+        robot=st.text(max_size=8),
+        request=st.none() | st.text(max_size=8),
+    )
+    def test_telemetry_line_is_the_json_dumps_line(self, values, robot, request):
+        t, q, qd, qdd, pose = values[0], values[1:7], values[7:13], values[13:19], values[19:]
+        record = TelemetryRecord(
+            t=t,
+            reference=RobotState(q, qd, qdd, t),
+            encoder=RobotState(q, qd, qdd, t),
+            ee_pose_ref=Pose(pose[:3], pose[3:]),
+            active_request_id=request,
+        )
+        message = {"robot": robot, "t": t, "q": q, "qd": qd, "qdd": qdd, "pose": pose, "request": request}
+        want = (json.dumps(message, allow_nan=False) + "\n").encode("utf-8")
+        assert encode_line(telemetry_message(robot, record)) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_telemetry_refuses_what_json_cannot_carry(self, bad):
+        q = np.zeros(6)
+        q[2] = bad
+        record = TelemetryRecord(0.0, RobotState.rest(q), RobotState.rest(q), Pose(np.zeros(3), np.zeros(3)), None)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            telemetry_message("sim", record)
 
     def test_one_object_per_lf_terminated_line(self):
         line = encode_line({"id": "x", "status": "accepted"})

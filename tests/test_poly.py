@@ -37,7 +37,7 @@ class TestBasisRow:
 
 
 class TestStateRows:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(
         st.integers(4, 8),
         st.floats(0.0, 1.0),

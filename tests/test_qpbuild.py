@@ -85,7 +85,7 @@ class TestBuildEquality:
             a_eq, _ = build_equality(wps, (0.0, 0.1, -0.2), degree)
             assert np.linalg.matrix_rank(a_eq) == 4 * n + 2
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         st.integers(4, 8),
         st.lists(st.floats(0.02, 2.0), min_size=1, max_size=12),
