@@ -205,6 +205,8 @@ def load_chain(path: str | Path) -> ChainConfig:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
+    except TypeError as exc:  # e.g. a list where an object belongs, or a 2-entry rpy
+        raise ValueError(f"{path}: malformed chain description: {exc}") from exc
 
 
 def _check_q(config: ChainConfig, q, stack: bool = False) -> Array:

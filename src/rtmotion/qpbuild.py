@@ -15,9 +15,11 @@ differ between joints: assemble_qp builds one column of them per joint.
 A is held as BlockRows: the 4N+2 equality rows form a dense head (continuity
 rows span two segments), and the limit rows form one (R, L+1) block per
 segment, so products with A cost O(N * R * (L+1)) for the tail instead of
-O(m * n). assemble_qp computes the sample grid once, for the cost and the
-limit rows, and builds the limit rows straight into the problem's one
-BlockRows, which the solver iterates on as it is.
+O(m * n). Every block has as many rows as the longest segment's: a shorter
+segment repeats the limit rows of its last tick, which adds copies of rows
+it already has and so no constraint. assemble_qp computes the sample grid
+once, for the cost and the limit rows, and builds the limit rows straight
+into the problem's one BlockRows, which the solver iterates on as it is.
 """
 
 from __future__ import annotations
@@ -54,31 +56,20 @@ class BlockRows:
     """Constraint rows: a dense head stacked above a block-diagonal tail.
 
     head is (m_head, n); blocks is (N, R, w) with n = N * w, and block i acts
-    on columns i*w .. (i+1)*w. Only the first counts[i] rows of block i are
-    real; the rest are zero padding, so segments with different sample counts
-    share one array. The padding shows in no row count, dense view or row
-    norm: the dense view is the head rows, then the real rows of each block in
-    block order. Code that iterates on the padded layout (dot, tdot, gram)
-    moves per-row data into it with pad. A dense matrix is the case of a tail
-    with no rows (wrap).
+    on columns i*w .. (i+1)*w. The rows are the head rows, then the rows of
+    each block in block order: toarray, row_norms, dot, tdot and gram all
+    use that one order. A dense matrix is the case of a tail with no rows
+    (wrap).
     """
 
-    def __init__(self, head: Array, blocks: Array, counts=None):
-        n_blocks, n_pad, width = blocks.shape
+    def __init__(self, head: Array, blocks: Array):
+        n_blocks, n_tail, width = blocks.shape
         if head.ndim != 2 or head.shape[1] != n_blocks * width:
             raise QpBuildError("head and blocks disagree on the column count")
         self.head = head
         self.blocks = blocks
-        self.counts = np.full(n_blocks, n_pad) if counts is None else np.asarray(counts)
-        self._real = np.arange(n_pad) < self.counts[:, None]
-        if np.any(blocks[~self._real]):
-            raise QpBuildError("padding rows of the blocks must be zero")
         self._blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
-        m_head = head.shape[0]
-        # positions of the dense view's rows in the padded layout
-        self._rows = np.concatenate([np.arange(m_head), m_head + np.flatnonzero(self._real)])
-        self.shape = (len(self._rows), head.shape[1])
-        self.n_padded = m_head + n_blocks * n_pad
+        self.shape = (head.shape[0] + n_blocks * n_tail, head.shape[1])
 
     @classmethod
     def wrap(cls, a) -> "BlockRows":
@@ -89,27 +80,19 @@ class BlockRows:
         return cls(a, np.zeros((1, 0, a.shape[1])))
 
     def toarray(self) -> Array:
-        tail = _block_diagonal(self.blocks)[self._real.ravel()]
-        return np.vstack([self.head, tail])
+        return np.vstack([self.head, _block_diagonal(self.blocks)])
 
     def __array__(self, dtype=None, copy=None):
         dense = self.toarray()
         return dense if dtype is None else dense.astype(dtype)
 
     def row_norms(self) -> Array:
-        """Max-abs of each row of the dense view."""
-        tail = np.abs(self.blocks).max(axis=2, initial=0.0)[self._real]
+        """Max-abs of each row."""
+        tail = np.abs(self.blocks).max(axis=2, initial=0.0).ravel()
         return np.concatenate([np.abs(self.head).max(axis=1, initial=0.0), tail])
 
-    def pad(self, values: Array, fill: float) -> Array:
-        """Per-row values in dense-view order (first axis) moved to the padded
-        layout, with fill on the padding rows."""
-        out = np.full((self.n_padded,) + values.shape[1:], fill)
-        out[self._rows] = values
-        return out
-
     def dot(self, x: Array) -> Array:
-        """A x in the padded layout, for x of shape (n, k)."""
+        """A x, for x of shape (n, k)."""
         n_blocks, _, width = self.blocks.shape
         # a Fortran-ordered x (as LAPACK returns it) would reshape to a strided
         # view that matmul cannot hand to BLAS
@@ -118,16 +101,16 @@ class BlockRows:
         return np.concatenate([self.head @ x, tail.reshape(-1, x.shape[1])])
 
     def tdot(self, y: Array) -> Array:
-        """A^T y for y of shape (n_padded, k) in the padded layout."""
+        """A^T y, for y of shape (m, k)."""
         m_head = self.head.shape[0]
-        n_blocks, n_pad, _ = self.blocks.shape
-        tail = np.matmul(self._blocks_t, y[m_head:].reshape(n_blocks, n_pad, y.shape[1]))
+        n_blocks, n_tail, _ = self.blocks.shape
+        tail = np.matmul(self._blocks_t, y[m_head:].reshape(n_blocks, n_tail, y.shape[1]))
         return self.head.T @ y[:m_head] + tail.reshape(-1, y.shape[1])
 
     def gram(self, weights: Array) -> Array:
-        """A^T diag(weights) A for one weight per row of the padded layout."""
+        """A^T diag(weights) A, for one weight per row."""
         m_head = self.head.shape[0]
-        tail_w = weights[m_head:].reshape(self._real.shape)[..., None]
+        tail_w = weights[m_head:].reshape(self.blocks.shape[:2])[..., None]
         tail = np.matmul(self._blocks_t, self.blocks * tail_w)
         return (self.head.T * weights[:m_head]) @ self.head + _block_diagonal(tail)
 
@@ -137,8 +120,8 @@ class QpProblem:
     """min p^T Q p  subject to  lower <= A p <= upper.
 
     The first n_eq rows of A are equalities (lower == upper). a_matrix is
-    BlockRows (or a dense array); lower and upper follow the rows of its
-    dense view, with one column per joint when they are 2-D.
+    BlockRows (or a dense array); lower and upper follow its rows, with one
+    column per joint when they are 2-D.
     """
 
     q_matrix: Array
@@ -169,8 +152,9 @@ class QpProblem:
 
 
 def _sample_grid(durations: Array, control_frequency: float) -> tuple[Array, NDArray[np.bool_]]:
-    """segment_samples of every segment, padded to a common length: the
-    (N, S) sample times and the (N, S) mask of real samples."""
+    """segment_samples of every segment, brought to a common length by
+    repeating its last sample (u = 1): the (N, S) sample times and the (N, S)
+    mask of each segment's own samples."""
     if not np.all(np.isfinite(durations) & (durations > 0)):
         raise QpBuildError("segment duration must be positive and finite")
     if not (np.isfinite(control_frequency) and control_frequency > 0):
@@ -178,10 +162,8 @@ def _sample_grid(durations: Array, control_frequency: float) -> tuple[Array, NDA
     counts = np.maximum(2, np.round(control_frequency * durations).astype(int) + 1)
     steps = np.arange(counts.max())
     u = steps * (1.0 / (counts - 1))[:, None]  # np.linspace's arithmetic
-    u[np.arange(len(counts)), counts - 1] = 1.0
-    real = steps < counts[:, None]
-    u[~real] = 0.0  # any time in [0, 1]; callers zero the padding rows
-    return u, real
+    u[steps >= counts[:, None] - 1] = 1.0
+    return u, steps < counts[:, None]
 
 
 def segment_samples(duration: float, control_frequency: float) -> Array:
@@ -292,8 +274,9 @@ def assemble_qp(
 
     Positions and initial state as in build_equality, the limits alike. The
     limit rows sit on the cost's sampling grid: per sample a velocity row then
-    an acceleration row, one block per segment; the two-sided interval form
-    absorbs the absolute values. The tiny diagonal ridge lifts the
+    an acceleration row, one block per segment (a shorter segment's block
+    repeats its last tick, which the cost counts once); the two-sided interval
+    form absorbs the absolute values. The tiny diagonal ridge lifts the
     cubic-and-below nullspace of the jerk Gram matrix so downstream
     factorizations stay stable.
     """
@@ -303,8 +286,7 @@ def assemble_qp(
         raise QpBuildError("velocity and acceleration limits must be positive and finite")
     u, real = _sample_grid(durations, control_frequency)
     rows = state_rows(degree, u, durations[:, None], orders=(1, 2))
-    rows[~real] = 0.0
-    a_matrix = BlockRows(a_eq, rows.reshape(len(durations), -1, degree + 1), 2 * real.sum(axis=1))
+    a_matrix = BlockRows(a_eq, rows.reshape(len(durations), -1, degree + 1))
     limits = np.empty((a_matrix.shape[0] - a_eq.shape[0],) + np.shape(v_max))
     limits[0::2] = v_max
     limits[1::2] = a_max

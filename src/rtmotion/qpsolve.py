@@ -29,6 +29,8 @@ silently.
 A is taken as qpbuild.BlockRows (a dense matrix is a head with no tail), so
 one iteration costs products with the dense head, O(N * R * (L+1)) for the
 per-segment blocks, and a pair of n x n triangular solves with the factor.
+The bounds, z and y follow A's one row order (the head, then each block in
+block order), so the caller's bounds are used as they are.
 
 The problems of a request's joints share Q and A and are solved as the
 columns of one batch (solve_batch), which amortizes the factorization and
@@ -63,10 +65,6 @@ _EQUALITY_RHO_SCALE = 1e3
 _STALL_RATIO = 0.99
 _STALL_CHECKS = 10
 _STALL_LEVEL = 1e3
-
-
-class FactorizationError(RuntimeError):
-    """The reduced system could not be factorized (degenerate problem data)."""
 
 
 @dataclass(frozen=True)
@@ -112,9 +110,10 @@ def solve_batch(
 ) -> BatchSolution:
     """ADMM over the columns of lower/upper; all columns share Q and A.
 
-    lower and upper follow the rows of A's dense view. The iterates live in
-    A's padded row layout, where padding rows are zero with unbounded
-    limits: z and y stay exactly 0 on them.
+    lower and upper follow the rows of A, and so do the iterates z and y.
+    The reduced matrix is positive definite for a positive semidefinite Q;
+    for any other Q its Cholesky factorization raises
+    scipy.linalg.LinAlgError.
     """
     settings = settings or SolverSettings()
     start = time.perf_counter()
@@ -122,14 +121,10 @@ def solve_batch(
     n = q_matrix.shape[0]
     n_problems = lower.shape[1]
 
-    row_norms = a.row_norms()
-    if np.any(row_norms <= 0):
-        raise ValueError("A contains an all-zero row")
     # equilibration (see the module docstring): rho / norm**2 per row
-    norms = a.pad(row_norms, 1.0)
-    # the bounds in the padded layout, unbounded on the padding rows
-    lower = a.pad(lower, -np.inf)
-    upper = a.pad(upper, np.inf)
+    norms = a.row_norms()
+    if np.any(norms <= 0):
+        raise ValueError("A contains an all-zero row")
     p_full = 2.0 * q_matrix  # gradient convention for the p^T Q p objective
     cost_scale = 1.0 / max(float(np.max(np.abs(p_full))), 1e-12)
     p_s = p_full * cost_scale
@@ -138,16 +133,13 @@ def solve_batch(
     rho = np.where(tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / norms**2
 
     reduced = p_s + _SIGMA * np.eye(n) + a.gram(rho)
-    try:
-        factor, lower_factor = scipy.linalg.cho_factor(reduced, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationError(f"reduced system factorization failed: {exc}") from exc
+    factor, lower_factor = scipy.linalg.cho_factor(reduced, check_finite=False)
 
     # LAPACK's triangular solves directly: cho_solve's argument handling
     # costs more than the solve itself at teleop sizes
     (potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (factor,))
     x = np.zeros((n, n_problems))
-    z = np.zeros((a.n_padded, n_problems))
+    z = np.zeros((a.shape[0], n_problems))
     y = np.zeros_like(z)
     # start at the minimizer over the tight rows of the head, with its
     # multipliers (tight rows in the blocks, which no caller builds, are left

@@ -40,19 +40,15 @@ class SimArm:
 
     tracking_lag = 0 copies the reference exactly; otherwise each state
     component follows a first-order filter with time constant tracking_lag.
-    Optional Gaussian noise is added to the reported encoder positions.
     """
 
     chain: ChainConfig
     encoder_state: RobotState
     tracking_lag: float = 0.0
-    noise_std: float = 0.0
-    noise_seed: int = 0
 
     def __post_init__(self):
         if self.tracking_lag < 0:
             raise ValueError("tracking lag must be >= 0")
-        self._rng = np.random.default_rng(self.noise_seed)
 
     def advance(self, reference: RobotState, dt: float) -> RobotState:
         if self.tracking_lag == 0.0:
@@ -65,13 +61,6 @@ class SimArm:
                 prev.qd + (reference.qd - prev.qd) * gain,
                 prev.qdd + (reference.qdd - prev.qdd) * gain,
                 reference.timestamp,
-            )
-        if self.noise_std > 0.0:
-            state = RobotState(
-                state.q + self._rng.normal(0.0, self.noise_std, self.chain.dof),
-                state.qd,
-                state.qdd,
-                state.timestamp,
             )
         self.encoder_state = RobotState(
             self.chain.clamp(state.q), state.qd, state.qdd, state.timestamp
@@ -116,14 +105,13 @@ class Session:
         initial_q,
         robot_id: str = "sim",
         tracking_lag: float = 0.0,
-        noise_std: float = 0.0,
         history: Optional[int] = None,
     ):
         self.chain = chain
         self.robot_id = robot_id
         self.fc = chain.control_frequency
         self._hold = RobotState.rest(chain.clamp(np.asarray(initial_q, dtype=float)))
-        self.arm = SimArm(chain, self._hold, tracking_lag=tracking_lag, noise_std=noise_std)
+        self.arm = SimArm(chain, self._hold, tracking_lag=tracking_lag)
         self.active_plan: Optional[Plan] = None
         self.telemetry: deque[TelemetryRecord] = deque(maxlen=history)
         self.requests: deque[RequestRecord] = deque(maxlen=history)

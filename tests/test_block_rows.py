@@ -1,5 +1,6 @@
 """Property tests for the structured constraint rows: a dense equality head
-above per-segment limit blocks, padded where segments differ in length.
+above per-segment limit blocks, where a segment with fewer samples than the
+longest repeats the limit rows of its last tick.
 
 The oracle is the row-by-row assembly from basis_row that the structured
 form replaced.
@@ -37,18 +38,25 @@ def waypoints_of(targets, durations, joint=0):
     return [(float(q), float(d)) for q, d in zip(targets[:, joint], durations)]
 
 
+def sample_counts(durations):
+    return [max(2, int(round(FC * d)) + 1) for d in durations]
+
+
 def reference_assembly(degree, durations):
-    """Jerk cost and limit rows built sample by sample from basis_row."""
+    """Jerk cost and limit rows built sample by sample from basis_row; the
+    limit rows of a segment with fewer samples than the longest repeat its
+    last tick, which the cost counts once."""
     n_seg = len(durations)
     width = degree + 1
     q_matrix = np.zeros((width * n_seg, width * n_seg))
     limit_rows = []
-    for i, d in enumerate(durations):
+    n_samples = max(sample_counts(durations))
+    for i, (d, count) in enumerate(zip(durations, sample_counts(durations))):
         cols = slice(i * width, (i + 1) * width)
-        samples = np.linspace(0.0, 1.0, max(2, int(round(FC * d)) + 1))
+        samples = np.linspace(0.0, 1.0, count)
         jerk = np.array([basis_row(degree, u, 3) for u in samples])
         q_matrix[cols, cols] = jerk.T @ jerk * d**-6
-        for u in samples:
+        for u in np.concatenate([samples, np.ones(n_samples - count)]):
             for k in (1, 2):
                 row = np.zeros(width * n_seg)
                 row[cols] = basis_row(degree, u, k) * d**-k
@@ -75,6 +83,23 @@ def test_dense_view_matches_row_by_row_assembly(case):
     limits = np.tile([V_MAX, A_MAX], len(limit_rows) // 2)
     np.testing.assert_array_equal(problem.lower, np.concatenate([b_eq, -limits]))
     np.testing.assert_array_equal(problem.upper, np.concatenate([b_eq, limits]))
+
+
+@PROPERTY
+@given(segment_problems(dof=2))
+def test_repeated_rows_copy_the_last_tick(case):
+    degree, durations, targets, initial = case
+    v_max, a_max = np.array([1.0, 2.0]), np.array([10.0, 20.0])
+    problem = assemble_qp(list(zip(targets, durations)), initial, degree, FC, v_max, a_max)
+    blocks = problem.a_matrix.blocks
+    lower = problem.lower[problem.n_eq :].reshape(len(durations), -1, 2, 2)
+    upper = problem.upper[problem.n_eq :].reshape(lower.shape)
+    assert blocks.shape[1] == 2 * max(sample_counts(durations))
+    for i, count in enumerate(sample_counts(durations)):
+        # per sample a velocity row then an acceleration row
+        rows = blocks[i].reshape(-1, 2, degree + 1)
+        for per_sample in (rows, lower[i], upper[i]):
+            assert np.all(per_sample[count:] == per_sample[count - 1])
 
 
 @PROPERTY

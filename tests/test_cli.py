@@ -47,13 +47,29 @@ class TestPlanCommand:
             ("q0", "could not convert string to float: 'a'"),
             ("waypoints", "Expecting value"),
             ("chain", "missing key 'joints'"),
+            ("chain array", "chain.json: malformed chain description"),
+            ("joint not an object", "chain.json: malformed chain description"),
+            ("2-entry rpy", "chain.json: malformed chain description"),
         ],
-        ids=["non-numeric q0", "malformed waypoint JSON", "chain without joints"],
+        ids=[
+            "non-numeric q0",
+            "malformed waypoint JSON",
+            "chain without joints",
+            "chain that is an array",
+            "joint that is not an object",
+            "offset rpy with 2 entries",
+        ],
     )
     def test_malformed_inputs_are_input_errors(self, tmp_path, capsys, case, message):
         raw_chain = json.loads(Path(CHAIN).read_text())
         if case == "chain":
             del raw_chain["joints"]
+        elif case == "chain array":
+            raw_chain = raw_chain["joints"]
+        elif case == "joint not an object":
+            raw_chain["joints"][2] = 1.0
+        elif case == "2-entry rpy":
+            raw_chain["joints"][0]["offset"]["rpy"] = [0.0, 0.0]
         chain = tmp_path / "chain.json"
         chain.write_text(json.dumps(raw_chain))
         waypoints = tmp_path / "wps.json"

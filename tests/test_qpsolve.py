@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rtmotion.poly import basis_row
 from rtmotion.qpbuild import RIDGE, BlockRows, QpProblem, assemble_qp, build_equality, jerk_cost_matrix
@@ -166,6 +167,14 @@ class TestAdmm:
         assert a.iterations == b.iterations
         assert a.status == b.status
 
+    def test_indefinite_cost_raises_linalg_error(self):
+        # assemble_qp's Q is positive definite; the reduced matrix of an
+        # indefinite one has no Cholesky factor
+        q_matrix = np.diag([1.0, -1.0])
+        bounds = np.zeros((1, 1))
+        with pytest.raises(scipy.linalg.LinAlgError):
+            solve_batch(q_matrix, np.array([[1.0, 0.0]]), bounds, bounds)
+
     def test_primal_infeasible_detected(self):
         # 1 rad displacement in 0.5 s under a 0.1 rad/s velocity cap
         problem = assemble_qp([(1.0, 0.5)], (0.0, 0.0, 0.0), 5, 100.0, 0.1, 10.0)
@@ -200,6 +209,26 @@ def relative_gap(p, reference):
     return float(np.max(np.abs(p - reference)) / (1.0 + np.max(np.abs(reference))))
 
 
+def assert_limits_held_at_the_active_set_minimizer(problem, p):
+    """Every limit row holds to 1e-6, and p is the KKT oracle's minimizer
+    with the rows active at p held as equalities."""
+    dense = problem.a_matrix.toarray()
+    values = dense @ p
+    limits = slice(problem.n_eq, None)
+    assert np.all(values[limits] >= problem.lower[limits] - 1e-6)
+    assert np.all(values[limits] <= problem.upper[limits] + 1e-6)
+    slack = np.minimum(values - problem.lower, problem.upper - values)
+    active = problem.n_eq + np.flatnonzero(slack[limits] <= 1e-6)
+    assert len(active) >= 1
+    # a repeated row is the same constraint: keep one of each
+    _, first = np.unique(dense[active], axis=0, return_index=True)
+    active = active[np.sort(first)]
+    bound = np.where(values[active] > 0.0, problem.upper[active], problem.lower[active])
+    rows = np.concatenate([np.arange(problem.n_eq), active])
+    kkt = solve_kkt_equality(problem.q_matrix, dense[rows], np.concatenate([problem.lower[: problem.n_eq], bound]))
+    assert relative_gap(p, kkt) <= 1e-5
+
+
 class TestWarmStart:
     """ADMM starts at the minimizer over the tight rows and its multipliers."""
 
@@ -227,20 +256,18 @@ class TestWarmStart:
         solution = solve(problem)
         assert solution.status == STATUS_SOLVED
         assert solution.iterations > 1
-        dense = problem.a_matrix.toarray()
-        values = dense @ solution.p
-        limits = slice(problem.n_eq, None)
-        assert np.all(values[limits] >= problem.lower[limits] - 1e-6)
-        assert np.all(values[limits] <= problem.upper[limits] + 1e-6)
-        # the rows active at the solution, held as equalities, give the same
-        # coefficients through the KKT oracle
-        slack = np.minimum(values - problem.lower, problem.upper - values)
-        active = problem.n_eq + np.flatnonzero(slack[limits] <= 1e-6)
-        assert len(active) >= 1
-        bound = np.where(values[active] > 0.0, problem.upper[active], problem.lower[active])
-        rows = np.concatenate([np.arange(problem.n_eq), active])
-        kkt = solve_kkt_equality(problem.q_matrix, dense[rows], np.concatenate([problem.lower[: problem.n_eq], bound]))
-        assert relative_gap(solution.p, kkt) <= 1e-5
+        assert_limits_held_at_the_active_set_minimizer(problem, solution.p)
+
+    def test_binding_limit_with_mixed_sample_counts(self):
+        # 51 and 101 samples: the first block repeats its last tick 50 times;
+        # the velocity limit sits 6% below the unconstrained peak of
+        # 1.27 rad/s, which is in the second segment
+        problem = assemble_qp([(0.3, 0.5), (1.0, 1.0)], (0.0, 0.0, 0.0), 5, 100.0, 1.2, 100.0)
+        assert problem.a_matrix.blocks.shape == (2, 202, 6)
+        solution = solve(problem)
+        assert solution.status == STATUS_SOLVED
+        assert solution.iterations > 1
+        assert_limits_held_at_the_active_set_minimizer(problem, solution.p)
 
     def test_duplicated_equality_rows_start_from_zero_without_warnings(self):
         problem = assemble_qp([(0.3, 0.5), (0.6, 0.5)], (0.0, 0.0, 0.0), 5, 100.0, 2.0, 20.0)

@@ -37,12 +37,6 @@ class TestSimArm:
         progress = (out.q[0] - q0[0]) / 0.1
         assert progress == pytest.approx(1 - np.exp(-1.0), abs=0.02)
 
-    def test_noise_is_seeded(self, arm6):
-        a = SimArm(arm6, RobotState.rest(arm6.mid_position()), noise_std=1e-4, noise_seed=7)
-        b = SimArm(arm6, RobotState.rest(arm6.mid_position()), noise_std=1e-4, noise_seed=7)
-        ref = RobotState.rest(arm6.mid_position(), timestamp=0.01)
-        np.testing.assert_array_equal(a.advance(ref, 0.01).q, b.advance(ref, 0.01).q)
-
 
 class TestSession:
     def test_no_plan_holds_initial_rest(self, arm6):
@@ -116,7 +110,7 @@ class TestSession:
         # commanded reference, so the command stream stays C2 regardless
         q0 = arm6.mid_position()
         base = forward_kinematics(arm6, q0)
-        session = Session(arm6, q0, tracking_lag=0.05, noise_std=1e-4)
+        session = Session(arm6, q0, tracking_lag=0.05)
         bound = arm6.v_max / session.fc * 1.001
         prev = None
         for k in range(240):
