@@ -87,9 +87,12 @@ class BlockRows:
         return dense if dtype is None else dense.astype(dtype)
 
     def row_norms(self) -> Array:
-        """Max-abs of each row."""
-        tail = np.abs(self.blocks).max(axis=2, initial=0.0).ravel()
-        return np.concatenate([np.abs(self.head).max(axis=1, initial=0.0), tail])
+        """Max-abs of each row, as max(max, -min): abs would copy the rows. The
+        tail's come from the transposed blocks, since numpy reduces a short
+        contiguous axis (a block row) one row at a time."""
+        head, tail = (np.maximum(r.max(axis=1, initial=0.0), -r.min(axis=1, initial=0.0))
+                      for r in (self.head, self._blocks_t))
+        return np.concatenate([head, tail.ravel()])
 
     def dot(self, x: Array) -> Array:
         """A x, for x of shape (n, k)."""
@@ -139,12 +142,17 @@ class QpProblem:
         rows = BlockRows.wrap(self.a_matrix)
         if self.q_matrix.shape != (n, n):
             raise QpBuildError("Q must be square")
+        if not np.isfinite(self.q_matrix).all():
+            raise QpBuildError("Q must be finite")
         if np.max(np.abs(self.q_matrix - self.q_matrix.T)) > 0:
             raise QpBuildError("Q must be symmetric")
         if rows.shape[1] != n:
             raise QpBuildError("A column count must match Q")
         if self.lower.shape != self.upper.shape or self.lower.shape[0] != rows.shape[0]:
             raise QpBuildError("bounds must match A row count")
+        # an infinite bound leaves a row free; NaN compares False either way
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise QpBuildError("bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise QpBuildError("lower bounds exceed upper bounds")
         if np.any(rows.row_norms() == 0.0):

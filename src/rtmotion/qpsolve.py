@@ -14,17 +14,18 @@ residuals are read directly. Neither changes the minimizer. The 1e-8
 default tolerances keep limit, junction and terminal residuals inside the
 1e-6 contracts.
 
-The iterate does not start at zero. One symmetric-indefinite solve of the
-KKT system [P A_eq^T; A_eq 0] over the tight rows of the head, normalized
-to unit norm (all columns at once), gives the minimizer over the equalities
-and its multipliers; x starts there, z at A x clipped to [l, u], y at the
-multipliers on the tight rows and 0 elsewhere. When no limit row is active
-at that point it is a fixed point of the iteration, so the stopping test
-runs after iteration 1 (and then every 25 iterations) and such a problem
-reports iterations == 1.
-When a limit binds, the iteration continues from there unchanged. A KKT
-matrix that is singular to working precision falls back to the zero start,
-silently.
+The iterate does not start at zero. One banded LU of the KKT system
+[P A_eq^T; A_eq 0] over the tight rows of the head (normalized to unit norm,
+each ordered between the columns it touches, all columns at once) gives the
+minimizer over the equalities and its multipliers; x starts there, z at A x
+clipped to [l, u], y at the multipliers on the tight rows and 0 elsewhere.
+When no limit row is active that start passes the stopping test and is
+returned with iterations == 1: the reduced matrix is never formed. Otherwise
+it is factored and ADMM iterates from the start. A KKT matrix singular to
+working precision falls back to the zero start, silently. A saddle point of
+a nonconvex cost passes the stopping test too, so a banded Cholesky of
+P + sigma*I first raises scipy.linalg.LinAlgError for a Q that is not
+positive semidefinite.
 
 A is taken as qpbuild.BlockRows (a dense matrix is a head with no tail), so
 one iteration costs products with the dense head, O(N * R * (L+1)) for the
@@ -46,6 +47,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dpbtrf, dpotrs
 
 from rtmotion.qpbuild import BlockRows, QpProblem
 
@@ -65,6 +67,7 @@ _EQUALITY_RHO_SCALE = 1e3
 _STALL_RATIO = 0.99
 _STALL_CHECKS = 10
 _STALL_LEVEL = 1e3
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,10 @@ def solve_batch(
     """ADMM over the columns of lower/upper; all columns share Q and A.
 
     lower and upper follow the rows of A, and so do the iterates z and y.
-    The reduced matrix is positive definite for a positive semidefinite Q;
-    for any other Q its Cholesky factorization raises
-    scipy.linalg.LinAlgError.
+    The start is returned as it is when it passes the stopping test; only
+    otherwise is the reduced matrix formed and factored and ADMM run from it.
+    For a Q that is not positive semidefinite (P + sigma*I has no Cholesky
+    factor) scipy.linalg.LinAlgError is raised.
     """
     settings = settings or SolverSettings()
     start = time.perf_counter()
@@ -121,82 +125,73 @@ def solve_batch(
     n = q_matrix.shape[0]
     n_problems = lower.shape[1]
 
-    # equilibration (see the module docstring): rho / norm**2 per row
     norms = a.row_norms()
     if np.any(norms <= 0):
         raise ValueError("A contains an all-zero row")
-    p_full = 2.0 * q_matrix  # gradient convention for the p^T Q p objective
-    cost_scale = 1.0 / max(float(np.max(np.abs(p_full))), 1e-12)
-    p_s = p_full * cost_scale
+    # P = 2Q (gradient convention for p^T Q p) at unit max-abs; no abs(Q) temporary
+    p_s = q_matrix * (1.0 / max(float(q_matrix.max()), -float(q_matrix.min()), 0.5e-12))
+    cost_band = _cost_band(p_s)  # checks that Q is positive semidefinite
 
-    tight = np.all(upper - lower <= _EQUALITY_GAP * norms[:, None], axis=1)
-    rho = np.where(tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / norms**2
+    tight = _max(upper - lower, axis=1) <= _EQUALITY_GAP * norms
 
-    reduced = p_s + _SIGMA * np.eye(n) + a.gram(rho)
-    factor, lower_factor = scipy.linalg.cho_factor(reduced, check_finite=False)
-
-    # LAPACK's triangular solves directly: cho_solve's argument handling
-    # costs more than the solve itself at teleop sizes
-    (potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (factor,))
     x = np.zeros((n, n_problems))
     z = np.zeros((a.shape[0], n_problems))
-    y = np.zeros_like(z)
+    y = np.zeros((a.shape[0], n_problems))
+    prim_res = dual_res = np.full(n_problems, np.inf)
+    converged = np.zeros(n_problems, dtype=bool)
     # start at the minimizer over the tight rows of the head, with its
     # multipliers (tight rows in the blocks, which no caller builds, are left
     # to the iteration)
     eq_rows = np.flatnonzero(tight[: a.head.shape[0]])
     unit = 1.0 / norms[eq_rows, None]  # the start solves on unit-norm rows
-    start_point = _equality_start(p_s, a.head[eq_rows] * unit, lower[eq_rows] * unit)
+    a_eq = a.head[eq_rows]
+    a_eq *= unit  # in place: one (m, n) copy of the head, not two
+    start_point = _equality_start(cost_band, a_eq, lower[eq_rows] * unit)
     if start_point is not None:
         x, y_unit = start_point
         y[eq_rows] = y_unit * unit
-        z = np.minimum(np.maximum(a.dot(x), lower), upper)
-    # per-row penalties as a full (m, k) array: broadcasting an (m, 1) column
-    # over the k problems defeats numpy's contiguous inner loops
-    rho_col = np.repeat(rho[:, None], n_problems, axis=1)
+        ax = a.dot(x)
+        z = np.minimum(np.maximum(ax, lower), upper)
+        # with no limit row active the start is already the optimum
+        prim_res, dual_res, converged = _stopping_test(p_s, a, x, ax, z, y, settings)
 
-    status = STATUS_MAX_ITERS
-    iterations = settings.max_iters
-    prim_res = np.full(n_problems, np.inf)
-    dual_res = np.full(n_problems, np.inf)
-    converged = np.zeros(n_problems, dtype=bool)
-    prev_check = np.inf
-    stall = 0
+    status, iterations = STATUS_SOLVED, 1
+    if not converged.all():
+        # equilibration (see the module docstring): rho / norm**2 per row
+        rho = np.where(tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / norms**2
+        reduced = p_s + _SIGMA * np.eye(n) + a.gram(rho)
+        factor, lower_factor = scipy.linalg.cho_factor(reduced, check_finite=False)
+        # per-row penalties as a full (m, k) array: broadcasting an (m, 1)
+        # column over the k problems defeats numpy's contiguous inner loops
+        rho_col = np.repeat(rho[:, None], n_problems, axis=1)
+        status, iterations = STATUS_MAX_ITERS, settings.max_iters
+        prev_check, stall = np.inf, 0
 
-    for iteration in range(1, settings.max_iters + 1):
-        rhs = _SIGMA * x + a.tdot(rho_col * z - y)
-        x_tilde, _ = potrs(factor, rhs, lower=lower_factor)
-        z_tilde = a.dot(x_tilde)
-        x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
-        v = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + y / rho_col
-        z = np.minimum(np.maximum(v, lower), upper)  # np.clip, without its overhead
-        y = rho_col * (v - z)
+        for iteration in range(1, settings.max_iters + 1):
+            rhs = _SIGMA * x + a.tdot(rho_col * z - y)
+            # LAPACK's triangular solves directly: cho_solve's argument
+            # handling costs more than the solve itself at teleop sizes
+            x_tilde, _ = dpotrs(factor, rhs, lower=lower_factor)
+            z_tilde = a.dot(x_tilde)
+            x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
+            v = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + y / rho_col
+            z = np.minimum(np.maximum(v, lower), upper)  # np.clip, without its overhead
+            y = rho_col * (v - z)
 
-        # the start is a fixed point when no limit row is active: check at once
-        if iteration == 1 or iteration % _CHECK_INTERVAL == 0 or iteration == settings.max_iters:
-            ax = a.dot(x)
-            prim_res = np.abs(ax - z).max(axis=0)
-            prim_ref = np.maximum(np.abs(ax), np.abs(z)).max(axis=0)
-            px, aty = p_s @ x, a.tdot(y)
-            dual_res = np.abs(px + aty).max(axis=0)
-            dual_ref = np.maximum(np.abs(px).max(axis=0), np.abs(aty).max(axis=0))
-            converged = (prim_res <= settings.eps_abs + settings.eps_rel * prim_ref) & (
-                dual_res <= settings.eps_abs + settings.eps_rel * dual_ref
-            )
-            if converged.all():
-                status = STATUS_SOLVED
-                iterations = iteration
-                break
-            worst = float(prim_res.max())
-            if worst > _STALL_LEVEL * settings.eps_abs and worst > _STALL_RATIO * prev_check:
-                stall += 1
-                if stall >= _STALL_CHECKS:
-                    status = STATUS_PRIMAL_INFEASIBLE
-                    iterations = iteration
+            if iteration == 1 or iteration % _CHECK_INTERVAL == 0 or iteration == settings.max_iters:
+                prim_res, dual_res, converged = _stopping_test(p_s, a, x, a.dot(x), z, y, settings)
+                if converged.all():
+                    status, iterations = STATUS_SOLVED, iteration
                     break
-            else:
-                stall = 0
-            prev_check = worst
+                worst = float(prim_res.max())
+                if worst > _STALL_LEVEL * settings.eps_abs and worst > _STALL_RATIO * prev_check:
+                    stall += 1
+                    if stall >= _STALL_CHECKS:
+                        status, iterations = STATUS_PRIMAL_INFEASIBLE, iteration
+                        break
+                else:
+                    stall = 0
+                prev_check = worst
 
     return BatchSolution(
         p=x,
@@ -209,43 +204,95 @@ def solve_batch(
     )
 
 
-def _equality_start(p_s: Array, a_eq: Array, b_eq: Array) -> Optional[tuple[Array, Array]]:
+def _stopping_test(
+    p_s: Array, a: BlockRows, x: Array, ax: Array, z: Array, y: Array, settings: SolverSettings
+):
+    """Primal and dual residuals of each column (ax is A x), and whether
+    each passes OSQP's test against the tolerances."""
+    prim_res = _max(np.abs(ax - z), axis=0)
+    prim_ref = _max(np.maximum(np.abs(ax), np.abs(z)), axis=0)
+    px, aty = p_s @ x, a.tdot(y)
+    dual_res = _max(np.abs(px + aty), axis=0)
+    dual_ref = np.maximum(_max(np.abs(px), axis=0), _max(np.abs(aty), axis=0))
+    converged = (prim_res <= settings.eps_abs + settings.eps_rel * prim_ref) & (
+        dual_res <= settings.eps_abs + settings.eps_rel * dual_ref
+    )
+    return prim_res, dual_res, converged
+
+
+def _max(rows: Array, axis: int) -> Array:
+    """rows.max(axis) of a tall (m, k) array, reduced from a (k, m) copy:
+    numpy reduces the short rows of an (m, k) array one at a time, which at
+    k = 6 takes several times longer than the copy and the reduction."""
+    return np.ascontiguousarray(rows.T).max(axis=1 - axis)
+
+
+def _cost_band(p_s: Array) -> tuple[Array, Array]:
+    """The symmetric p_s within its bandwidth kd, read once: the
+    (n, 2*kd + 1) column indices and values, entry [i, kd + d] at column
+    i + d (clipped to the matrix, where it repeats an entry of the band).
+    Raises scipy.linalg.LinAlgError unless p_s + sigma*I has a banded
+    Cholesky factor."""
+    n = p_s.shape[0]
+    rows = np.arange(n)
+    nonzero = p_s != 0
+    first = nonzero.argmax(axis=1)  # 0 for a zero row too: masked below
+    kd = int(np.where(nonzero[rows, first], rows - first, 0).max())
+    cols = np.minimum(np.maximum(rows[:, None] + np.arange(-kd, kd + 1), 0), n - 1)
+    values = p_s[rows[:, None], cols]
+    # LAPACK's lower band storage, [d, j] = p_s[j + d, j]; a copy even at kd = 0
+    lower_band = np.array(values[:, kd:].T, order="F")
+    lower_band[0] += _SIGMA
+    if dpbtrf(lower_band, lower=1, overwrite_ab=1)[1] != 0:
+        raise scipy.linalg.LinAlgError("the cost matrix is not positive semidefinite")
+    return cols, values
+
+
+def _equality_start(
+    cost_band: tuple[Array, Array], a_eq: Array, b_eq: Array
+) -> Optional[tuple[Array, Array]]:
     """Minimizer of 1/2 x^T p_s x subject to a_eq x = b_eq, one column per
     column of b_eq, and its multipliers y (p_s x + a_eq^T y = 0); None if the
     KKT matrix [p_s a_eq^T; a_eq 0] is singular to working precision.
 
-    One LDL^T factorization of the KKT matrix, in place and from its lower
-    triangle alone; its condition estimate is checked, as scipy.linalg.solve
+    cost_band is _cost_band(p_s). Ordering each equality row at the midpoint
+    of its first and last nonzero column, among the variables at their own
+    index, makes the KKT matrix banded. It is built straight into LAPACK band
+    storage and factored by banded LU with partial pivoting (it is
+    indefinite); its condition estimate is checked, as scipy.linalg.solve
     does, but without a warning.
     """
-    n, m = p_s.shape[0], a_eq.shape[0]
-    kkt = np.zeros((n + m, n + m), order="F")
-    kkt[:n, :n] = p_s
-    kkt[n:, :n] = a_eq
-    abs_eq = np.abs(a_eq)
-    # 1-norm of the symmetric matrix: its largest column sum
-    kkt_norm = max(
-        float(np.max(np.abs(p_s).sum(axis=0) + abs_eq.sum(axis=0))),
-        float(np.max(abs_eq.sum(axis=1), initial=0.0)),
-    )
-    sytrf, sytrf_lwork, sycon, sytrs = scipy.linalg.get_lapack_funcs(
-        ("sytrf", "sytrf_lwork", "sycon", "sytrs"), (kkt,)
-    )
-    # the blocked factorization needs its workspace query: the wrapper's
-    # default workspace runs the unblocked one, about 3x slower
-    lwork = int(sytrf_lwork(n + m, lower=1)[0])
-    ldl, pivots, info = sytrf(kkt, lower=1, lwork=lwork, overwrite_a=1)
+    cost_cols, cost_values = cost_band
+    n, m = cost_cols.shape[0], a_eq.shape[0]
+    nonzero = a_eq != 0
+    first, last = nonzero.argmax(axis=1), n - 1 - nonzero[:, ::-1].argmax(axis=1)
+    keys = np.concatenate([np.arange(n), 0.5 * (first + last)])
+    position = np.empty(n + m, dtype=np.intp)
+    position[np.argsort(keys, kind="stable")] = np.arange(n + m)
+    # each row's columns first..last, clipped at last like the cost's band
+    eq_cols = np.minimum(first[:, None] + np.arange((last - first).max(initial=0) + 1), last[:, None])
+    eq_values = a_eq[np.arange(m)[:, None], eq_cols]
+    var_pos, row_pos = position[:n, None], position[n:, None]
+    cost_pos, eq_pos = position[cost_cols], position[eq_cols]
+    kd = int(max(np.abs(cost_pos - var_pos).max(), np.abs(eq_pos - row_pos).max(initial=0)))
+    # general band storage, [2kd + i - j, j], with kd rows on top for the LU's fill
+    band = np.zeros((3 * kd + 1, n + m), order="F")
+    band[2 * kd + var_pos - cost_pos, cost_pos] = cost_values
+    band[2 * kd + row_pos - eq_pos, eq_pos] = eq_values
+    band[2 * kd + eq_pos - row_pos, row_pos] = eq_values
+    kkt_norm = float(np.abs(band).sum(axis=0).max())  # 1-norm: largest column sum
+    lu, pivots, info = dgbtrf(band, kd, kd, overwrite_ab=1)
     if info != 0:
         return None
-    rcond, info = sycon(ldl, pivots, kkt_norm, lower=1)
-    if info != 0 or not rcond >= np.finfo(float).eps:
+    rcond, info = dgbcon(kd, kd, lu, pivots, kkt_norm)
+    if info != 0 or not rcond >= _EPS:
         return None
     rhs = np.zeros((n + m, b_eq.shape[1]), order="F")
-    rhs[n:] = b_eq
-    sol, info = sytrs(ldl, pivots, rhs, lower=1, overwrite_b=1)
+    rhs[position[n:]] = b_eq
+    sol, info = dgbtrs(lu, kd, kd, rhs, pivots, overwrite_b=1)
     if info != 0 or not np.isfinite(sol).all():
         return None
-    return sol[:n], sol[n:]
+    return sol[position[:n]], sol[position[n:]]
 
 
 def solve(problem: QpProblem, settings: Optional[SolverSettings] = None) -> Solution:
@@ -274,7 +321,8 @@ def solve_kkt_equality(q_matrix: Array, a_eq: Array, b_eq: Array) -> Array:
     """Exact minimizer of p^T Q p subject to A_eq p = b_eq.
 
     One dense symmetric-indefinite solve of the stationarity system
-    [Q A^T; A 0] [p; lam] = [0; b]. Requires A_eq to have full row rank.
+    [Q A^T; A 0] [p; lam] = [0; b], refined once. Requires A_eq to have full
+    row rank.
     """
     n = q_matrix.shape[0]
     m = a_eq.shape[0]
@@ -292,6 +340,10 @@ def solve_kkt_equality(q_matrix: Array, a_eq: Array, b_eq: Array) -> Array:
     rhs = np.concatenate([np.zeros(n), b_eq * e_scale])
     try:
         sol = scipy.linalg.solve(kkt, rhs, assume_a="sym", check_finite=False)
+        # one step of iterative refinement: at degree 7 and durations of 0.03
+        # to 1.2 s the solve alone was up to 3e-7 (relative) from a 40-digit
+        # solve, and 4e-11 after this step
+        sol += scipy.linalg.solve(kkt, rhs - kkt @ sol, assume_a="sym", check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise ValueError(f"singular KKT matrix (rank-deficient constraints): {exc}") from exc
     p = sol[:n]

@@ -78,6 +78,7 @@ def test_dense_view_matches_row_by_row_assembly(case):
     np.testing.assert_allclose(dense[problem.n_eq :], limit_rows, rtol=BASIS_RTOL, atol=0.0)
     np.testing.assert_array_equal(np.asarray(problem.a_matrix), dense)
     assert problem.a_matrix.shape == dense.shape
+    np.testing.assert_array_equal(problem.a_matrix.row_norms(), np.abs(dense).max(axis=1))
     jerk = problem.q_matrix - RIDGE * np.eye(problem.n_vars)
     np.testing.assert_allclose(jerk, q_ref, rtol=1e-12, atol=1e-12 * np.abs(q_ref).max())
     limits = np.tile([V_MAX, A_MAX], len(limit_rows) // 2)

@@ -3,13 +3,26 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rtmotion import qpsolve
 from rtmotion.poly import basis_row
-from rtmotion.qpbuild import RIDGE, BlockRows, QpProblem, assemble_qp, build_equality, jerk_cost_matrix
+from rtmotion.qpbuild import (
+    RIDGE,
+    BlockRows,
+    QpBuildError,
+    QpProblem,
+    assemble_qp,
+    build_equality,
+    jerk_cost_matrix,
+)
 from rtmotion.qpsolve import (
     STATUS_PRIMAL_INFEASIBLE,
     STATUS_SOLVED,
     SolverSettings,
+    _cost_band,
+    _equality_start,
     solve,
     solve_batch,
     solve_kkt_equality,
@@ -168,12 +181,22 @@ class TestAdmm:
         assert a.status == b.status
 
     def test_indefinite_cost_raises_linalg_error(self):
-        # assemble_qp's Q is positive definite; the reduced matrix of an
-        # indefinite one has no Cholesky factor
+        # the equality start (x = 0) is feasible and stationary here, so it
+        # would pass the stopping test as a saddle point: the banded Cholesky
+        # of P + sigma*I is what rejects the indefinite cost
         q_matrix = np.diag([1.0, -1.0])
         bounds = np.zeros((1, 1))
         with pytest.raises(scipy.linalg.LinAlgError):
             solve_batch(q_matrix, np.array([[1.0, 0.0]]), bounds, bounds)
+
+    def test_singular_psd_cost_solves(self):
+        # positive semidefinite but singular: x1 has no cost, and the
+        # equality row fixes it
+        bounds = np.full((1, 1), 0.5)
+        batch = solve_batch(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]), bounds, bounds)
+        assert batch.status == STATUS_SOLVED
+        assert batch.iterations == 1
+        np.testing.assert_allclose(batch.p[:, 0], [0.0, 0.5], atol=1e-12)
 
     def test_primal_infeasible_detected(self):
         # 1 rad displacement in 0.5 s under a 0.1 rad/s velocity cap
@@ -285,6 +308,126 @@ class TestWarmStart:
         reference = solve(problem)
         assert reference.iterations == 1
         assert np.max(np.abs(duplicated.p[:, 0] - reference.p)) <= 1e-5
+
+
+class TestEarlyReturn:
+    """A start that passes the stopping test is returned as it is: the
+    reduced matrix is factored only when a limit binds."""
+
+    class Factored(Exception):
+        pass
+
+    @pytest.fixture
+    def no_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise self.Factored
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+
+    @pytest.mark.parametrize(
+        "durations",
+        [np.full(35, 0.5), np.array([0.3, 0.04, 1.2, 0.5, 0.07, 0.9, 0.11])],
+        ids=["35 x 0.5 s", "mixed sample counts"],
+    )
+    def test_non_binding_problem_is_not_factored(self, no_factorization, durations):
+        rng = np.random.default_rng(5)
+        waypoints = [(float(rng.normal(0.0, 0.5)), float(d)) for d in durations]
+        problem = assemble_qp(waypoints, (0.0, 0.0, 0.0), 5, 100.0, 1e3, 1e5)
+        solution = solve(problem)
+        assert solution.status == STATUS_SOLVED
+        assert solution.iterations == 1
+        kkt = solve_kkt_equality(problem.q_matrix, problem.a_matrix.head, problem.lower[: problem.n_eq])
+        assert relative_gap(solution.p, kkt) <= 1e-9
+
+    def test_binding_problem_is_factored(self, no_factorization):
+        with pytest.raises(self.Factored):
+            solve(binding_problem())
+
+
+def banded_start(q_matrix, a_eq, b_eq):
+    """_equality_start on the scaled cost and unit-norm rows that solve_batch
+    hands it, for one right-hand side."""
+    p_s = q_matrix / np.max(np.abs(q_matrix))
+    unit = 1.0 / np.max(np.abs(a_eq), axis=1, keepdims=True)
+    start = _equality_start(_cost_band(p_s), a_eq * unit, b_eq[:, None] * unit)
+    assert start is not None
+    return start[0][:, 0]
+
+
+class TestBandedStart:
+    """The banded-LU equality start agrees with the dense KKT oracle."""
+
+    @settings(max_examples=40)
+    @given(degree=st.integers(5, 7), n_seg=st.integers(1, 60), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_assembled_equality_problems(self, degree, n_seg, seed, data):
+        durations = data.draw(st.lists(st.floats(0.03, 1.2), min_size=n_seg, max_size=n_seg))
+        rng = np.random.default_rng(seed)
+        waypoints = [(float(rng.normal(0.0, 0.5)), d) for d in durations]
+        s0 = tuple(rng.normal(0.0, 0.3, 3))
+        problem = assemble_qp(waypoints, s0, degree, 100.0, 1e3, 1e5)
+        a_eq, b_eq = problem.a_matrix.head, problem.lower[: problem.n_eq]
+        kkt = solve_kkt_equality(problem.q_matrix, a_eq, b_eq)
+        # not 1e-9: the KKT matrix's condition number reaches 1e14 over this
+        # range, and of 400 random draws 8 put the start 1.1e-9 to 2.3e-9
+        # from the oracle, which was within 5.4e-10 of a solve refined in
+        # extended precision
+        assert relative_gap(banded_start(problem.q_matrix, a_eq, b_eq), kkt) <= 1e-8
+
+    @pytest.mark.parametrize("degree", [5, 6, 7])
+    def test_band_does_not_grow_with_segments(self, monkeypatch, degree):
+        # the row ordering is what keeps the band narrow: in plain order
+        # (variables, then rows) the half-bandwidth is about n + m
+        widths, factor = [], qpsolve.dgbtrf
+
+        def spy(band, kl, ku, **kwargs):
+            widths.append(kl)
+            return factor(band, kl, ku, **kwargs)
+
+        monkeypatch.setattr(qpsolve, "dgbtrf", spy)
+        for n_seg in (1, 40):
+            solve(assemble_qp([(0.1, 0.3)] * n_seg, (0.0, 0.0, 0.0), degree, 100.0, 1e3, 1e5))
+        assert max(widths) <= 2 * (degree + 1)
+
+    def test_random_equality_problems(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            problem = random_equality_problem(rng)
+            a_eq, b_eq = problem.a_matrix, problem.lower
+            kkt = solve_kkt_equality(problem.q_matrix, a_eq, b_eq)
+            assert relative_gap(banded_start(problem.q_matrix, a_eq, b_eq), kkt) <= 1e-9
+
+    def test_dense_rows_fill_the_band(self):
+        rng = np.random.default_rng(12)
+        for n, m in ((1, 1), (8, 3), (30, 12)):
+            root = rng.normal(size=(n, n))
+            q_matrix = root @ root.T + np.eye(n)
+            a_eq, b_eq = rng.normal(size=(m, n)), rng.normal(size=m)
+            kkt = solve_kkt_equality(q_matrix, a_eq, b_eq)
+            assert relative_gap(banded_start(q_matrix, a_eq, b_eq), kkt) <= 1e-9
+
+
+class TestValidate:
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [("lower", -1, np.nan), ("upper", -1, np.nan), ("q_matrix", (0, 0), np.nan), ("q_matrix", (0, 0), np.inf)],
+        ids=["nan lower limit", "nan upper limit", "nan in Q", "inf in Q"],
+    )
+    def test_non_finite_entries_are_build_errors(self, field, index, value):
+        # NaN compares False either way, so an order check lets it through:
+        # the solve then ran 20000 iterations to NaN coefficients
+        problem = rest_to_rest_problem()
+        getattr(problem, field)[index] = value
+        with pytest.raises(QpBuildError, match="finite|NaN"):
+            solve(problem)
+
+    def test_infinite_limits_are_free_rows(self):
+        problem = rest_to_rest_problem()
+        problem.lower[problem.n_eq :] = -np.inf
+        problem.upper[problem.n_eq :] = np.inf
+        solution = solve(problem)
+        assert solution.status == STATUS_SOLVED
+        assert solution.iterations == 1
+        np.testing.assert_allclose(solution.p, QUINTIC, atol=1e-9)
 
 
 class TestRowScaling:
