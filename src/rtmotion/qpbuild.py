@@ -20,6 +20,9 @@ segment repeats the limit rows of its last tick, which adds copies of rows
 it already has and so no constraint. assemble_qp computes the sample grid
 once, for the cost and the limit rows, and builds the limit rows straight
 into the problem's one BlockRows, which the solver iterates on as it is.
+Q and A depend on (degree, durations, control frequency) alone: assemble_qp
+keeps the last such structure, read-only, and a request that repeats it (a
+teleop window) gets the same Q and BlockRows and builds only its bounds.
 """
 
 from __future__ import annotations
@@ -235,6 +238,31 @@ def _equality_rows(degree: int, durations: Array) -> Array:
     return a_eq.reshape(4 * n_seg + 2, -1)
 
 
+def _checked_request(
+    waypoints: list[tuple[ArrayLike, float]], initial_state: ArrayLike, degree: int
+) -> tuple[Array, Array, Array]:
+    """The positions, durations and initial state of a request, checked,
+    and its equality rows' rank below FULL_RANK_DEGREE (by an SVD)."""
+    if not waypoints:
+        raise QpBuildError("waypoints: empty")
+    positions = np.array([w[0] for w in waypoints], dtype=float)
+    durations = np.array([w[1] for w in waypoints], dtype=float)
+    initial_state = np.asarray(initial_state, dtype=float)
+    if not (np.all(np.isfinite(initial_state)) and np.all(np.isfinite(positions))):
+        raise QpBuildError("initial state or waypoint positions contain non-finite entries")
+    if not np.all(np.isfinite(durations) & (durations > 0)):
+        raise QpBuildError("waypoint durations must be positive and finite")
+    if degree < MIN_DEGREE:
+        raise QpBuildError(f"polynomial degree must be >= {MIN_DEGREE}, got {degree}")
+    n_rows = 4 * len(durations) + 2
+    if degree < FULL_RANK_DEGREE and np.linalg.matrix_rank(_equality_rows(degree, durations)) < n_rows:
+        raise QpBuildError(
+            f"equality constraints are rank-deficient: {n_rows} rows need "
+            f"degree >= 4 and N*(L+1) >= 4N+2 (got N={len(durations)}, L={degree})"
+        )
+    return positions, durations, initial_state
+
+
 def build_equality(
     waypoints: list[tuple[ArrayLike, float]],
     initial_state: ArrayLike,
@@ -249,24 +277,29 @@ def build_equality(
     FULL_RANK_DEGREE the row rank is checked by an SVD. A position is a
     scalar, or one per joint with a (3, dof) initial state and b_eq columns.
     """
-    if not waypoints:
-        raise QpBuildError("waypoints: empty")
-    positions = np.array([w[0] for w in waypoints], dtype=float)
-    durations = np.array([w[1] for w in waypoints], dtype=float)
-    if not (np.all(np.isfinite(initial_state)) and np.all(np.isfinite(positions))):
-        raise QpBuildError("initial state or waypoint positions contain non-finite entries")
-    if not np.all(np.isfinite(durations) & (durations > 0)):
-        raise QpBuildError("waypoint durations must be positive and finite")
-    if degree < MIN_DEGREE:
-        raise QpBuildError(f"polynomial degree must be >= {MIN_DEGREE}, got {degree}")
-    a_eq = _equality_rows(degree, durations)
-    n_rows = a_eq.shape[0]
-    if degree < FULL_RANK_DEGREE and np.linalg.matrix_rank(a_eq) < n_rows:
-        raise QpBuildError(
-            f"equality constraints are rank-deficient: {n_rows} rows need "
-            f"degree >= 4 and N*(L+1) >= 4N+2 (got N={len(durations)}, L={degree})"
-        )
-    return a_eq, _equality_rhs(positions, np.asarray(initial_state, dtype=float))
+    positions, durations, initial_state = _checked_request(waypoints, initial_state, degree)
+    return _equality_rows(degree, durations), _equality_rhs(positions, initial_state)
+
+
+def _structure(degree: int, durations: Array, control_frequency: float) -> tuple[Array, BlockRows]:
+    """The part of assemble_qp that depends on (degree, durations,
+    control_frequency) alone: the ridged cost and the constraint rows, both
+    made read-only."""
+    u, real = _sample_grid(durations, control_frequency)
+    rows = state_rows(degree, u, durations[:, None], orders=(1, 2))
+    a_matrix = BlockRows(_equality_rows(degree, durations), rows.reshape(len(durations), -1, degree + 1))
+    q_matrix = _block_diagonal(_jerk_blocks(degree, durations, u, real))
+    q_matrix += RIDGE * np.eye(q_matrix.shape[0])
+    for array in (q_matrix, a_matrix.head, a_matrix.blocks, a_matrix._blocks_t):
+        array.flags.writeable = False
+    return q_matrix, a_matrix
+
+
+# ((degree, control_frequency, durations as bytes), q_matrix, a_matrix) of the
+# last call. One entry: a teleop stream repeats one structure, and requests
+# whose durations never repeat keep one alive, not more. Read once and
+# replaced whole, never mutated, so concurrent callers may share it.
+_last_structure = None
 
 
 def assemble_qp(
@@ -287,24 +320,28 @@ def assemble_qp(
     form absorbs the absolute values. The tiny diagonal ridge lifts the
     cubic-and-below nullspace of the jerk Gram matrix so downstream
     factorizations stay stable.
+
+    Q and A are read-only: a request with the previous call's degree,
+    durations and control frequency gets the same objects.
     """
-    durations = np.array([w[1] for w in waypoints], dtype=float)
-    a_eq, b_eq = build_equality(waypoints, initial_state, degree)
+    global _last_structure
+    positions, durations, initial_state = _checked_request(waypoints, initial_state, degree)
     if not all(np.all(np.isfinite(x) & (np.asarray(x) > 0)) for x in (v_max, a_max)):
         raise QpBuildError("velocity and acceleration limits must be positive and finite")
-    u, real = _sample_grid(durations, control_frequency)
-    rows = state_rows(degree, u, durations[:, None], orders=(1, 2))
-    a_matrix = BlockRows(a_eq, rows.reshape(len(durations), -1, degree + 1))
-    limits = np.empty((a_matrix.shape[0] - a_eq.shape[0],) + np.shape(v_max))
+    key = (degree, control_frequency, durations.tobytes())
+    last = _last_structure
+    if last is None or last[0] != key:
+        last = _last_structure = (key, *_structure(degree, durations, control_frequency))
+    _, q_matrix, a_matrix = last
+    b_eq = _equality_rhs(positions, initial_state)
+    limits = np.empty((a_matrix.shape[0] - len(b_eq),) + np.shape(v_max))
     limits[0::2] = v_max
     limits[1::2] = a_max
-    q_matrix = _block_diagonal(_jerk_blocks(degree, durations, u, real))
-    q_matrix += RIDGE * np.eye(q_matrix.shape[0])
 
     return QpProblem(
         q_matrix=q_matrix,
         a_matrix=a_matrix,
         lower=np.concatenate([b_eq, -limits]),
         upper=np.concatenate([b_eq, limits]),
-        n_eq=a_eq.shape[0],
+        n_eq=len(b_eq),
     )

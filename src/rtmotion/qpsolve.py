@@ -35,14 +35,19 @@ block order), so the caller's bounds are used as they are.
 
 The problems of a request's joints share Q and A and are solved as the
 columns of one batch (solve_batch), which amortizes the factorization and
-the per-iteration matrix products.
+the per-iteration matrix products. What depends on Q, A and the tight rows
+alone (row norms, scaled cost, the KKT start's LU and, once ADMM runs, the
+reduced factor) is kept for the last read-only (Q, A), as assemble_qp
+returns it for a repeated request: a teleop window then costs one banded
+back-solve, one A x and the stopping test. One entry, shared by the
+process; a writeable Q or A is never kept.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -119,37 +124,24 @@ def solve_batch(
     For a Q that is not positive semidefinite (P + sigma*I has no Cholesky
     factor) scipy.linalg.LinAlgError is raised.
     """
+    global _last
     settings = settings or SolverSettings()
     start = time.perf_counter()
     a = BlockRows.wrap(a_matrix)
     n = q_matrix.shape[0]
     n_problems = lower.shape[1]
-
-    norms = a.row_norms()
-    if np.any(norms <= 0):
-        raise ValueError("A contains an all-zero row")
-    # P = 2Q (gradient convention for p^T Q p) at unit max-abs; no abs(Q) temporary
-    p_s = q_matrix * (1.0 / max(float(q_matrix.max()), -float(q_matrix.min()), 0.5e-12))
-    cost_band = _cost_band(p_s)  # checks that Q is positive semidefinite
-
-    tight = _max(upper - lower, axis=1) <= _EQUALITY_GAP * norms
+    s = _structure(q_matrix, a_matrix, a, lower, upper)
+    p_s = s.p_s
 
     x = np.zeros((n, n_problems))
     z = np.zeros((a.shape[0], n_problems))
     y = np.zeros((a.shape[0], n_problems))
     prim_res = dual_res = np.full(n_problems, np.inf)
     converged = np.zeros(n_problems, dtype=bool)
-    # start at the minimizer over the tight rows of the head, with its
-    # multipliers (tight rows in the blocks, which no caller builds, are left
-    # to the iteration)
-    eq_rows = np.flatnonzero(tight[: a.head.shape[0]])
-    unit = 1.0 / norms[eq_rows, None]  # the start solves on unit-norm rows
-    a_eq = a.head[eq_rows]
-    a_eq *= unit  # in place: one (m, n) copy of the head, not two
-    start_point = _equality_start(cost_band, a_eq, lower[eq_rows] * unit)
+    start_point = None if s.kkt is None else _kkt_solve(s.kkt, lower[s.eq_rows] * s.unit)
     if start_point is not None:
         x, y_unit = start_point
-        y[eq_rows] = y_unit * unit
+        y[s.eq_rows] = y_unit * s.unit
         ax = a.dot(x)
         z = np.minimum(np.maximum(ax, lower), upper)
         # with no limit row active the start is already the optimum
@@ -157,13 +149,15 @@ def solve_batch(
 
     status, iterations = STATUS_SOLVED, 1
     if not converged.all():
-        # equilibration (see the module docstring): rho / norm**2 per row
-        rho = np.where(tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / norms**2
-        reduced = p_s + _SIGMA * np.eye(n) + a.gram(rho)
-        factor, lower_factor = scipy.linalg.cho_factor(reduced, check_finite=False)
+        factor = s.reduced
+        if factor is None:
+            factor = scipy.linalg.cho_factor(p_s + _SIGMA * np.eye(n) + a.gram(s.rho), check_finite=False)
+            if _last is s:  # a copy of s with the factor replaces s, if s is still stored
+                _last = s._replace(reduced=factor)
+        factor, lower_factor = factor
         # per-row penalties as a full (m, k) array: broadcasting an (m, 1)
         # column over the k problems defeats numpy's contiguous inner loops
-        rho_col = np.repeat(rho[:, None], n_problems, axis=1)
+        rho_col = np.repeat(s.rho[:, None], n_problems, axis=1)
         status, iterations = STATUS_MAX_ITERS, settings.max_iters
         prev_check, stall = np.inf, 0
 
@@ -202,6 +196,58 @@ def solve_batch(
         dual_residuals=dual_res,
         converged=converged,
     )
+
+
+class _Structure(NamedTuple):
+    """What solve_batch derives from Q, A and the tight rows alone."""
+
+    q_matrix: Array
+    a_matrix: object
+    norms: Array
+    tight: NDArray[np.bool_]
+    rho: Array  # per-row penalties, equilibrated (see the module docstring)
+    p_s: Array
+    eq_rows: NDArray[np.intp]
+    unit: Array  # 1 / norms[eq_rows, None]
+    kkt: Optional[tuple]  # _kkt_factor of the unit-norm eq_rows
+    reduced: Optional[tuple] = None  # cho_factor of the reduced matrix, once ADMM needs it
+
+
+# the _Structure of the last read-only (Q, A) solved. Read once and replaced
+# whole, never mutated, so every Session in the process may share it.
+_last: Optional[_Structure] = None
+
+
+def _structure(q_matrix: Array, a_matrix, a: BlockRows, lower: Array, upper: Array) -> _Structure:
+    """The stored _Structure if it is of this (Q, A) and its tight rows, else
+    a new one, stored if Q and A are read-only, as assemble_qp returns them:
+    only then can they not change under it."""
+    global _last
+    read_only = isinstance(a_matrix, BlockRows) and not any(
+        array.flags.writeable for array in (q_matrix, a_matrix.head, a_matrix.blocks)
+    )
+    last = _last
+    hit = read_only and last is not None and last.q_matrix is q_matrix and last.a_matrix is a_matrix
+    norms = last.norms if hit else a.row_norms()
+    tight = _max(upper - lower, axis=1) <= _EQUALITY_GAP * norms
+    if hit and np.array_equal(tight, last.tight):
+        return last
+    if np.any(norms <= 0):
+        raise ValueError("A contains an all-zero row")
+    rho = np.where(tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / norms**2
+    # P = 2Q (gradient convention for p^T Q p) at unit max-abs; no abs(Q) temporary
+    p_s = q_matrix * (1.0 / max(float(q_matrix.max()), -float(q_matrix.min()), 0.5e-12))
+    cost_band = _cost_band(p_s)  # checks that Q is positive semidefinite
+    # the start solves on the tight rows of the head at unit norm (tight rows
+    # in the blocks, which no caller builds, are left to the iteration)
+    eq_rows = np.flatnonzero(tight[: a.head.shape[0]])
+    unit = 1.0 / norms[eq_rows, None]
+    a_eq = a.head[eq_rows]
+    a_eq *= unit  # in place: one (m, n) copy of the head, not two
+    s = _Structure(q_matrix, a_matrix, norms, tight, rho, p_s, eq_rows, unit, _kkt_factor(cost_band, a_eq))
+    if read_only:
+        _last = s
+    return s
 
 
 def _stopping_test(
@@ -248,12 +294,9 @@ def _cost_band(p_s: Array) -> tuple[Array, Array]:
     return cols, values
 
 
-def _equality_start(
-    cost_band: tuple[Array, Array], a_eq: Array, b_eq: Array
-) -> Optional[tuple[Array, Array]]:
-    """Minimizer of 1/2 x^T p_s x subject to a_eq x = b_eq, one column per
-    column of b_eq, and its multipliers y (p_s x + a_eq^T y = 0); None if the
-    KKT matrix [p_s a_eq^T; a_eq 0] is singular to working precision.
+def _kkt_factor(cost_band: tuple[Array, Array], a_eq: Array) -> Optional[tuple]:
+    """The banded LU of the KKT matrix [p_s a_eq^T; a_eq 0], for _kkt_solve;
+    None if it is singular to working precision.
 
     cost_band is _cost_band(p_s). Ordering each equality row at the midpoint
     of its first and last nonzero column, among the variables at their own
@@ -287,7 +330,16 @@ def _equality_start(
     rcond, info = dgbcon(kd, kd, lu, pivots, kkt_norm)
     if info != 0 or not rcond >= _EPS:
         return None
-    rhs = np.zeros((n + m, b_eq.shape[1]), order="F")
+    return lu, pivots, kd, position
+
+
+def _kkt_solve(kkt: tuple, b_eq: Array) -> Optional[tuple[Array, Array]]:
+    """Minimizer of 1/2 x^T p_s x subject to a_eq x = b_eq, one column per
+    column of b_eq, and its multipliers y (p_s x + a_eq^T y = 0), from
+    _kkt_factor(cost_band, a_eq); None if the back-solve is not finite."""
+    lu, pivots, kd, position = kkt
+    n = position.shape[0] - b_eq.shape[0]
+    rhs = np.zeros((position.shape[0], b_eq.shape[1]), order="F")
     rhs[position[n:]] = b_eq
     sol, info = dgbtrs(lu, kd, kd, rhs, pivots, overwrite_b=1)
     if info != 0 or not np.isfinite(sol).all():

@@ -4,13 +4,25 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from rtmotion import runtime
+from rtmotion import qpbuild, qpsolve, runtime
 from rtmotion.chain import load_chain
 
 # every property test replays the same examples and has no time limit: the
 # planner is slow next to hypothesis's default deadline on a loaded machine
 settings.register_profile("rtmotion", deadline=None, derandomize=True)
 settings.load_profile("rtmotion")
+
+
+def forget_structures() -> None:
+    """Empty the one-entry structure memos of qpbuild and qpsolve."""
+    qpbuild._last_structure = None
+    qpsolve._last = None
+
+
+@pytest.fixture(autouse=True)
+def fresh_structures():
+    """Every test starts with no memoized QP structure, whatever ran before."""
+    forget_structures()
 
 
 def data_path(kind: str, name: str) -> Path:

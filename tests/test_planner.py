@@ -137,7 +137,8 @@ class TestPlan:
 
     def test_one_sample_grid_and_one_block_rows_per_request(self, arm6, monkeypatch):
         # the limit rows go straight into the problem's BlockRows, and the
-        # solver iterates on them: no second grid, no scaled copy
+        # solver iterates on them: no second grid, no scaled copy. The same
+        # request planned again reuses both.
         calls = {"grid": 0, "rows": 0}
         sample_grid, init = qpbuild._sample_grid, qpbuild.BlockRows.__init__
 
@@ -152,6 +153,8 @@ class TestPlan:
         monkeypatch.setattr(qpbuild, "_sample_grid", counted_grid)
         monkeypatch.setattr(qpbuild.BlockRows, "__init__", counted_init)
         q0, waypoints = scenario_request("draw-line")
+        plan(make_request(waypoints), arm6, RobotState.rest(q0))
+        assert calls == {"grid": 1, "rows": 1}
         plan(make_request(waypoints), arm6, RobotState.rest(q0))
         assert calls == {"grid": 1, "rows": 1}
 

@@ -22,7 +22,8 @@ from rtmotion.qpsolve import (
     STATUS_SOLVED,
     SolverSettings,
     _cost_band,
-    _equality_start,
+    _kkt_factor,
+    _kkt_solve,
     solve,
     solve_batch,
     solve_kkt_equality,
@@ -345,11 +346,13 @@ class TestEarlyReturn:
 
 
 def banded_start(q_matrix, a_eq, b_eq):
-    """_equality_start on the scaled cost and unit-norm rows that solve_batch
-    hands it, for one right-hand side."""
+    """The banded KKT start on the scaled cost and unit-norm rows that
+    solve_batch hands it, for one right-hand side."""
     p_s = q_matrix / np.max(np.abs(q_matrix))
     unit = 1.0 / np.max(np.abs(a_eq), axis=1, keepdims=True)
-    start = _equality_start(_cost_band(p_s), a_eq * unit, b_eq[:, None] * unit)
+    kkt = _kkt_factor(_cost_band(p_s), a_eq * unit)
+    assert kkt is not None
+    start = _kkt_solve(kkt, b_eq[:, None] * unit)
     assert start is not None
     return start[0][:, 0]
 
@@ -416,6 +419,8 @@ class TestValidate:
         # NaN compares False either way, so an order check lets it through:
         # the solve then ran 20000 iterations to NaN coefficients
         problem = rest_to_rest_problem()
+        # assemble_qp's Q is read-only: corrupt a writeable copy
+        problem.q_matrix = problem.q_matrix.copy()
         getattr(problem, field)[index] = value
         with pytest.raises(QpBuildError, match="finite|NaN"):
             solve(problem)

@@ -1,0 +1,197 @@
+"""The one-entry QP structure memo of qpbuild.assemble_qp and
+qpsolve.solve_batch: a repeated request gets the same read-only Q and A and
+reuses their factors, with results bit-identical to a solve from scratch."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rtmotion import qpbuild
+from rtmotion.chain import Pose, forward_kinematics
+from rtmotion.planner import CartesianWaypoint, PlanRequest, RobotState, plan
+from rtmotion.qpbuild import assemble_qp
+from rtmotion.qpsolve import STATUS_SOLVED, SolverSettings, solve_batch
+from rtmotion.runtime import run_scenario
+
+from conftest import data_path, forget_structures
+from test_qpsolve import binding_problem
+
+
+def solved(problem, settings=None):
+    columns = len(problem.lower), -1
+    return solve_batch(
+        problem.q_matrix, problem.a_matrix, problem.lower.reshape(columns), problem.upper.reshape(columns), settings
+    )
+
+
+def assert_same_solve(a, b):
+    assert a.status == b.status
+    assert a.iterations == b.iterations
+    for field in ("p", "primal_residuals", "dual_residuals", "converged"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+class TestReuse:
+    def test_a_repeated_request_gets_the_same_read_only_structure(self):
+        first = binding_problem()
+        second = binding_problem()
+        assert second.q_matrix is first.q_matrix
+        assert second.a_matrix is first.a_matrix
+        assert second.lower is not first.lower
+
+    @pytest.mark.parametrize("field", ["q_matrix", "head", "blocks"])
+    def test_memoized_arrays_reject_writes(self, field):
+        problem = binding_problem()
+        owner = problem if field == "q_matrix" else problem.a_matrix
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(owner, field)[0, 0] = 1.0
+
+    def test_binding_solves_factor_the_reduced_matrix_once(self, monkeypatch):
+        calls = []
+        factor = scipy.linalg.cho_factor
+        monkeypatch.setattr(scipy.linalg, "cho_factor", lambda *a, **k: calls.append(1) or factor(*a, **k))
+        first, second = solved(binding_problem()), solved(binding_problem())
+        assert len(calls) == 1
+        assert first.status == STATUS_SOLVED and first.iterations > 1
+        assert_same_solve(first, second)
+        forget_structures()
+        assert_same_solve(first, solved(binding_problem()))
+        assert len(calls) == 2
+
+    def test_other_tight_rows_do_not_reuse_the_start(self):
+        # the same read-only (Q, A) with one equality row freed: the start is
+        # factored over the remaining tight rows
+        problem = binding_problem()
+        bounds = problem.lower[:, None].copy(), problem.upper[:, None].copy()
+        solve_batch(problem.q_matrix, problem.a_matrix, *bounds)
+        bounds[0][0], bounds[1][0] = -np.inf, np.inf  # the initial position
+        freed = solve_batch(problem.q_matrix, problem.a_matrix, *bounds)
+        forget_structures()
+        assert_same_solve(freed, solve_batch(problem.q_matrix, problem.a_matrix, *bounds))
+
+    def test_a_writeable_cost_is_never_memoized(self):
+        # the read-only rows of a memoized structure, with the caller's own Q:
+        # a change to Q between solves must show in the second solve
+        problem = assemble_qp([(0.3, 0.5), (1.0, 0.5)], (0.0, 0.0, 0.0), 5, 100.0, 1e3, 1e5)
+        q_matrix = problem.q_matrix.copy()
+        before = solve_batch(q_matrix, problem.a_matrix, problem.lower[:, None], problem.upper[:, None])
+        q_matrix[:6, :6] *= 50.0
+        after = solve_batch(q_matrix, problem.a_matrix, problem.lower[:, None], problem.upper[:, None])
+        forget_structures()
+        fresh = solve_batch(q_matrix.copy(), problem.a_matrix, problem.lower[:, None], problem.upper[:, None])
+        assert not np.array_equal(before.p, after.p)
+        assert_same_solve(after, fresh)
+
+    def test_a_writeable_dense_a_is_never_memoized(self):
+        problem = binding_problem()
+        dense = problem.a_matrix.toarray()
+        bounds = problem.lower[:, None], problem.upper[:, None]
+        solve_batch(problem.q_matrix, dense, *bounds)
+        dense[problem.n_eq :] *= 0.5  # the velocity limit doubles and no longer binds
+        after = solve_batch(problem.q_matrix, dense, *bounds)
+        forget_structures()
+        assert_same_solve(after, solve_batch(problem.q_matrix, dense.copy(), *bounds))
+
+
+class TestInvisible:
+    @settings(max_examples=30)
+    @given(
+        durations=st.lists(st.lists(st.floats(0.03, 1.2), min_size=1, max_size=8), min_size=1, max_size=2),
+        data=st.data(),
+    )
+    def test_results_equal_a_solve_from_scratch(self, durations, data):
+        # a sequence of requests drawn from up to three structures (repeating,
+        # alternating, interleaving, some sharing durations), some with a
+        # velocity limit that binds
+        structure = st.tuples(st.integers(5, 7), st.integers(0, len(durations) - 1), st.sampled_from([100.0, 50.0]))
+        pool = data.draw(st.lists(structure, min_size=1, max_size=3))
+        order = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=8))
+        requests = []
+        for k, index in enumerate(order):
+            degree, which, fc = pool[index]
+            rng = np.random.default_rng(k)
+            request = [[(float(rng.normal(0.0, 0.3)), d) for d in durations[which]], tuple(rng.normal(0.0, 0.1, 3)), degree, fc, 1e3, 1e5]
+            # loose, or just below the peak velocity of the loose solution
+            fraction = data.draw(st.sampled_from([None, 0.97, 0.9]))
+            if fraction is not None:
+                loose = assemble_qp(*request)
+                velocities = (loose.a_matrix @ solved(loose).p[:, 0])[loose.n_eq :: 2]
+                request[4] = fraction * float(np.max(np.abs(velocities)))
+            requests.append(request)
+        # a binding solve may need thousands of iterations: the first 400
+        # exercise the reduced factor as well
+        short = SolverSettings(max_iters=400)
+        forget_structures()
+        memoized = [(problem, solved(problem, short)) for problem in map(lambda r: assemble_qp(*r), requests)]
+        for request, (problem, batch) in zip(requests, memoized):
+            forget_structures()
+            fresh = assemble_qp(*request)
+            np.testing.assert_array_equal(problem.lower, fresh.lower)
+            np.testing.assert_array_equal(problem.upper, fresh.upper)
+            np.testing.assert_array_equal(problem.q_matrix, fresh.q_matrix)
+            np.testing.assert_array_equal(problem.a_matrix.toarray(), fresh.a_matrix.toarray())
+            assert_same_solve(batch, solved(fresh, short))
+
+
+def teleop_window(chain, q0):
+    """Five 0.04 s waypoints 1 mm apart from the pose at q0."""
+    pose = forward_kinematics(chain, q0)
+    return tuple(
+        CartesianWaypoint(Pose(pose.translation + [0.001 * (k + 1), 0.0, 0.0], pose.rpy), 0.04)
+        for k in range(5)
+    )
+
+
+def drawing(chain, q0):
+    """Twenty 0.5 s waypoints on a 1 cm circle through the pose at q0."""
+    pose = forward_kinematics(chain, q0)
+    angles = np.linspace(0.0, 2.0 * np.pi, 21)[1:]
+    offsets = 0.01 * np.stack([np.cos(angles) - 1.0, np.sin(angles), np.zeros(20)], axis=1)
+    return tuple(CartesianWaypoint(Pose(pose.translation + d, pose.rpy), 0.5) for d in offsets)
+
+
+class TestConcurrency:
+    def test_threads_alternating_structures_plan_as_sequentially(self, arm6):
+        q0 = arm6.mid_position()
+        start = RobotState.rest(q0)
+        requests = [PlanRequest("sim", teleop_window(arm6, q0), "teleop"), PlanRequest("sim", drawing(arm6, q0), "draw")]
+        expected = [plan(request, arm6, start) for request in requests]
+        mismatches, errors = [], []
+
+        def worker(request, reference):
+            try:
+                for _ in range(200):
+                    result = plan(request, arm6, start)
+                    if not (np.array_equal(result.coeffs, reference.coeffs) and result.iterations == reference.iterations):
+                        mismatches.append(request.request_id)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=pair) for pair in zip(requests, expected)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+
+
+def test_teleop_replay_builds_one_structure(monkeypatch):
+    # the memo keys on exact float durations: a parsing change that perturbs
+    # one would turn every window into a miss without failing anything else
+    calls = []
+    build = qpbuild._structure
+    monkeypatch.setattr(qpbuild, "_structure", lambda *args: calls.append(1) or build(*args))
+    result = run_scenario(data_path("scenarios", "teleop-replay.json"))
+    assert result.summary["preemptions"] >= 100
+    assert len(calls) == 1
