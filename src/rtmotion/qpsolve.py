@@ -202,7 +202,7 @@ class _Structure(NamedTuple):
     """What solve_batch derives from Q, A and the tight rows alone."""
 
     q_matrix: Array
-    a_matrix: object
+    a_matrix: BlockRows | Array
     norms: Array
     tight: NDArray[np.bool_]
     rho: Array  # per-row penalties, equilibrated (see the module docstring)
