@@ -11,6 +11,7 @@ once.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -115,8 +116,9 @@ class ChainConfig:
     limits; ee_transform maps the last joint frame to the end-effector frame.
 
     With K the cross-product matrix of a joint's axis, the joint's rotated
-    offset is offR + sin(q) offR K + (1 - cos(q)) offR K^2 (Rodrigues);
-    offset_k and offset_k2 hold offR K and offR K^2, (dof, 3, 3).
+    transform is off + sin(q) offR K + (1 - cos(q)) offR K^2 (Rodrigues);
+    offset_k and offset_k2 hold offR K and offR K^2 zero-padded to 4x4,
+    (dof, 4, 4), so that sum is one expression of whole transforms.
     """
 
     axes: Array
@@ -164,9 +166,11 @@ class ChainConfig:
             bad = int(np.argmin(good))
             name = "ee_transform" if bad == 0 else f"joint {bad - 1} offset"
             raise ValueError(f"{name} rotation is not orthonormal with det +1")
-        offset_k = self.offsets[:, :3, :3] @ _skew(self.axes)
-        object.__setattr__(self, "offset_k", offset_k)
-        object.__setattr__(self, "offset_k2", offset_k @ _skew(self.axes))
+        rodrigues = np.zeros((2, dof, 4, 4))
+        rodrigues[0, :, :3, :3] = self.offsets[:, :3, :3] @ _skew(self.axes)
+        rodrigues[1, :, :3, :3] = rodrigues[0, :, :3, :3] @ _skew(self.axes)
+        object.__setattr__(self, "offset_k", rodrigues[0])
+        object.__setattr__(self, "offset_k2", rodrigues[1])
 
     @property
     def dof(self) -> int:
@@ -235,6 +239,15 @@ def _skew(vectors: Array) -> Array:
     return (vectors @ _SKEW).reshape(vectors.shape[:-1] + (3, 3))
 
 
+def _joint_transforms(config: ChainConfig, q) -> Array:
+    """Every joint's local 4x4 transform, its fixed offset then its own
+    rotation, joint-major and contiguous: (dof, 4, 4) for one configuration
+    q, (dof, N, 4, 4) for a stack of them, (N, dof)."""
+    q = _check_q(config, q, stack=True)[..., None, None]
+    local = config.offsets + (np.sin(q) * config.offset_k + (1.0 - np.cos(q)) * config.offset_k2)
+    return np.ascontiguousarray(local.swapaxes(0, -3))
+
+
 def _frames(config: ChainConfig, q) -> tuple[Array, Array]:
     """One walk down the chain: every joint's 4x4 frame in the base frame
     after its fixed offset and its own rotation, shape (dof, 4, 4), and the
@@ -245,27 +258,26 @@ def _frames(config: ChainConfig, q) -> tuple[Array, Array]:
     also carries joint i's origin (its translation) and axis (its rotation
     applied to the joint-frame axis).
     """
-    q = _check_q(config, q, stack=True)
-    s = np.sin(q)[..., None, None]
-    versine = 1.0 - np.cos(q)[..., None, None]
-    local = np.empty(q.shape + (4, 4))
-    local[...] = config.offsets
-    local[..., :3, :3] += s * config.offset_k + versine * config.offset_k2
+    local = _joint_transforms(config, q)
     frames = np.empty_like(local)
-    frames[..., 0, :, :] = local[..., 0, :, :]
+    frames[0] = local[0]
     for i in range(1, config.dof):
-        np.matmul(frames[..., i - 1, :, :], local[..., i, :, :], out=frames[..., i, :, :])
-    return frames, frames[..., -1, :, :] @ config.ee_transform
+        np.matmul(frames[i - 1], local[i], out=frames[i])
+    return frames.swapaxes(0, -3), frames[-1] @ config.ee_transform
 
 
 def fk_transform(config: ChainConfig, q) -> Array:
-    """End-effector 4x4 transform in the base frame."""
-    return _frames(config, q)[1]
+    """End-effector 4x4 transform in the base frame, (4, 4), or (N, 4, 4)
+    for a stack of configurations: _frames' product without its prefixes."""
+    return functools.reduce(np.matmul, _joint_transforms(config, q)) @ config.ee_transform
 
 
 def forward_kinematics(config: ChainConfig, q) -> Pose:
-    """Compose joint transforms in order and extract the end-effector pose."""
-    t = fk_transform(config, _check_q(config, q))
+    """Compose joint transforms in order and extract the end-effector pose
+    of one configuration."""
+    t = fk_transform(config, q)
+    if t.ndim != 2:  # a stack of configurations: _check_q raises its shape error
+        _check_q(config, q)
     return Pose(t[:3, 3].copy(), np.array(matrix_to_rpy(t[:3, :3])))
 
 

@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from rtmotion import qpbuild, qpsolve
 from rtmotion.chain import ChainConfig, IkConvergenceError, Pose, forward_kinematics, inverse_kinematics
-from rtmotion.poly import MIN_DEGREE, JointTrajectory, Segment, state_rows
+from rtmotion.poly import MIN_DEGREE, JointTrajectory, Segment, state_rows, u_powers
 
 Array = NDArray[np.float64]
 
@@ -110,7 +110,9 @@ class Plan:
     segment-time grid that all joints share.
 
     coeffs[i, :, j] are joint j's coefficients on segment i over normalized
-    local time u = (t - start_i) / durations[i] in [0, 1].
+    local time u = (t - start_i) / durations[i] in [0, 1]. unit_rows[i] is
+    segment i's state_rows at u = 1, the part that does not depend on u; it
+    is fixed with the durations, while coeffs is read on every evaluation.
     """
 
     chain: ChainConfig
@@ -123,11 +125,13 @@ class Plan:
     build_time: float = 0.0
     iterations: int = 0
     starts: list[float] = field(init=False, repr=False, compare=False)
+    unit_rows: Array = field(init=False, repr=False, compare=False)  # (N, 3, degree + 1)
     total_time: float = field(init=False)
 
     def __post_init__(self):
         starts = [0.0] + np.cumsum(self.durations)[:-1].tolist()
         object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "unit_rows", state_rows(self.degree, 1.0, self.durations))
         object.__setattr__(self, "total_time", starts[-1] + float(self.durations[-1]))
 
     @property
@@ -158,9 +162,8 @@ class Plan:
             q = self.coeffs[-1].sum(axis=0)  # the last segment at u = 1
             return q, np.zeros_like(q), np.zeros_like(q)
         i = bisect.bisect_right(self.starts, local_t) - 1
-        duration = self.durations[i]
-        u = min((local_t - self.starts[i]) / duration, 1.0)
-        q, qd, qdd = state_rows(self.degree, u, duration) @ self.coeffs[i]
+        u = min((local_t - self.starts[i]) / self.durations[i], 1.0)
+        q, qd, qdd = (u_powers(self.degree, u) * self.unit_rows[i]) @ self.coeffs[i]
         return q, qd, qdd
 
     def state(self, t: float) -> RobotState:
@@ -174,7 +177,7 @@ class Plan:
         """Worst |left - right| mismatch in (q, qd, qdd) over all joints and
         interior junctions; a solved plan makes these vanish to solver
         tolerance."""
-        ends = state_rows(self.degree, 1.0, self.durations[:-1]) @ self.coeffs[:-1]
+        ends = self.unit_rows[:-1] @ self.coeffs[:-1]
         begins = state_rows(self.degree, 0.0, self.durations[1:]) @ self.coeffs[1:]
         return np.abs(ends - begins).max(axis=(0, 2), initial=0.0)
 
@@ -298,7 +301,7 @@ def reference_at(plan_: Plan, t: float) -> tuple[RobotState, Pose]:
     """Commanded reference state and its end-effector pose at absolute time t.
 
     Past the end of the trajectory the terminal position holds with zero
-    velocity and acceleration; evaluation is on demand (no precomputation).
+    velocity and acceleration; evaluation is on demand (no sampled table).
     """
     state = plan_.state(t)
     return state, forward_kinematics(plan_.chain, state.q)

@@ -284,11 +284,13 @@ def build_equality(
 def _structure(degree: int, durations: Array, control_frequency: float) -> tuple[Array, BlockRows]:
     """The part of assemble_qp that depends on (degree, durations,
     control_frequency) alone: the ridged cost and the constraint rows, both
-    made read-only."""
-    u, real = _sample_grid(durations, control_frequency)
-    rows = state_rows(degree, u, durations[:, None], orders=(1, 2))
+    made read-only. A segment's limit rows and jerk block depend on its
+    duration alone, so they are built once per distinct duration."""
+    distinct, segment_of = np.unique(durations, return_inverse=True)
+    u, real = _sample_grid(distinct, control_frequency)
+    rows = state_rows(degree, u, distinct[:, None], orders=(1, 2))[segment_of]
     a_matrix = BlockRows(_equality_rows(degree, durations), rows.reshape(len(durations), -1, degree + 1))
-    q_matrix = _block_diagonal(_jerk_blocks(degree, durations, u, real))
+    q_matrix = _block_diagonal(_jerk_blocks(degree, distinct, u, real)[segment_of])
     q_matrix += RIDGE * np.eye(q_matrix.shape[0])
     for array in (q_matrix, a_matrix.head, a_matrix.blocks, a_matrix._blocks_t):
         array.flags.writeable = False

@@ -93,6 +93,59 @@ class TestForwardKinematics:
         assert a.translation.tolist() == b.translation.tolist()
         assert a.rpy.tolist() == b.rpy.tolist()
 
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ([[0.0] * 6] * 2, r"^expected 6 joint values, got shape \(2, 6\)$"),
+            ([0.0] * 5, r"^expected 6 joint values, got shape \(5,\)$"),
+            (0.0, r"^expected 6 joint values, got shape \(\)$"),
+            ([0.0, 0.0, np.inf, 0.0, 0.0, 0.0], r"^joint vector contains non-finite entries$"),
+        ],
+        ids=["stacked", "short", "scalar", "non-finite"],
+    )
+    def test_rejects_stacked_short_and_non_finite_q(self, arm6, q, message):
+        with pytest.raises(ValueError, match=message):
+            forward_kinematics(arm6, q)
+
+    def test_checks_q_once(self, arm6, monkeypatch):
+        checks = []
+        check = chain._check_q
+        monkeypatch.setattr(chain, "_check_q", lambda *a, **k: checks.append(1) or check(*a, **k))
+        forward_kinematics(arm6, arm6.mid_position())
+        assert len(checks) == 1
+
+
+ONE_JOINT = ChainConfig(
+    axes=[[0.0, 0.6, 0.8]],
+    offsets=[make_transform([0.1, -0.2, 0.3], [0.4, -0.5, 0.6])],
+    joint_limits=[[-3.0, 3.0]],
+    v_max=[1.0],
+    a_max=[1.0],
+    control_frequency=100.0,
+    ee_transform=make_transform([0.0, 0.05, 0.2], [0.1, 0.2, -0.3]),
+)
+WALKED_CHAINS = {
+    "arm6": chain.load_chain(data_path("chains", "arm6.json")),
+    "planar2": chain.load_chain(data_path("chains", "planar2.json")),
+    "one-joint": ONE_JOINT,
+}
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(WALKED_CHAINS)), data=st.data())
+def test_fk_transform_is_the_walks_end_effector_bit_for_bit(name, data):
+    """fk_transform multiplies the joint transforms in _frames' order, for
+    one configuration and for a stack of them."""
+    config = WALKED_CHAINS[name]
+    n = data.draw(st.integers(1, 4))
+    q = np.array(data.draw(st.lists(st.floats(-7.0, 7.0), min_size=n * config.dof, max_size=n * config.dof)))
+    stack = q.reshape(n, config.dof)
+    np.testing.assert_array_equal(fk_transform(config, stack), chain._frames(config, stack)[1])
+    for single in stack:
+        t = fk_transform(config, single)
+        assert t.shape == (4, 4)
+        np.testing.assert_array_equal(t, chain._frames(config, single)[1])
+
 
 class TestEulerConvention:
     def test_round_trip(self):

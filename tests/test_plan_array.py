@@ -1,5 +1,8 @@
 """Plan's one coefficient array against the per-joint evaluation it replaced:
-JointTrajectory / Segment built from copies of the same coefficients."""
+JointTrajectory / Segment built from copies of the same coefficients, and
+against state_rows of the segment at the same u."""
+
+import bisect
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from rtmotion.chain import load_chain
 from rtmotion.planner import Plan
-from rtmotion.poly import JointTrajectory, Segment
+from rtmotion.poly import JointTrajectory, Segment, state_rows
 
 from conftest import data_path
 
@@ -69,6 +72,26 @@ def test_state_at_matches_per_joint_eval(plan_, data):
 
 
 @PROPERTY
+@given(plan_=plans(), data=st.data())
+def test_state_at_matches_state_rows_of_its_segment(plan_, data):
+    """Random times, every segment boundary, the last double before each
+    boundary (where u reaches 1 and no further), the exact end and past it."""
+    total, durations, coeffs = plan_.total_time, plan_.durations, plan_.coeffs
+    ends = [float(np.nextafter(t, 0.0)) for t in plan_.starts[1:] + [total]]
+    times = plan_.starts + ends + [total, total + 1.0]
+    times += [data.draw(st.floats(0.0, total * 1.2)) for _ in range(5)]
+    for t in times:
+        if t >= total:
+            q = state_rows(plan_.degree, 1.0, durations[-1])[0] @ coeffs[-1]
+            want = [q, np.zeros_like(q), np.zeros_like(q)]
+        else:
+            i = bisect.bisect_right(plan_.starts, t) - 1
+            u = min((t - plan_.starts[i]) / durations[i], 1.0)
+            want = state_rows(plan_.degree, u, durations[i]) @ coeffs[i]
+        assert_close(np.array(plan_.state_at(t)), want)
+
+
+@PROPERTY
 @given(plan_=plans())
 def test_junction_residuals_match_per_joint_oracle(plan_):
     want = np.max([traj.junction_residuals() for traj in oracle(plan_)], axis=0)
@@ -99,3 +122,7 @@ def test_joint_views_write_through_to_the_coefficient_array(arm6):
     plan_.joints[2].segments[1].coeffs[3] += 1e-3
     assert coeffs[1, 3, 2] == 1e-3
     assert plan_.junction_residuals()[0] == pytest.approx(1e-3)
+    # evaluation reads the coefficients live: q = 1e-3 u^3 on segment 1
+    q, qd, _ = plan_.state_at(1.0 - 1e-9)
+    assert q[2] == pytest.approx(1e-3) and qd[2] == pytest.approx(3e-3 / 0.5)
+    assert not np.delete(q, 2).any()

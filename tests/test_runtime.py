@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rtmotion import planner, poly, qpbuild, runtime
+from rtmotion import chain, planner, poly, qpbuild, runtime
 from rtmotion.chain import Pose, forward_kinematics
 from rtmotion.iface import SERVE_HISTORY, RobotServer, handle_request_line
 from rtmotion.planner import CartesianWaypoint, PlanRequest, RobotState
@@ -190,7 +190,7 @@ class TestSession:
     def test_tick_on_an_active_plan_runs_one_fk_and_no_basis_row(self, arm6, monkeypatch):
         session = Session(arm6, arm6.mid_position())
         session.submit(hold_request(arm6, arm6.mid_position(), "r"), 0.0)
-        calls = {"fk": 0, "basis_row": 0}
+        calls = {"fk": 0, "fk_transform": 0, "basis_row": 0, "state_rows": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -201,11 +201,16 @@ class TestSession:
 
         for module in (planner, runtime):
             monkeypatch.setattr(module, "forward_kinematics", counted("fk", module.forward_kinematics))
+        monkeypatch.setattr(chain, "fk_transform", counted("fk_transform", chain.fk_transform))
         for module in (poly, qpbuild):
             monkeypatch.setattr(module, "basis_row", counted("basis_row", module.basis_row))
-        record = session.tick(0.2)
-        assert calls == {"fk": 1, "basis_row": 0}
-        assert record.active_request_id == "r"
+        # the rows fixed at plan time serve every tick
+        for module in (poly, planner, qpbuild):
+            monkeypatch.setattr(module, "state_rows", counted("state_rows", module.state_rows))
+        for k, t in enumerate((0.2, 0.21, 0.5, 0.6), start=1):
+            record = session.tick(t)
+            assert calls == {"fk": k, "fk_transform": k, "basis_row": 0, "state_rows": 0}
+            assert record.active_request_id == "r"
 
 
 class TestScenarios:

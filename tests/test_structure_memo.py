@@ -1,6 +1,7 @@
 """The one-entry QP structure memo of qpbuild.assemble_qp and
 qpsolve.solve_batch: a repeated request gets the same read-only Q and A and
-reuses their factors, with results bit-identical to a solve from scratch."""
+reuses their factors, with results bit-identical to a solve from scratch.
+Within one structure, segments of one duration share their blocks."""
 
 import sys
 import threading
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from rtmotion import qpbuild
 from rtmotion.chain import Pose, forward_kinematics
 from rtmotion.planner import CartesianWaypoint, PlanRequest, RobotState, plan
+from rtmotion.poly import state_rows
 from rtmotion.qpbuild import assemble_qp
 from rtmotion.qpsolve import STATUS_SOLVED, SolverSettings, solve_batch
 from rtmotion.runtime import run_scenario
@@ -136,6 +138,21 @@ class TestInvisible:
             np.testing.assert_array_equal(problem.q_matrix, fresh.q_matrix)
             np.testing.assert_array_equal(problem.a_matrix.toarray(), fresh.a_matrix.toarray())
             assert_same_solve(batch, solved(fresh, short))
+
+
+@pytest.mark.parametrize("degree", [5, 7])
+def test_repeated_durations_build_what_one_segment_at_a_time_builds(degree):
+    durations = np.array([0.3, 0.5, 0.3, 0.5, 0.04])
+    q_matrix, a_matrix = qpbuild._structure(degree, durations, 100.0)
+    u, real = qpbuild._sample_grid(durations, 100.0)
+    blocks, jerk = [], []
+    for i, duration in enumerate(durations):
+        blocks.append(state_rows(degree, u[i], duration, orders=(1, 2)).reshape(-1, degree + 1))
+        jerk.append(qpbuild._jerk_blocks(degree, durations[i : i + 1], u[i : i + 1], real[i : i + 1])[0])
+    want_q = qpbuild._block_diagonal(np.array(jerk)) + qpbuild.RIDGE * np.eye(len(durations) * (degree + 1))
+    np.testing.assert_array_equal(q_matrix, want_q)
+    np.testing.assert_array_equal(a_matrix.head, qpbuild._equality_rows(degree, durations))
+    np.testing.assert_array_equal(a_matrix.blocks, np.array(blocks))
 
 
 def teleop_window(chain, q0):
