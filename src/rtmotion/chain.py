@@ -142,8 +142,8 @@ class ChainConfig:
         dof = len(self.axes)
         if dof < 1:
             raise ValueError("chain needs at least one joint")
-        if self.axes.shape != (dof, 3) or self.offsets.shape != (dof, 4, 4):
-            raise ValueError(f"axes must be ({dof}, 3) and offsets ({dof}, 4, 4)")
+        if self.axes.shape != (dof, 3) or self.offsets.shape != (dof, 4, 4) or self.ee_transform.shape != (4, 4):
+            raise ValueError(f"axes must be ({dof}, 3), offsets ({dof}, 4, 4) and ee_transform (4, 4)")
         norms = np.linalg.norm(self.axes, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError(f"joint axes must be unit vectors, |axis| = {norms}")
@@ -159,13 +159,16 @@ class ChainConfig:
             raise ValueError("a_max must be positive and finite per joint")
         if not (math.isfinite(self.control_frequency) and self.control_frequency > 0):
             raise ValueError("control_frequency must be positive and finite")
-        rots = np.concatenate([self.ee_transform[None, :3, :3], self.offsets[:, :3, :3]])
+        frames = np.concatenate([self.ee_transform[None], self.offsets])
+        names = ["ee_transform"] + [f"joint {i} offset" for i in range(dof)]
+        finite = np.isfinite(frames).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"{names[np.argmin(finite)]} is not finite")
+        rots = frames[:, :3, :3]
         gram_error = np.abs(rots @ rots.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
         good = (np.abs(np.linalg.det(rots) - 1.0) <= 1e-9) & (gram_error <= 1e-9)
-        if not np.all(good):
-            bad = int(np.argmin(good))
-            name = "ee_transform" if bad == 0 else f"joint {bad - 1} offset"
-            raise ValueError(f"{name} rotation is not orthonormal with det +1")
+        if not good.all():
+            raise ValueError(f"{names[np.argmin(good)]} rotation is not orthonormal with det +1")
         rodrigues = np.zeros((2, dof, 4, 4))
         rodrigues[0, :, :3, :3] = self.offsets[:, :3, :3] @ _skew(self.axes)
         rodrigues[1, :, :3, :3] = rodrigues[0, :, :3, :3] @ _skew(self.axes)

@@ -67,6 +67,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise planner.ValidationError(f"--port {args.port} is not in 0-65535")
     chain = load_chain(args.chain)
     q0 = _parse_q0(args.q0, chain)
     server = RobotServer(chain, robot_id=args.robot_id, host=args.host, port=args.port, initial_q=q0)
@@ -218,9 +220,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # every input error is a ValueError: planner.ValidationError,
-    # qpbuild.QpBuildError, a malformed number, JSON file or chain
-    except (ValueError, planner.PlanningError, runtime.ScenarioError, FileNotFoundError) as exc:
+    # every input error is a ValueError (planner.ValidationError, a malformed
+    # number, JSON file or chain, qpbuild.QpBuildError) or an OSError
+    except (ValueError, planner.PlanningError, runtime.ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,9 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from rtmotion import planner
 from rtmotion.chain import ChainConfig
-from rtmotion.runtime import Session, TelemetryRecord
+from rtmotion.runtime import Session, TelemetryRecord, handle_payload
 
 # telemetry and request records a served session keeps: 10 s at 100 Hz
 SERVE_HISTORY = 1000
@@ -81,32 +80,14 @@ def _finite_float(text: str) -> float:
 
 
 def handle_request_line(sessions: dict[str, Session], line: str, t_now: float) -> dict:
-    """Validate one wire line and apply it to the named robot's session.
-
-    Returns the ack; 'accepted' only after IK and the QP both succeeded. A
-    rejected request leaves whatever plan is active untouched.
-    """
-    request_id = None
+    """Parse one wire line and apply it by runtime.handle_payload: the ack."""
     try:
         payload = json.loads(line, parse_float=_finite_float, parse_constant=_finite_float)
-        request_id = payload.get("id") if isinstance(payload, dict) else None
     except (ValueError, RecursionError) as exc:
-        return {"id": request_id, "status": "rejected", "reason": f"parse: {exc}"}
+        return {"id": None, "status": "rejected", "reason": f"parse: {exc}"}
     if not isinstance(payload, dict):
         return {"id": None, "status": "rejected", "reason": "parse: expected a JSON object"}
-
-    robot = payload.get("robot")
-    session = sessions.get(robot) if isinstance(robot, str) else None
-    if session is None:
-        return {"id": request_id, "status": "rejected", "reason": f"unknown robot '{robot}'"}
-    try:
-        request = planner.request_from_payload(payload)
-    except planner.ValidationError as exc:
-        return {"id": request_id, "status": "rejected", "reason": f"validation: {exc}"}
-    record = session.submit(request, t_now)
-    if record.accepted:
-        return {"id": request_id, "status": "accepted"}
-    return {"id": request_id, "status": "rejected", "reason": record.reason}
+    return handle_payload(sessions, payload, t_now)
 
 
 class _Client:

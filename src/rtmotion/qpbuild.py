@@ -163,9 +163,9 @@ class QpProblem:
 
 
 def _sample_grid(durations: Array, control_frequency: float) -> tuple[Array, NDArray[np.bool_]]:
-    """segment_samples of every segment, brought to a common length by
-    repeating its last sample (u = 1): the (N, S) sample times and the (N, S)
-    mask of each segment's own samples."""
+    """Each segment's max(2, round(f_c * D) + 1) normalized sample times over
+    [0, 1], one per control tick, padded by repeating u = 1 to a common length:
+    the (N, S) sample times and the (N, S) mask of each segment's own."""
     if not np.all(np.isfinite(durations) & (durations > 0)):
         raise QpBuildError("segment duration must be positive and finite")
     if not (np.isfinite(control_frequency) and control_frequency > 0):
@@ -177,29 +177,13 @@ def _sample_grid(durations: Array, control_frequency: float) -> tuple[Array, NDA
     return u, steps < counts[:, None]
 
 
-def segment_samples(duration: float, control_frequency: float) -> Array:
-    """Normalized sample times for one segment: max(2, round(f_c * D) + 1)
-    points spanning [0, 1] inclusive, one per control tick of the segment."""
-    u, _ = _sample_grid(np.array([duration], dtype=float), control_frequency)
-    return u[0]
-
-
 def _jerk_blocks(degree: int, durations: Array, u: Array, real: NDArray[np.bool_]) -> Array:
-    """jerk_cost_matrix of every segment, on its _sample_grid: (N, L+1, L+1)."""
+    """The (N, L+1, L+1) jerk cost of every segment: the Gram matrix, symmetric
+    PSD, of its third-derivative rows on its _sample_grid, scaled by D**-6."""
     rows = state_rows(degree, u, durations[:, None], orders=(3,))[:, :, 0]
     rows[~real] = 0.0
     q = np.matmul(rows.transpose(0, 2, 1), rows)
     return 0.5 * (q + q.transpose(0, 2, 1))
-
-
-def jerk_cost_matrix(degree: int, duration: float, control_frequency: float) -> Array:
-    """Gram matrix of sampled third-derivative basis rows, scaled by D**-6.
-
-    Symmetric PSD by construction; the D**-6 factor is the squared chain-rule
-    scaling of the jerk under normalized local time.
-    """
-    durations = np.array([duration], dtype=float)
-    return _jerk_blocks(degree, durations, *_sample_grid(durations, control_frequency))[0]
 
 
 def _equality_rhs(targets: Array, initial_states: Array) -> Array:

@@ -36,11 +36,12 @@ block order), so the caller's bounds are used as they are.
 The problems of a request's joints share Q and A and are solved as the
 columns of one batch (solve_batch), which amortizes the factorization and
 the per-iteration matrix products. What depends on Q, A and the tight rows
-alone (row norms, scaled cost, the KKT start's LU and, once ADMM runs, the
-reduced factor) is kept for the last read-only (Q, A), as assemble_qp
-returns it for a repeated request: a teleop window then costs one banded
-back-solve, one A x and the stopping test. One entry, shared by the
-process; a writeable Q or A is never kept.
+alone (row norms, scaled cost and the KKT start's LU) is kept for the last
+read-only (Q, A), as assemble_qp returns it for a repeated request: a
+teleop window then costs one banded back-solve, one A x and the stopping
+test. One entry, shared by the process; a writeable Q or A is never kept.
+The reduced factor is not kept: a solve that iterates runs hundreds of
+iterations, each costing about as much as the factorization.
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ def solve_batch(
     For a Q that is not positive semidefinite (P + sigma*I has no Cholesky
     factor) scipy.linalg.LinAlgError is raised.
     """
-    global _last
     settings = settings or SolverSettings()
     start = time.perf_counter()
     a = BlockRows.wrap(a_matrix)
@@ -149,12 +149,7 @@ def solve_batch(
 
     status, iterations = STATUS_SOLVED, 1
     if not converged.all():
-        factor = s.reduced
-        if factor is None:
-            factor = scipy.linalg.cho_factor(p_s + _SIGMA * np.eye(n) + a.gram(s.rho), check_finite=False)
-            if _last is s:  # a copy of s with the factor replaces s, if s is still stored
-                _last = s._replace(reduced=factor)
-        factor, lower_factor = factor
+        factor, lower_factor = scipy.linalg.cho_factor(p_s + _SIGMA * np.eye(n) + a.gram(s.rho), check_finite=False)
         # per-row penalties as a full (m, k) array: broadcasting an (m, 1)
         # column over the k problems defeats numpy's contiguous inner loops
         rho_col = np.repeat(s.rho[:, None], n_problems, axis=1)
@@ -210,7 +205,6 @@ class _Structure(NamedTuple):
     eq_rows: NDArray[np.intp]
     unit: Array  # 1 / norms[eq_rows, None]
     kkt: Optional[tuple]  # _kkt_factor of the unit-norm eq_rows
-    reduced: Optional[tuple] = None  # cho_factor of the reduced matrix, once ADMM needs it
 
 
 # the _Structure of the last read-only (Q, A) solved. Read once and replaced

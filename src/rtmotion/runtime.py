@@ -36,35 +36,15 @@ class ScenarioError(RuntimeError):
 
 @dataclass
 class SimArm:
-    """Stand-in for the hardware driver plus encoder readback.
-
-    tracking_lag = 0 copies the reference exactly; otherwise each state
-    component follows a first-order filter with time constant tracking_lag.
-    """
+    """Stand-in for the hardware driver plus encoder readback: the encoder
+    reads the reference, clamped to the joint limits."""
 
     chain: ChainConfig
     encoder_state: RobotState
-    tracking_lag: float = 0.0
 
-    def __post_init__(self):
-        if self.tracking_lag < 0:
-            raise ValueError("tracking lag must be >= 0")
-
-    def advance(self, reference: RobotState, dt: float) -> RobotState:
-        if self.tracking_lag == 0.0:
-            state = reference
-        else:
-            gain = min(dt / self.tracking_lag, 1.0) if dt > 0 else 0.0
-            prev = self.encoder_state
-            state = RobotState(
-                prev.q + (reference.q - prev.q) * gain,
-                prev.qd + (reference.qd - prev.qd) * gain,
-                prev.qdd + (reference.qdd - prev.qdd) * gain,
-                reference.timestamp,
-            )
-        self.encoder_state = RobotState(
-            self.chain.clamp(state.q), state.qd, state.qdd, state.timestamp
-        )
+    def advance(self, reference: RobotState) -> RobotState:
+        q = self.chain.clamp(reference.q)
+        self.encoder_state = RobotState(q, reference.qd, reference.qdd, reference.timestamp)
         return self.encoder_state
 
 
@@ -104,14 +84,13 @@ class Session:
         chain: ChainConfig,
         initial_q,
         robot_id: str = "sim",
-        tracking_lag: float = 0.0,
         history: Optional[int] = None,
     ):
         self.chain = chain
         self.robot_id = robot_id
         self.fc = chain.control_frequency
         self._hold = RobotState.rest(chain.clamp(np.asarray(initial_q, dtype=float)))
-        self.arm = SimArm(chain, self._hold, tracking_lag=tracking_lag)
+        self.arm = SimArm(chain, self._hold)
         self.active_plan: Optional[Plan] = None
         self.telemetry: deque[TelemetryRecord] = deque(maxlen=history)
         self.requests: deque[RequestRecord] = deque(maxlen=history)
@@ -130,7 +109,6 @@ class Session:
     def tick(self, t: float) -> TelemetryRecord:
         if self._last_t is not None and t < self._last_t - 1e-12:
             raise RuntimeError(f"clock regression: tick at {t} after {self._last_t}")
-        dt = 0.0 if self._last_t is None else t - self._last_t
         plan_ = self.active_plan
         if plan_ is None:
             ref = RobotState(self._hold.q, self._hold.qd, self._hold.qdd, t)
@@ -144,7 +122,7 @@ class Session:
         record = TelemetryRecord(
             t=t,
             reference=ref,
-            encoder=self.arm.advance(ref, dt),
+            encoder=self.arm.advance(ref),
             ee_pose_ref=pose,
             active_request_id=request_id,
         )
@@ -187,6 +165,25 @@ class Session:
             self.active_plan = new_plan  # atomic swap
             self.requests.append(record)
             return record
+
+
+def handle_payload(sessions: dict[str, Session], payload: dict, t_now: float) -> dict:
+    """The ack of one request payload (schema in rtmotion.iface) applied to the
+    named robot's session, by the one rule of the wire and of scenario scripts:
+    'accepted' only after IK and the QP succeed; a rejection keeps the plan."""
+    request_id = payload.get("id")
+    robot = payload.get("robot")
+    session = sessions.get(robot) if isinstance(robot, str) else None
+    if session is None:
+        return {"id": request_id, "status": "rejected", "reason": f"unknown robot '{robot}'"}
+    try:
+        request = planner.request_from_payload(payload)
+    except planner.ValidationError as exc:
+        return {"id": request_id, "status": "rejected", "reason": f"validation: {exc}"}
+    record = session.submit(request, t_now)
+    if record.accepted:
+        return {"id": request_id, "status": "accepted"}
+    return {"id": request_id, "status": "rejected", "reason": record.reason}
 
 
 @dataclass
@@ -294,12 +291,17 @@ def _check_shape(raw, path: Path) -> None:
     for key in ("chain", "q0"):
         if key not in raw:
             raise ScenarioError(f"{path}: missing '{key}'")
+    # compared, not math.isfinite: NaN and inf fail, and an int too large for a float passes
+    settle = raw.get("settle_time", 0.5)
+    if not (isinstance(settle, (int, float)) and 0 <= settle < np.inf):
+        raise ScenarioError(f"{path}: 'settle_time' must be finite and >= 0")
     events = raw.get("events", [])
     if not isinstance(events, list):
         raise ScenarioError(f"{path}: 'events' must be a list")
     for i, event in enumerate(events):
-        if not (isinstance(event, dict) and isinstance(event.get("t"), (int, float)) and "action" in event):
-            raise ScenarioError(f"{path}: event {i} must be an object with a numeric 't' and an 'action'")
+        t = event.get("t") if isinstance(event, dict) else None
+        if not (isinstance(t, (int, float)) and abs(t) < np.inf and "action" in event):
+            raise ScenarioError(f"{path}: event {i} must be an object with a finite 't' and an 'action'")
         if event["action"] == "send_request" and not isinstance(event.get("request"), dict):
             raise ScenarioError(f"{path}: event {i} sends a request that is not an object")
 
@@ -464,22 +466,13 @@ def run_scenario(script: ScenarioScript | str | Path) -> ScenarioResult:
             cursor += 1
             if event["action"] == "send_request":
                 # the wire's rule: a rejected request fails the script
-                try:
-                    request = planner.request_from_payload(event["request"])
-                except planner.ValidationError as exc:
-                    reason = f"validation: {exc}"
-                else:
-                    reason = (
-                        session.submit(request, t).reason
-                        if request.robot_id == session.robot_id
-                        else f"unknown robot '{request.robot_id}'"
-                    )
-                if reason is not None:
+                ack = handle_payload({session.robot_id: session}, event["request"], t)
+                if ack["status"] != "accepted":
                     raise ScenarioError(
                         f"scenario '{script.name}': request {event['request'].get('id')} "
-                        f"at t={t:.3f} rejected ({reason})"
+                        f"at t={t:.3f} rejected ({ack['reason']})"
                     )
-                archive[request.request_id] = session.active_plan
+                archive[session.active_plan.request_id] = session.active_plan
             elif event["action"] == "marker":
                 markers.append((t, event["label"]))
             elif event["action"] == "assert":

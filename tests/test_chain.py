@@ -468,3 +468,24 @@ class TestConfigValidation:
         # every comparison with NaN is False, so a sign check alone passes it
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(arm6, **{field: value})
+
+    @pytest.mark.parametrize(
+        "joint, row, col, value, message",
+        [
+            (2, 0, 3, np.nan, "joint 2 offset is not finite"),
+            (0, 1, 1, np.inf, "joint 0 offset is not finite"),
+            (None, 2, 3, -np.inf, "ee_transform is not finite"),
+            (None, 0, 1, np.nan, "ee_transform is not finite"),
+        ],
+        ids=["nan offset xyz", "inf offset rotation", "inf ee xyz", "nan ee rotation"],
+    )
+    def test_rejects_non_finite_geometry(self, arm6, joint, row, col, value, message):
+        # a NaN translation would otherwise load and fail only at the first FK
+        offsets, ee_transform = arm6.offsets.copy(), arm6.ee_transform.copy()
+        (ee_transform if joint is None else offsets[joint])[row, col] = value
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(arm6, offsets=offsets, ee_transform=ee_transform)
+
+    def test_rejects_an_ee_transform_that_is_not_4x4(self, arm6):
+        with pytest.raises(ValueError, match=r"ee_transform \(4, 4\)"):
+            dataclasses.replace(arm6, ee_transform=np.eye(3))

@@ -50,6 +50,7 @@ class TestPlanCommand:
             ("chain array", "chain.json: malformed chain description"),
             ("joint not an object", "chain.json: malformed chain description"),
             ("2-entry rpy", "chain.json: malformed chain description"),
+            ("NaN xyz", "joint 1 offset is not finite"),
         ],
         ids=[
             "non-numeric q0",
@@ -58,6 +59,7 @@ class TestPlanCommand:
             "chain that is an array",
             "joint that is not an object",
             "offset rpy with 2 entries",
+            "NaN offset xyz",
         ],
     )
     def test_malformed_inputs_are_input_errors(self, tmp_path, capsys, case, message):
@@ -70,6 +72,8 @@ class TestPlanCommand:
             raw_chain["joints"][2] = 1.0
         elif case == "2-entry rpy":
             raw_chain["joints"][0]["offset"]["rpy"] = [0.0, 0.0]
+        elif case == "NaN xyz":
+            raw_chain["joints"][1]["offset"]["xyz"][2] = float("nan")
         chain = tmp_path / "chain.json"
         chain.write_text(json.dumps(raw_chain))
         waypoints = tmp_path / "wps.json"
@@ -79,6 +83,11 @@ class TestPlanCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_an_output_path_that_is_a_directory_is_an_input_error(self, tmp_path, capsys):
+        code = main(["plan", CHAIN, WAYPOINTS, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_degree_below_minimum_is_an_input_error(self, capsys):
         code = main(["plan", CHAIN, WAYPOINTS, "--degree", "3"])
@@ -132,8 +141,16 @@ class TestSimCommand:
             (lambda raw: raw.pop("q0"), "missing 'q0'"),
             (lambda raw: raw.update(events={"t": 0.0}), "'events' must be a list"),
             (lambda raw: raw["events"][0].update(request="line-1"), "request that is not an object"),
+            (lambda raw: raw["events"][0].update(t=float("inf")), "event 0 must be an object with a finite 't'"),
+            # an event at NaN would never run: an assert nothing checks
+            (lambda raw: raw["events"].append({"t": float("nan"), "action": "assert", "check": "?"}), "finite 't'"),
+            (lambda raw: raw.update(settle_time=float("nan")), "'settle_time' must be finite and >= 0"),
+            (lambda raw: raw.update(settle_time=-0.5), "'settle_time' must be finite and >= 0"),
         ],
-        ids=["no chain", "no q0", "events not a list", "request not an object"],
+        ids=[
+            "no chain", "no q0", "events not a list", "request not an object",
+            "infinite t", "NaN t", "NaN settle_time", "negative settle_time",
+        ],
     )
     def test_malformed_scenario_is_an_input_error(self, tmp_path, capsys, edit, message):
         raw = json.loads(data_path("scenarios", "draw-line.json").read_text())
@@ -143,6 +160,23 @@ class TestSimCommand:
         with pytest.raises(ScenarioError, match=message):
             run_scenario(path)
         assert main(["sim", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--port", "70000"], "--port 70000 is not in 0-65535"),
+            (["--port", "-1"], "--port -1 is not in 0-65535"),
+            # a TEST-NET-1 address no interface holds: the bind fails, with no lookup
+            (["--host", "192.0.2.1", "--port", "0"], "error: "),
+        ],
+        ids=["port above 65535", "negative port", "address not to bind"],
+    )
+    def test_bad_address_is_an_input_error(self, capsys, args, message):
+        assert main(["serve", CHAIN] + args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 

@@ -8,11 +8,22 @@ from rtmotion.qpbuild import (
     FULL_RANK_DEGREE,
     QpBuildError,
     _equality_rows,
+    _jerk_blocks,
+    _sample_grid,
     assemble_qp,
     build_equality,
-    jerk_cost_matrix,
-    segment_samples,
 )
+
+
+def segment_samples(duration, fc):
+    """One segment's normalized sample times, from _sample_grid."""
+    return _sample_grid(np.array([duration], dtype=float), fc)[0][0]
+
+
+def jerk_cost_matrix(degree, duration, fc):
+    """One segment's jerk cost block, built as assemble_qp builds it."""
+    durations = np.array([duration], dtype=float)
+    return _jerk_blocks(degree, durations, *_sample_grid(durations, fc))[0]
 
 
 class TestJerkCostMatrix:

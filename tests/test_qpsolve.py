@@ -15,7 +15,6 @@ from rtmotion.qpbuild import (
     QpProblem,
     assemble_qp,
     build_equality,
-    jerk_cost_matrix,
 )
 from rtmotion.qpsolve import (
     STATUS_PRIMAL_INFEASIBLE,
@@ -28,6 +27,8 @@ from rtmotion.qpsolve import (
     solve_batch,
     solve_kkt_equality,
 )
+
+from test_qpbuild import jerk_cost_matrix
 
 
 def quintic_by_boundary_conditions():

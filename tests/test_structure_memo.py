@@ -1,7 +1,7 @@
 """The one-entry QP structure memo of qpbuild.assemble_qp and
 qpsolve.solve_batch: a repeated request gets the same read-only Q and A and
-reuses their factors, with results bit-identical to a solve from scratch.
-Within one structure, segments of one duration share their blocks."""
+reuses the LU of its start, with results bit-identical to a solve from
+scratch. Within one structure, segments of one duration share their blocks."""
 
 import sys
 import threading
@@ -53,17 +53,17 @@ class TestReuse:
         with pytest.raises(ValueError, match="read-only"):
             getattr(owner, field)[0, 0] = 1.0
 
-    def test_binding_solves_factor_the_reduced_matrix_once(self, monkeypatch):
+    def test_binding_solves_factor_the_reduced_matrix_each_time(self, monkeypatch):
         calls = []
         factor = scipy.linalg.cho_factor
         monkeypatch.setattr(scipy.linalg, "cho_factor", lambda *a, **k: calls.append(1) or factor(*a, **k))
         first, second = solved(binding_problem()), solved(binding_problem())
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert first.status == STATUS_SOLVED and first.iterations > 1
         assert_same_solve(first, second)
         forget_structures()
         assert_same_solve(first, solved(binding_problem()))
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_other_tight_rows_do_not_reuse_the_start(self):
         # the same read-only (Q, A) with one equality row freed: the start is
@@ -126,7 +126,7 @@ class TestInvisible:
                 request[4] = fraction * float(np.max(np.abs(velocities)))
             requests.append(request)
         # a binding solve may need thousands of iterations: the first 400
-        # exercise the reduced factor as well
+        # exercise the iteration as well
         short = SolverSettings(max_iters=400)
         forget_structures()
         memoized = [(problem, solved(problem, short)) for problem in map(lambda r: assemble_qp(*r), requests)]
