@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from rtmotion import qpbuild, qpsolve
 from rtmotion.chain import ChainConfig, IkConvergenceError, Pose, forward_kinematics, inverse_kinematics
-from rtmotion.poly import MIN_DEGREE, JointTrajectory, Segment, state_rows, u_powers
+from rtmotion.poly import MIN_DEGREE, JointTrajectory, Segment, state_rows
 
 Array = NDArray[np.float64]
 
@@ -111,8 +111,11 @@ class Plan:
 
     coeffs[i, :, j] are joint j's coefficients on segment i over normalized
     local time u = (t - start_i) / durations[i] in [0, 1]. unit_rows[i] is
-    segment i's state_rows at u = 1, the part that does not depend on u; it
-    is fixed with the durations, while coeffs is read on every evaluation.
+    segment i's state_rows at u = 1, the part that does not depend on u.
+    Evaluation reads power_table, fixed when the plan is made: row m of
+    power_table[i] holds the coefficients of u^m in q, qd and qdd of every
+    joint (unit_rows folded into coeffs), so a later write to coeffs shows
+    in junction_residuals only.
     """
 
     chain: ChainConfig
@@ -125,14 +128,25 @@ class Plan:
     build_time: float = 0.0
     iterations: int = 0
     starts: list[float] = field(init=False, repr=False, compare=False)
+    spans: list[float] = field(init=False, repr=False, compare=False)  # durations as floats
     unit_rows: Array = field(init=False, repr=False, compare=False)  # (N, 3, degree + 1)
+    power_table: list[Array] = field(init=False, repr=False, compare=False)  # N x (degree + 1, 3 dof)
+    exponents: Array = field(init=False, repr=False, compare=False)  # 0.0, 1.0, ..., degree
     total_time: float = field(init=False)
 
     def __post_init__(self):
+        n, width, dof = self.coeffs.shape
         starts = [0.0] + np.cumsum(self.durations)[:-1].tolist()
+        unit_rows = state_rows(self.degree, 1.0, self.durations)
+        table = np.zeros((n, width, 3, dof))
+        for k in range(3):  # u^m's coefficient in order k is unit_rows[k, m + k] c_(m + k)
+            table[:, : width - k, k] = unit_rows[:, k, k:, None] * self.coeffs[:, k:]
         object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "unit_rows", state_rows(self.degree, 1.0, self.durations))
-        object.__setattr__(self, "total_time", starts[-1] + float(self.durations[-1]))
+        object.__setattr__(self, "spans", self.durations.tolist())
+        object.__setattr__(self, "unit_rows", unit_rows)
+        object.__setattr__(self, "power_table", list(table.reshape(n, width, 3 * dof)))
+        object.__setattr__(self, "exponents", np.arange(float(width)))
+        object.__setattr__(self, "total_time", starts[-1] + self.spans[-1])
 
     @property
     def degree(self) -> int:
@@ -156,15 +170,16 @@ class Plan:
         """Position, velocity and acceleration of every joint at local time t
         (t = 0 is the epoch). Boundary times belong to the later segment;
         from total_time on, the terminal position holds at rest."""
-        if local_t < 0.0:
+        if not local_t >= 0.0:  # NaN fails too
             raise ValueError(f"t={local_t} precedes trajectory start")
         if local_t >= self.total_time:
-            q = self.coeffs[-1].sum(axis=0)  # the last segment at u = 1
+            q = self.power_table[-1][:, : self.chain.dof].sum(axis=0)  # the last segment at u = 1
             return q, np.zeros_like(q), np.zeros_like(q)
         i = bisect.bisect_right(self.starts, local_t) - 1
-        u = min((local_t - self.starts[i]) / self.durations[i], 1.0)
-        q, qd, qdd = (u_powers(self.degree, u) * self.unit_rows[i]) @ self.coeffs[i]
-        return q, qd, qdd
+        u = min((local_t - self.starts[i]) / self.spans[i], 1.0)
+        row = (u ** self.exponents) @ self.power_table[i]
+        n = len(row) // 3
+        return row[:n], row[n : 2 * n], row[2 * n :]
 
     def state(self, t: float) -> RobotState:
         """Commanded reference state at absolute time t."""

@@ -1,12 +1,11 @@
 """Monomial basis rows, their derivatives, and piecewise-polynomial joint
 trajectories.
 
-state_rows builds every row the QP constrains and, at u = 1, the part of a
-plan's evaluation rows fixed by the durations; u_powers gives the part that
-depends on u. basis_row is their scalar reference. A plan keeps every
-joint's coefficients in one array; Segment and JointTrajectory are per-joint
-views of that array and the reference evaluation the tests compare it
-against.
+state_rows builds every row the QP constrains and, at u = 1, the factors
+a plan folds into its coefficients when it is made. basis_row is their
+scalar reference. A plan keeps every joint's coefficients in one array;
+Segment and JointTrajectory are per-joint views of that array and the
+reference evaluation the tests compare it against.
 
 Each segment is parameterized over normalized local time u = (t - start) / D
 in [0, 1]; evaluating the k-th derivative therefore multiplies by D**-k. The
@@ -67,12 +66,6 @@ def state_rows(degree: int, u, duration, orders: tuple[int, ...] = (0, 1, 2)) ->
     u = np.asarray(u, dtype=float)[..., None, None]
     duration = np.asarray(duration, dtype=float)[..., None, None]
     return factors * u**exponents / duration**k
-
-
-def u_powers(degree: int, u: float) -> Array:
-    """state_rows(degree, u, D) over state_rows(degree, 1.0, D), up to
-    rounding: u's power in each entry, (3, degree + 1)."""
-    return u ** _state_table(degree, (0, 1, 2))[1]
 
 
 @dataclass(frozen=True)

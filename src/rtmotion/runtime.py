@@ -107,6 +107,8 @@ class Session:
         return plan_.state(max(t, plan_.epoch))
 
     def tick(self, t: float) -> TelemetryRecord:
+        if not -np.inf < t < np.inf:  # a NaN stamp would pass every later regression check
+            raise ValueError(f"tick at non-finite time {t}")
         if self._last_t is not None and t < self._last_t - 1e-12:
             raise RuntimeError(f"clock regression: tick at {t} after {self._last_t}")
         plan_ = self.active_plan
@@ -138,6 +140,8 @@ class Session:
         A rejected request leaves the active plan untouched. Serialized so
         concurrent clients multiplex onto one intake activity.
         """
+        if not -np.inf < t_now < np.inf:  # a NaN epoch would fail every later tick
+            raise ValueError(f"request at non-finite time {t_now}")
         with self._intake_lock:
             old_plan = self.active_plan
             record = RequestRecord(request_id=request.request_id, t_submitted=t_now, accepted=False)
@@ -359,13 +363,10 @@ class ScenarioResult:
             header += ["x", "y", "z", "roll", "pitch", "yaw", "request"]
             writer.writerow(header)
             for rec in self.session.telemetry:
-                row = [repr(rec.t)]
-                for j in range(dof):
-                    row += [repr(rec.reference.q[j]), repr(rec.reference.qd[j]), repr(rec.reference.qdd[j])]
-                row += [repr(rec.encoder.q[j]) for j in range(dof)]
-                row += [repr(v) for v in rec.ee_pose_ref.to_vector()]
-                row.append(rec.active_request_id or "")
-                writer.writerow(row)
+                ref = rec.reference
+                state = np.stack([ref.q, ref.qd, ref.qdd], axis=1).ravel()  # q0, qd0, qdd0, q1, ...
+                values = np.concatenate([state, rec.encoder.q, rec.ee_pose_ref.to_vector()]).tolist()
+                writer.writerow([repr(rec.t)] + [repr(v) for v in values] + [rec.active_request_id or ""])
 
     def write_report(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.summary, indent=2))

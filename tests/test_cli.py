@@ -117,6 +117,15 @@ class TestSimCommand:
         assert summary["limit_violation_ticks"] == 0
         assert log.read_text().count("\n") == summary["ticks"] + 1
 
+    def test_log_cells_are_plain_numbers(self, tmp_path, capsys, draw_line_result):
+        log = tmp_path / "log.csv"
+        assert main(["sim", str(data_path("scenarios", "draw-line.json")), "--out", str(log)]) == 0
+        header, *rows = [line.split(",") for line in log.read_text().splitlines()]
+        assert header[-1] == "request" and len(rows) == draw_line_result.summary["ticks"]
+        for row, rec in zip(rows, draw_line_result.session.telemetry):
+            values = [float(cell) for cell in row[:-1]]  # "np.float64(...)" would not parse
+            assert values[0] == rec.t and values[1] == rec.reference.q[0]
+
     def test_scenario_failure_exits_nonzero(self, tmp_path, capsys):
         script = {
             "name": "bad",

@@ -111,18 +111,49 @@ def test_boundaries_belong_to_later_segment_and_end_holds(arm6):
     for t in (0.75, 9.0):
         q, qd, qdd = plan_.state_at(t)
         assert np.all(q == 7.0) and not qd.any() and not qdd.any()
+    for t in (-1e-9, float("nan")):  # NaN fails the guard too
+        with pytest.raises(ValueError):
+            plan_.state_at(t)
     with pytest.raises(ValueError):
-        plan_.state_at(-1e-9)
+        plan_.state(float("nan"))
 
 
 def test_joint_views_write_through_to_the_coefficient_array(arm6):
     coeffs = np.zeros((3, 6, arm6.dof))
     plan_ = Plan(arm6, coeffs, np.array([0.5, 0.5, 0.5]), np.zeros((3, arm6.dof)), 0.0, "p")
     assert not plan_.junction_residuals().any()
+    before = plan_.state_at(1.0 - 1e-9)
     plan_.joints[2].segments[1].coeffs[3] += 1e-3
     assert coeffs[1, 3, 2] == 1e-3
     assert plan_.junction_residuals()[0] == pytest.approx(1e-3)
-    # evaluation reads the coefficients live: q = 1e-3 u^3 on segment 1
-    q, qd, _ = plan_.state_at(1.0 - 1e-9)
+    # evaluation serves the power table fixed when the plan was made
+    for got, want in zip(plan_.state_at(1.0 - 1e-9), before):
+        np.testing.assert_array_equal(got, want)
+    # a plan made from the written coefficients evaluates q = 1e-3 u^3 on segment 1
+    q, qd, _ = Plan(arm6, coeffs, plan_.durations, plan_.joint_waypoints, 0.0, "p").state_at(1.0 - 1e-9)
     assert q[2] == pytest.approx(1e-3) and qd[2] == pytest.approx(3e-3 / 0.5)
     assert not np.delete(q, 2).any()
+
+
+@PROPERTY
+@given(plan_=plans())
+def test_power_table_at_the_edges(plan_):
+    """Every control-grid time and the last double before each boundary
+    against state_rows of the segment; from total_time on, the coefficients'
+    sum bit for bit; (dof,) arrays throughout."""
+    total, durations, coeffs = plan_.total_time, plan_.durations, plan_.coeffs
+    fc = plan_.chain.control_frequency
+    grid = [k / fc for k in range(int(total * fc) + 1) if k / fc < total]
+    ends = [float(np.nextafter(t, 0.0)) for t in plan_.starts[1:] + [total]]
+    for t in grid + ends:
+        state = plan_.state_at(t)
+        assert [x.shape for x in state] == [(plan_.chain.dof,)] * 3
+        i = bisect.bisect_right(plan_.starts, t) - 1
+        u = min((t - plan_.starts[i]) / durations[i], 1.0)
+        assert_close(np.array(state), state_rows(plan_.degree, u, durations[i]) @ coeffs[i])
+    hold = coeffs[-1].sum(axis=0)
+    for t in (total, float(np.nextafter(total, np.inf)), total + 1.0, 10.0 * total):
+        q, qd, qdd = plan_.state_at(t)
+        assert q.tobytes() == hold.tobytes()
+        assert qd.shape == qdd.shape == hold.shape and not qd.any() and not qdd.any()
+

@@ -52,6 +52,23 @@ class TestSession:
         with pytest.raises(RuntimeError, match="clock regression"):
             session.tick(0.005)
 
+    def test_non_finite_times_are_rejected_before_they_are_recorded(self, arm6):
+        session = Session(arm6, arm6.mid_position())
+        session.tick(1.0)
+        for t in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="non-finite"):
+                session.tick(t)
+        assert [record.t for record in session.telemetry] == [1.0]
+        with pytest.raises(RuntimeError, match="clock regression"):
+            session.tick(0.2)
+        with pytest.raises(ValueError, match="non-finite"):
+            session.submit(hold_request(arm6, arm6.mid_position()), float("nan"))
+        assert session.active_plan is None and not session.requests
+        session.submit(hold_request(arm6, arm6.mid_position()), 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            session.tick(float("nan"))
+        assert len(session.telemetry) == 1
+
     def test_rejected_request_keeps_plan(self, arm6):
         q0 = arm6.mid_position()
         session = Session(arm6, q0)
@@ -330,6 +347,13 @@ class TestScenarios:
         assert len(lines) == draw_line_result.summary["ticks"] + 1
         header = lines[0].split(",")
         assert header[0] == "t" and "q0" in header and "request" in header
+        for line, rec in zip(lines[1:], draw_line_result.session.telemetry):
+            *cells, request = line.split(",")
+            ref, dof = rec.reference, len(rec.reference.q)
+            state = [x for j in range(dof) for x in (ref.q[j], ref.qd[j], ref.qdd[j])]
+            want = [rec.t, *state, *rec.encoder.q, *rec.ee_pose_ref.to_vector()]
+            assert [float(cell) for cell in cells] == want  # bit for bit
+            assert request == (rec.active_request_id or "")
 
     def test_report_export(self, tmp_path, draw_line_result):
         out = tmp_path / "report.json"
