@@ -8,7 +8,6 @@ import csv
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -24,25 +23,6 @@ def _parse_q0(text: str | None, chain) -> np.ndarray:
     if values.shape != (chain.dof,):
         raise planner.ValidationError(f"--q0 needs {chain.dof} comma-separated values")
     return values
-
-
-def _write_trajectory_csv(path: Path, plan_: planner.Plan) -> None:
-    dof = plan_.chain.dof
-    fc = plan_.chain.control_frequency
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t"]
-        for j in range(dof):
-            header += [f"q{j}", f"qd{j}", f"qdd{j}"]
-        writer.writerow(header)
-        n = int(round(plan_.total_time * fc))
-        for k in range(n + 1):
-            t = min(k / fc, plan_.total_time)
-            q, qd, qdd = plan_.state_at(t)
-            row = [repr(t)]
-            for j in range(dof):
-                row += [repr(float(q[j])), repr(float(qd[j])), repr(float(qdd[j]))]
-            writer.writerow(row)
 
 
 def cmd_plan(args) -> int:
@@ -61,7 +41,13 @@ def cmd_plan(args) -> int:
         f"qdd {junction[2]:.2e}"
     )
     if args.out:
-        _write_trajectory_csv(Path(args.out), plan_)
+        fc = chain.control_frequency
+        # the plan on the control grid, its end included
+        grid = np.minimum(np.arange(round(plan_.total_time * fc) + 1) / fc, plan_.total_time)
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(runtime.state_columns(chain.dof))
+            writer.writerows(runtime.state_cells(t, *plan_.state_at(t)) for t in grid)
         print(f"trajectory written to {args.out}")
     return 0
 
@@ -221,8 +207,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # every input error is a ValueError (planner.ValidationError, a malformed
-    # number, JSON file or chain, qpbuild.QpBuildError) or an OSError
-    except (ValueError, planner.PlanningError, runtime.ScenarioError, OSError) as exc:
+    # number, JSON file or chain, qpbuild.QpBuildError), an OverflowError (an
+    # integer too large for a float) or an OSError
+    except (ValueError, OverflowError, planner.PlanningError, runtime.ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

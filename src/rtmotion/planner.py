@@ -215,7 +215,7 @@ def waypoints_from_payload(items: Sequence[dict]) -> list[CartesianWaypoint]:
         try:
             pose = Pose.from_vector(item["pose"])
             duration = float(item["duration"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"waypoint {i}: {exc}") from exc
         out.append(CartesianWaypoint(pose, duration))
     return out
@@ -279,7 +279,7 @@ def plan(
     if degree < MIN_DEGREE:
         raise ValidationError(f"polynomial degree must be >= {MIN_DEGREE}, got {degree}")
     if s0.q.shape != (chain.dof,) or not np.isfinite(s0.q).all():
-        raise ValidationError("initial state does not match chain dof")
+        raise ValidationError(f"initial state must hold {chain.dof} finite values, one per chain dof")
 
     joint_targets = _solve_joint_waypoints(request, chain, s0.q)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -89,7 +90,10 @@ class Session:
         self.chain = chain
         self.robot_id = robot_id
         self.fc = chain.control_frequency
-        self._hold = RobotState.rest(chain.clamp(np.asarray(initial_q, dtype=float)))
+        q0 = np.asarray(initial_q, dtype=float)
+        if q0.shape != (chain.dof,) or not np.isfinite(q0).all():
+            raise ValueError(f"q0 must hold {chain.dof} finite joint values")
+        self._hold = RobotState.rest(chain.clamp(q0))
         self.arm = SimArm(chain, self._hold)
         self.active_plan: Optional[Plan] = None
         self.telemetry: deque[TelemetryRecord] = deque(maxlen=history)
@@ -203,18 +207,22 @@ class ScenarioScript:
     master_samples: Optional[list[tuple[float, Array]]] = None
 
 
-def _resource_path(kind: str, name: str) -> Path:
-    return Path(str(resources.files("rtmotion").joinpath(f"data/{kind}/{name}")))
-
-
-def _resolve(base_dir: Path, kind: str, name: str) -> Path:
+def _resolve(base_dir: Path, kind: str, name: str | Path) -> Path:
+    """name under base_dir, else the packaged data/<kind>/name file."""
     candidate = (base_dir / name).resolve()
     if candidate.exists():
         return candidate
-    packaged = _resource_path(kind, name)
+    packaged = Path(str(resources.files("rtmotion").joinpath(f"data/{kind}/{name}")))
     if packaged.exists():
         return packaged
     raise FileNotFoundError(f"cannot resolve {kind} file '{name}'")
+
+
+def _send_request(t: float, request_id: str, poses, duration: float) -> dict:
+    """The event that sends one scripted request: every pose with the same duration."""
+    waypoints = [{"pose": pose.tolist(), "duration": duration} for pose in poses]
+    request = {"id": request_id, "robot": "sim", "type": planner.REQUEST_TYPE, "waypoints": waypoints}
+    return {"t": t, "action": "send_request", "request": request}
 
 
 def _expand_chase(raw: dict, events: list[dict]) -> list[dict]:
@@ -242,13 +250,7 @@ def _expand_chase(raw: dict, events: list[dict]) -> list[dict]:
         displacement = None if prev_pos is None else float(np.linalg.norm(pose[:3] - prev_pos))
         prev_pos = pose[:3]
         counter += 1
-        request = {
-            "id": f"chase-{counter}",
-            "robot": "sim",
-            "type": planner.REQUEST_TYPE,
-            "waypoints": [{"pose": pose.tolist(), "duration": duration}],
-        }
-        out.append({"t": event["t"], "action": "send_request", "request": request})
+        out.append(_send_request(event["t"], f"chase-{counter}", [pose], duration))
         if displacement is not None and displacement < eps:
             out.append({"t": event["t"], "action": "marker", "label": "grasp_triggered"})
             grasped = True
@@ -273,18 +275,11 @@ def _expand_teleop(raw: dict, base_dir: Path) -> tuple[list[dict], list[tuple[fl
                 [float(row[k]) for k in ("x", "y", "z", "roll", "pitch", "yaw")]
             )
             samples.append((float(row["timestamp"]), pose))
-    events = []
-    for k in range(buffer_size - 1, len(samples)):
-        window = samples[k - buffer_size + 1 : k + 1]
-        request = {
-            "id": f"teleop-{k}",
-            "robot": "sim",
-            "type": planner.REQUEST_TYPE,
-            "waypoints": [
-                {"pose": pose.tolist(), "duration": wp_duration} for _, pose in window
-            ],
-        }
-        events.append({"t": samples[k][0], "action": "send_request", "request": request})
+    poses = [pose for _, pose in samples]
+    events = [
+        _send_request(samples[k][0], f"teleop-{k}", poses[k - buffer_size + 1 : k + 1], wp_duration)
+        for k in range(buffer_size - 1, len(samples))
+    ]
     return events, samples
 
 
@@ -295,25 +290,23 @@ def _check_shape(raw, path: Path) -> None:
     for key in ("chain", "q0"):
         if key not in raw:
             raise ScenarioError(f"{path}: missing '{key}'")
-    # compared, not math.isfinite: NaN and inf fail, and an int too large for a float passes
+    # compared with the largest float: NaN, inf and an int too large for a float fail
     settle = raw.get("settle_time", 0.5)
-    if not (isinstance(settle, (int, float)) and 0 <= settle < np.inf):
+    if not (isinstance(settle, (int, float)) and 0 <= settle <= sys.float_info.max):
         raise ScenarioError(f"{path}: 'settle_time' must be finite and >= 0")
     events = raw.get("events", [])
     if not isinstance(events, list):
         raise ScenarioError(f"{path}: 'events' must be a list")
     for i, event in enumerate(events):
         t = event.get("t") if isinstance(event, dict) else None
-        if not (isinstance(t, (int, float)) and abs(t) < np.inf and "action" in event):
+        if not (isinstance(t, (int, float)) and abs(t) <= sys.float_info.max and "action" in event):
             raise ScenarioError(f"{path}: event {i} must be an object with a finite 't' and an 'action'")
         if event["action"] == "send_request" and not isinstance(event.get("request"), dict):
             raise ScenarioError(f"{path}: event {i} sends a request that is not an object")
 
 
 def load_scenario(path: str | Path) -> ScenarioScript:
-    path = Path(path)
-    if not path.exists() and path.parent == Path("."):
-        path = _resource_path("scenarios", path.name)
+    path = _resolve(Path("."), "scenarios", path)
     raw = json.loads(path.read_text())
     _check_shape(raw, path)
     base_dir = path.parent
@@ -331,18 +324,26 @@ def load_scenario(path: str | Path) -> ScenarioScript:
         raise ScenarioError(
             f"scenario fc {fc} Hz differs from chain '{chain.name}' at {chain.control_frequency} Hz"
         )
-    q0 = np.asarray(raw["q0"], dtype=float)
-    if q0.shape != (chain.dof,) or not np.isfinite(q0).all():
-        raise ScenarioError(f"{path}: q0 must hold {chain.dof} finite joint values")
     return ScenarioScript(
         name=raw.get("name", path.stem),
         chain=chain,
-        q0=q0,
+        q0=np.asarray(raw["q0"], dtype=float),
         settle_time=float(raw.get("settle_time", 0.5)),
         events=events,
         shape=raw.get("shape"),
         master_samples=master_samples,
     )
+
+
+def state_columns(dof: int) -> list[str]:
+    """The leading columns of the CSV exports: t, q0, qd0, qdd0, q1, ..."""
+    return ["t"] + [f"{name}{j}" for j in range(dof) for name in ("q", "qd", "qdd")]
+
+
+def state_cells(t: float, q, qd, qdd, *more) -> list[str]:
+    """The cells of state_columns, then of the arrays more: shortest round-trip reprs."""
+    values = np.concatenate([np.stack([q, qd, qdd], axis=1).ravel(), *more])
+    return [repr(float(t))] + [repr(v) for v in values.tolist()]
 
 
 @dataclass
@@ -356,17 +357,12 @@ class ScenarioResult:
         dof = self.script.chain.dof
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            header = ["t"]
-            for j in range(dof):
-                header += [f"q{j}", f"qd{j}", f"qdd{j}"]
-            header += [f"enc_q{j}" for j in range(dof)]
-            header += ["x", "y", "z", "roll", "pitch", "yaw", "request"]
-            writer.writerow(header)
+            columns = state_columns(dof) + [f"enc_q{j}" for j in range(dof)]
+            writer.writerow(columns + ["x", "y", "z", "roll", "pitch", "yaw", "request"])
             for rec in self.session.telemetry:
                 ref = rec.reference
-                state = np.stack([ref.q, ref.qd, ref.qdd], axis=1).ravel()  # q0, qd0, qdd0, q1, ...
-                values = np.concatenate([state, rec.encoder.q, rec.ee_pose_ref.to_vector()]).tolist()
-                writer.writerow([repr(rec.t)] + [repr(v) for v in values] + [rec.active_request_id or ""])
+                cells = state_cells(rec.t, ref.q, ref.qd, ref.qdd, rec.encoder.q, rec.ee_pose_ref.to_vector())
+                writer.writerow(cells + [rec.active_request_id or ""])
 
     def write_report(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.summary, indent=2))
@@ -446,21 +442,12 @@ def run_scenario(script: ScenarioScript | str | Path) -> ScenarioResult:
     dt = 1.0 / chain.control_frequency
     markers: list[tuple[float, str]] = []
 
-    horizon = script.settle_time
-    for event in script.events:
-        if event["action"] == "send_request":
-            try:
-                total = sum(float(w["duration"]) for w in event["request"]["waypoints"])
-            except (KeyError, TypeError, ValueError):
-                total = 0.0  # malformed: rejected when sent, which fails the script
-            horizon = max(horizon, event["t"] + total + script.settle_time)
-        else:
-            horizon = max(horizon, event["t"])
-    n_ticks = int(round(horizon * chain.control_frequency)) + 1
-
+    # to the last event, or settle_time past the end of the last accepted plan
     pending = script.events  # sorted by load_scenario
+    horizon = max([script.settle_time] + [event["t"] for event in pending])
     cursor = 0
-    for k in range(n_ticks):
+    k = 0
+    while cursor < len(pending) or k <= round(horizon * chain.control_frequency):
         t = k * dt
         while cursor < len(pending) and pending[cursor]["t"] <= t + 1e-9:
             event = pending[cursor]
@@ -473,7 +460,9 @@ def run_scenario(script: ScenarioScript | str | Path) -> ScenarioResult:
                         f"scenario '{script.name}': request {event['request'].get('id')} "
                         f"at t={t:.3f} rejected ({ack['reason']})"
                     )
-                archive[session.active_plan.request_id] = session.active_plan
+                plan_ = session.active_plan
+                archive[plan_.request_id] = plan_
+                horizon = max(horizon, event["t"] + plan_.total_time + script.settle_time)
             elif event["action"] == "marker":
                 markers.append((t, event["label"]))
             elif event["action"] == "assert":
@@ -483,6 +472,7 @@ def run_scenario(script: ScenarioScript | str | Path) -> ScenarioResult:
             else:
                 raise ScenarioError(f"unknown scenario action '{event['action']}'")
         session.tick(t)
+        k += 1
 
     summary = _summarize(session, script, markers, archive)
     return ScenarioResult(script=script, session=session, markers=markers, summary=summary)

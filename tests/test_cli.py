@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from rtmotion import cli
 from rtmotion.cli import main
 from rtmotion.runtime import ScenarioError, run_scenario
 
@@ -51,6 +53,8 @@ class TestPlanCommand:
             ("joint not an object", "chain.json: malformed chain description"),
             ("2-entry rpy", "chain.json: malformed chain description"),
             ("NaN xyz", "joint 1 offset is not finite"),
+            ("huge duration", "waypoint 0: int too large to convert to float"),
+            ("NaN q0", "initial state must hold 6 finite values"),
         ],
         ids=[
             "non-numeric q0",
@@ -60,6 +64,8 @@ class TestPlanCommand:
             "joint that is not an object",
             "offset rpy with 2 entries",
             "NaN offset xyz",
+            "400-digit waypoint duration",
+            "NaN q0",
         ],
     )
     def test_malformed_inputs_are_input_errors(self, tmp_path, capsys, case, message):
@@ -76,9 +82,12 @@ class TestPlanCommand:
             raw_chain["joints"][1]["offset"]["xyz"][2] = float("nan")
         chain = tmp_path / "chain.json"
         chain.write_text(json.dumps(raw_chain))
+        raw_waypoints = json.loads(Path(WAYPOINTS).read_text())
+        if case == "huge duration":
+            raw_waypoints[0]["duration"] = 10**400
         waypoints = tmp_path / "wps.json"
-        waypoints.write_text('[{"pose": ' if case == "waypoints" else Path(WAYPOINTS).read_text())
-        q0 = ["--q0", "a,b,c,d,e,f"] if case == "q0" else []
+        waypoints.write_text('[{"pose": ' if case == "waypoints" else json.dumps(raw_waypoints))
+        q0 = {"q0": ["--q0", "a,b,c,d,e,f"], "NaN q0": ["--q0", "nan,0,0,0,0,0"]}.get(case, [])
         code = main(["plan", str(chain), str(waypoints)] + q0)
         assert code == 2
         err = capsys.readouterr().err
@@ -155,10 +164,18 @@ class TestSimCommand:
             (lambda raw: raw["events"].append({"t": float("nan"), "action": "assert", "check": "?"}), "finite 't'"),
             (lambda raw: raw.update(settle_time=float("nan")), "'settle_time' must be finite and >= 0"),
             (lambda raw: raw.update(settle_time=-0.5), "'settle_time' must be finite and >= 0"),
+            # a JSON integer too large for a float
+            (lambda raw: raw.update(settle_time=10**400), "'settle_time' must be finite and >= 0"),
+            (lambda raw: raw["events"][0].update(t=10**400), "event 0 must be an object with a finite 't'"),
+            (
+                lambda raw: raw["events"][0]["request"]["waypoints"][0].update(duration=10**400),
+                "validation: waypoint 0: int too large to convert to float",
+            ),
         ],
         ids=[
             "no chain", "no q0", "events not a list", "request not an object",
             "infinite t", "NaN t", "NaN settle_time", "negative settle_time",
+            "400-digit settle_time", "400-digit t", "400-digit duration",
         ],
     )
     def test_malformed_scenario_is_an_input_error(self, tmp_path, capsys, edit, message):
@@ -171,6 +188,11 @@ class TestSimCommand:
         assert main(["sim", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_missing_scenario_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sim", "no-such-scenario.json"]) == 2
+        assert capsys.readouterr().err == "error: cannot resolve scenarios file 'no-such-scenario.json'\n"
 
 
 class TestServeCommand:
@@ -188,6 +210,16 @@ class TestServeCommand:
         assert main(["serve", CHAIN] + args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_non_finite_q0_is_an_input_error(self, capsys, monkeypatch):
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        # the session refuses it before the service binds or ticks; a service
+        # that started anyway stops at its first wait and fails the exit code
+        monkeypatch.setattr(cli, "time", SimpleNamespace(sleep=interrupt))
+        assert main(["serve", CHAIN, "--port", "0", "--q0", "nan,0,0,0,0,0"]) == 2
+        assert capsys.readouterr().err == "error: q0 must hold 6 finite joint values\n"
 
 
 class TestBenchCommand:

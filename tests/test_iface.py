@@ -153,6 +153,14 @@ def teleop_payloads(draw, robot=st.just("sim"), duration=st.just(0.04)):
     return {"id": draw(JSON_VALUES), "robot": draw(robot), "type": "rt-move-cartesian", "waypoints": waypoints}
 
 
+# a JSON integer too large for a float, in a pose entry (the duration case is
+# drawn by teleop_payloads)
+HUGE_POSE_LINE = json.dumps(
+    {"id": "huge", "robot": "sim", "type": "rt-move-cartesian",
+     "waypoints": [{"pose": [10**400, 0, 0, 0, 0, 0], "duration": 0.04}]}
+)
+
+
 def _truncated(line_and_cut):
     line, cut = line_and_cut
     return line[: cut % len(line)]
@@ -163,9 +171,9 @@ WIRE_LINES = st.one_of(
     st.tuples(teleop_payloads().map(json.dumps), st.integers(0, 10**6)).map(_truncated),
     JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
     teleop_payloads(robot=JSON_VALUES.filter(lambda r: r != "sim")).map(json.dumps),
-    teleop_payloads(duration=st.sampled_from([0.0, -0.04, 0.005])).map(json.dumps),
+    teleop_payloads(duration=st.sampled_from([0.0, -0.04, 0.005, 10**400])).map(json.dumps),
     st.text(max_size=40),
-    st.sampled_from(['{"id": 1e400}', '{"id": NaN}', "[" * 5000]),
+    st.sampled_from(['{"id": 1e400}', '{"id": NaN}', "[" * 5000, HUGE_POSE_LINE]),
 )
 
 
@@ -370,6 +378,24 @@ class TestServer:
             assert [a.get("id") for a in acks] == [None, "q1"]
             assert [a["status"] for a in acks] == ["rejected", "accepted"]
             assert acks[0]["reason"].startswith("parse: ")
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("field", ["duration", "pose"])
+    def test_number_too_large_for_a_float_is_acked_and_the_connection_kept(self, arm6, server, field):
+        waypoints = hold_waypoints(arm6)
+        if field == "duration":
+            waypoints[0]["duration"] = 10**400
+        else:
+            waypoints[0]["pose"][1] = 10**400
+        client = _LineClient(server.host, server.port)
+        try:
+            client.send_line(request_line(7, waypoints))
+            client.send_line(request_line("next", hold_waypoints(arm6)))
+            acks = client.read_acks(2)
+            assert [a["id"] for a in acks] == [7, "next"]
+            assert [a["status"] for a in acks] == ["rejected", "accepted"]
+            assert acks[0]["reason"] == "validation: waypoint 0: int too large to convert to float"
         finally:
             client.close()
 

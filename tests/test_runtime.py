@@ -1,5 +1,7 @@
+import copy
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,15 @@ from conftest import data_path
 def hold_request(chain, q0, request_id="hold", duration=0.5):
     pose = forward_kinematics(chain, q0)
     return PlanRequest("sim", (CartesianWaypoint(pose, duration),), request_id)
+
+
+def edited_draw_line(tmp_path, edit):
+    """The packaged draw-line scenario, edited, written under tmp_path."""
+    raw = json.loads(data_path("scenarios", "draw-line.json").read_text())
+    edit(raw)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw))
+    return path
 
 
 class TestSimArm:
@@ -44,6 +55,12 @@ class TestSession:
             np.testing.assert_array_equal(record.encoder.q, record.reference.q)
             np.testing.assert_array_equal(record.encoder.qd, record.reference.qd)
             np.testing.assert_array_equal(record.encoder.qdd, record.reference.qdd)
+
+    @pytest.mark.parametrize("q0", [[np.nan, 0, 0, 0, 0, 0], [np.inf] * 6, [0.0] * 5])
+    def test_initial_q_must_be_dof_finite_values(self, arm6, q0):
+        # a NaN hold would kill the first tick of a served session's dispatch thread
+        with pytest.raises(ValueError, match="q0 must hold 6 finite joint values"):
+            Session(arm6, q0)
 
     def test_clock_regression_is_fatal(self, arm6):
         session = Session(arm6, arm6.mid_position())
@@ -362,7 +379,90 @@ class TestScenarios:
         assert loaded["scenario"] == "draw-line"
 
 
+class TestRunLength:
+    """A run lasts to its last event, or settle_time past the end of its last
+    accepted plan if that is later."""
+
+    def test_a_marker_after_the_last_plan_ends_extends_the_run(self, tmp_path):
+        # the plan ends at 3.5 s and settles by 4.0 s
+        late = {"t": 5.0, "action": "marker", "label": "late"}
+        result = run_scenario(edited_draw_line(tmp_path, lambda raw: raw["events"].append(late)))
+        assert result.summary["ticks"] == 501
+        assert [label for _, label in result.markers] == ["late"]
+        assert result.markers[0][0] == pytest.approx(5.0)
+
+    def test_a_plan_that_outlasts_every_event_sets_the_run_length(self, tmp_path, arm6):
+        pose = forward_kinematics(arm6, arm6.mid_position()).to_vector().tolist()
+        request = {"id": "r", "robot": "sim", "type": "rt-move-cartesian",
+                   "waypoints": [{"pose": pose, "duration": 1.2}, {"pose": pose, "duration": 0.8}]}
+        script = {"name": "late", "chain": "arm6.json", "q0": arm6.mid_position().tolist(), "settle_time": 0.25,
+                  "events": [{"t": 1.0, "action": "send_request", "request": request}]}
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(script))
+        result = run_scenario(path)
+        # 1.0 s + 2.0 s of plan + 0.25 s of settling, ticks 0 to 325
+        assert result.summary["ticks"] == 326
+        assert result.session.telemetry[-1].t == pytest.approx(3.25)
+
+    def test_an_event_between_ticks_runs_though_it_is_the_last(self, tmp_path):
+        # no tick falls on 4.004 s, past the 4.0 s end: the assert runs at 4.01 s
+        check = {"t": 4.004, "action": "assert", "check": "near_pose", "pose": [0, 0, 9.0], "tol": 0.001}
+        with pytest.raises(ScenarioError, match="near_pose failed at t=4.01"):
+            run_scenario(edited_draw_line(tmp_path, lambda raw: raw["events"].append(check)))
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda request: request["waypoints"][3].update(duration=10**400),
+             "validation: waypoint 3: int too large to convert to float"),
+            (lambda request: request.pop("waypoints"), "validation: waypoints: empty"),
+        ],
+        ids=["duration no float holds", "no waypoints"],
+    )
+    def test_a_rejected_request_fails_the_script_for_the_wires_reason(self, tmp_path, edit, reason):
+        def add_second_request(raw):
+            second = copy.deepcopy(raw["events"][0])
+            second["t"], second["request"]["id"] = 1.0, "line-2"
+            edit(second["request"])
+            raw["events"].append(second)
+
+        path = edited_draw_line(tmp_path, add_second_request)
+        with pytest.raises(ScenarioError, match=re.escape(f"request line-2 at t=1.000 rejected ({reason})")):
+            run_scenario(path)
+
+    def test_an_integer_request_id_reports_the_same_path_deviation(self, tmp_path, draw_line_result):
+        result = run_scenario(edited_draw_line(tmp_path, lambda raw: raw["events"][0]["request"].update(id=17)))
+        assert result.session.telemetry[100].active_request_id == "17"
+        deviation = result.summary["path_deviation_m"]
+        assert deviation > 0 and deviation == draw_line_result.summary["path_deviation_m"]
+
+
 class TestScenarioLoading:
+    def test_a_packaged_bare_name_resolves_from_any_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert load_scenario("chase.json").name == "chase"
+        # a file of that name in the working directory comes first
+        mine = data_path("scenarios", "chase.json").read_text().replace('"chase"', '"mine"', 1)
+        (tmp_path / "chase.json").write_text(mine)
+        assert load_scenario("chase.json").name == "mine"
+
+    def test_a_scenario_reads_its_files_next_to_itself(self, tmp_path, monkeypatch):
+        sub, other = tmp_path / "sub", tmp_path / "other"
+        sub.mkdir()
+        other.mkdir()
+        raw_chain = json.loads(data_path("chains", "arm6.json").read_text())
+        (sub / "local-arm.json").write_text(json.dumps(dict(raw_chain, name="local")))
+        raw = json.loads(data_path("scenarios", "draw-line.json").read_text())
+        (sub / "s.json").write_text(json.dumps(dict(raw, chain="local-arm.json")))
+        monkeypatch.chdir(tmp_path)
+        assert load_scenario("sub/s.json").chain.name == "local"
+        assert load_scenario(Path("sub/s.json")).chain.name == "local"
+        monkeypatch.chdir(other)
+        assert load_scenario(sub / "s.json").chain.name == "local"
+        assert load_scenario("../sub/s.json").chain.name == "local"
+        with pytest.raises(FileNotFoundError, match="cannot resolve scenarios file 'sub/s.json'"):
+            load_scenario("sub/s.json")
+
     def test_packaged_scenarios_load(self):
         for name in ("draw-line", "draw-circle", "chase", "teleop-replay"):
             script = load_scenario(data_path("scenarios", f"{name}.json"))
