@@ -59,13 +59,12 @@ def matrix_to_rpy(rot: Array) -> tuple[float, float, float]:
     At the gimbal singularity (|cos(pitch)| ~ 0) roll is fixed to zero and the
     remaining freedom is folded into yaw.
     """
-    cos_pitch = math.hypot(rot[0, 0], rot[1, 0])
-    pitch = math.atan2(-rot[2, 0], cos_pitch)
+    (r00, r01, _), (r10, r11, _), (r20, r21, r22) = rot.tolist()
+    cos_pitch = math.hypot(r00, r10)
+    pitch = math.atan2(-r20, cos_pitch)
     if cos_pitch < 1e-12:
-        return 0.0, pitch, math.atan2(-rot[0, 1], rot[1, 1])
-    roll = math.atan2(rot[2, 1], rot[2, 2])
-    yaw = math.atan2(rot[1, 0], rot[0, 0])
-    return roll, pitch, yaw
+        return 0.0, pitch, math.atan2(-r01, r11)
+    return math.atan2(r21, r22), pitch, math.atan2(r10, r00)
 
 
 def make_transform(xyz, rpy) -> Array:
@@ -88,14 +87,22 @@ class Pose:
         object.__setattr__(self, "rpy", np.asarray(self.rpy, dtype=float))
         if self.translation.shape != (3,) or self.rpy.shape != (3,):
             raise ValueError("Pose expects 3 translation and 3 Euler components")
-        if not (np.isfinite(self.translation).all() and np.isfinite(self.rpy).all()):
-            raise ValueError("Pose components must be finite")
+
+    @classmethod
+    def of_arrays(cls, translation: Array, rpy: Array) -> "Pose":
+        """A Pose of float (3,) arrays finite by construction, held unchecked."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "translation", translation)
+        object.__setattr__(pose, "rpy", rpy)
+        return pose
 
     @classmethod
     def from_vector(cls, vec) -> "Pose":
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (6,):
             raise ValueError(f"pose vector must have 6 entries, got shape {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise ValueError("Pose components must be finite")
         return cls(vec[:3], vec[3:])
 
     def to_vector(self) -> Array:
@@ -244,9 +251,9 @@ def _skew(vectors: Array) -> Array:
 
 def _joint_transforms(config: ChainConfig, q) -> Array:
     """Every joint's local 4x4 transform, its fixed offset then its own
-    rotation, joint-major and contiguous: (dof, 4, 4) for one configuration
-    q, (dof, N, 4, 4) for a stack of them, (N, dof)."""
-    q = _check_q(config, q, stack=True)[..., None, None]
+    rotation, joint-major and contiguous: (dof, 4, 4) for one checked
+    configuration q, (dof, N, 4, 4) for a stack of them, (N, dof)."""
+    q = q[..., None, None]
     local = config.offsets + (np.sin(q) * config.offset_k + (1.0 - np.cos(q)) * config.offset_k2)
     return np.ascontiguousarray(local.swapaxes(0, -3))
 
@@ -261,7 +268,7 @@ def _frames(config: ChainConfig, q) -> tuple[Array, Array]:
     also carries joint i's origin (its translation) and axis (its rotation
     applied to the joint-frame axis).
     """
-    local = _joint_transforms(config, q)
+    local = _joint_transforms(config, _check_q(config, q, stack=True))
     frames = np.empty_like(local)
     frames[0] = local[0]
     for i in range(1, config.dof):
@@ -270,18 +277,17 @@ def _frames(config: ChainConfig, q) -> tuple[Array, Array]:
 
 
 def fk_transform(config: ChainConfig, q) -> Array:
-    """End-effector 4x4 transform in the base frame, (4, 4), or (N, 4, 4)
-    for a stack of configurations: _frames' product without its prefixes."""
-    return functools.reduce(np.matmul, _joint_transforms(config, q)) @ config.ee_transform
+    """End-effector 4x4 transform in the base frame of one configuration:
+    _frames' product in its order, without the prefixes (_frames walks stacks)."""
+    local = _joint_transforms(config, _check_q(config, q))
+    return functools.reduce(np.ndarray.dot, local).dot(config.ee_transform)
 
 
 def forward_kinematics(config: ChainConfig, q) -> Pose:
     """Compose joint transforms in order and extract the end-effector pose
-    of one configuration."""
+    of one configuration; a q that _check_q passed gives a finite pose."""
     t = fk_transform(config, q)
-    if t.ndim != 2:  # a stack of configurations: _check_q raises its shape error
-        _check_q(config, q)
-    return Pose(t[:3, 3].copy(), np.array(matrix_to_rpy(t[:3, :3])))
+    return Pose.of_arrays(t[:3, 3].copy(), np.array(matrix_to_rpy(t[:3, :3])))
 
 
 def jacobian(config: ChainConfig, q, walk: tuple[Array, Array] | None = None) -> Array:

@@ -99,6 +99,16 @@ class RobotState:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @classmethod
+    def of_arrays(cls, q: Array, qd: Array, qdd: Array, timestamp: float) -> "RobotState":
+        """A RobotState of float arrays just computed, held unconverted."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "q", q)
+        object.__setattr__(state, "qd", qd)
+        object.__setattr__(state, "qdd", qdd)
+        object.__setattr__(state, "timestamp", timestamp)
+        return state
+
+    @classmethod
     def rest(cls, q, timestamp: float = 0.0) -> "RobotState":
         q = np.asarray(q, dtype=float)
         return cls(q, np.zeros_like(q), np.zeros_like(q), timestamp)
@@ -177,7 +187,7 @@ class Plan:
             return q, np.zeros_like(q), np.zeros_like(q)
         i = bisect.bisect_right(self.starts, local_t) - 1
         u = min((local_t - self.starts[i]) / self.spans[i], 1.0)
-        row = (u ** self.exponents) @ self.power_table[i]
+        row = np.power(u, self.exponents).dot(self.power_table[i])
         n = len(row) // 3
         return row[:n], row[n : 2 * n], row[2 * n :]
 
@@ -185,8 +195,7 @@ class Plan:
         """Commanded reference state at absolute time t."""
         if t < self.epoch:
             raise ValueError(f"t={t} precedes plan epoch {self.epoch}")
-        q, qd, qdd = self.state_at(t - self.epoch)
-        return RobotState(q, qd, qdd, t)
+        return RobotState.of_arrays(*self.state_at(t - self.epoch), t)
 
     def junction_residuals(self) -> Array:
         """Worst |left - right| mismatch in (q, qd, qdd) over all joints and
@@ -206,6 +215,12 @@ def load_waypoints(path: str | Path) -> list[CartesianWaypoint]:
     return waypoints_from_payload(raw)
 
 
+def is_number(value) -> bool:
+    """Whether a parsed JSON value is a number: JSON's true and false parse
+    to bool, which Python counts as an int and float() takes as 1 and 0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def waypoints_from_payload(items: Sequence[dict]) -> list[CartesianWaypoint]:
     """Build waypoints from the wire payload schema, validating shape."""
     if not isinstance(items, list) or not items:
@@ -215,6 +230,8 @@ def waypoints_from_payload(items: Sequence[dict]) -> list[CartesianWaypoint]:
         try:
             pose = Pose.from_vector(item["pose"])
             duration = float(item["duration"])
+            if not all(map(is_number, [item["duration"], *item["pose"]])):
+                raise ValidationError("pose entries and duration must be numbers")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"waypoint {i}: {exc}") from exc
         out.append(CartesianWaypoint(pose, duration))

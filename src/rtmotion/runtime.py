@@ -45,7 +45,7 @@ class SimArm:
 
     def advance(self, reference: RobotState) -> RobotState:
         q = self.chain.clamp(reference.q)
-        self.encoder_state = RobotState(q, reference.qd, reference.qdd, reference.timestamp)
+        self.encoder_state = RobotState.of_arrays(q, reference.qd, reference.qdd, reference.timestamp)
         return self.encoder_state
 
 
@@ -104,7 +104,7 @@ class Session:
     def reference(self, t: float) -> RobotState:
         plan_ = self.active_plan  # read once: swap is atomic
         if plan_ is None:
-            return RobotState(self._hold.q, self._hold.qd, self._hold.qdd, t)
+            return RobotState.of_arrays(self._hold.q, self._hold.qd, self._hold.qdd, t)
         # a tick or receipt stamp may trail the epoch of a plan swapped in
         # meanwhile; the plan's initial state equals the old reference there,
         # so evaluating at the epoch stays continuous
@@ -117,13 +117,13 @@ class Session:
             raise RuntimeError(f"clock regression: tick at {t} after {self._last_t}")
         plan_ = self.active_plan
         if plan_ is None:
-            ref = RobotState(self._hold.q, self._hold.qd, self._hold.qdd, t)
+            ref = RobotState.of_arrays(self._hold.q, self._hold.qd, self._hold.qdd, t)
             pose = forward_kinematics(self.chain, ref.q)
             request_id = None
         else:
             ref, pose = planner.reference_at(plan_, max(t, plan_.epoch))
             if ref.timestamp != t:
-                ref = RobotState(ref.q, ref.qd, ref.qdd, t)
+                ref = RobotState.of_arrays(ref.q, ref.qd, ref.qdd, t)
             request_id = plan_.request_id
         record = TelemetryRecord(
             t=t,
@@ -290,16 +290,21 @@ def _check_shape(raw, path: Path) -> None:
     for key in ("chain", "q0"):
         if key not in raw:
             raise ScenarioError(f"{path}: missing '{key}'")
+    if not (isinstance(raw["q0"], list) and all(map(planner.is_number, raw["q0"]))):
+        raise ScenarioError(f"{path}: 'q0' must be a list of numbers")
+    for key in ("chase", "teleop"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ScenarioError(f"{path}: '{key}' must be an object")
     # compared with the largest float: NaN, inf and an int too large for a float fail
     settle = raw.get("settle_time", 0.5)
-    if not (isinstance(settle, (int, float)) and 0 <= settle <= sys.float_info.max):
+    if not (planner.is_number(settle) and 0 <= settle <= sys.float_info.max):
         raise ScenarioError(f"{path}: 'settle_time' must be finite and >= 0")
     events = raw.get("events", [])
     if not isinstance(events, list):
         raise ScenarioError(f"{path}: 'events' must be a list")
     for i, event in enumerate(events):
         t = event.get("t") if isinstance(event, dict) else None
-        if not (isinstance(t, (int, float)) and abs(t) <= sys.float_info.max and "action" in event):
+        if not (planner.is_number(t) and abs(t) <= sys.float_info.max and "action" in event):
             raise ScenarioError(f"{path}: event {i} must be an object with a finite 't' and an 'action'")
         if event["action"] == "send_request" and not isinstance(event.get("request"), dict):
             raise ScenarioError(f"{path}: event {i} sends a request that is not an object")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -134,17 +135,67 @@ WALKED_CHAINS = {
 @settings(max_examples=60)
 @given(name=st.sampled_from(sorted(WALKED_CHAINS)), data=st.data())
 def test_fk_transform_is_the_walks_end_effector_bit_for_bit(name, data):
-    """fk_transform multiplies the joint transforms in _frames' order, for
-    one configuration and for a stack of them."""
+    """fk_transform multiplies one configuration's joint transforms in
+    _frames' order: it ends where the walk of that configuration ends, alone
+    or as a row of a walked stack. A stack is _frames' to walk."""
     config = WALKED_CHAINS[name]
     n = data.draw(st.integers(1, 4))
     q = np.array(data.draw(st.lists(st.floats(-7.0, 7.0), min_size=n * config.dof, max_size=n * config.dof)))
     stack = q.reshape(n, config.dof)
-    np.testing.assert_array_equal(fk_transform(config, stack), chain._frames(config, stack)[1])
-    for single in stack:
+    walked = chain._frames(config, stack)[1]
+    for single, end in zip(stack, walked):
         t = fk_transform(config, single)
         assert t.shape == (4, 4)
+        np.testing.assert_array_equal(t, end)
         np.testing.assert_array_equal(t, chain._frames(config, single)[1])
+    with pytest.raises(ValueError, match=rf"^expected {config.dof} joint values, got shape \({n}, {config.dof}\)$"):
+        fk_transform(config, stack)
+
+
+# one joint about z under an end effector pitched by pi/2: every
+# configuration's pose is on matrix_to_rpy's gimbal branch
+GIMBAL = ChainConfig(
+    axes=[[0.0, 0.0, 1.0]],
+    offsets=[np.eye(4)],
+    joint_limits=[[-3.0, 3.0]],
+    v_max=[1.0],
+    a_max=[1.0],
+    control_frequency=100.0,
+    ee_transform=make_transform([0.1, 0.0, 0.2], [0.0, np.pi / 2, 0.0]),
+)
+
+
+def rpy_by_entries(rot):
+    """matrix_to_rpy reading the rotation one numpy entry at a time: the
+    reference for its read of the whole rotation at once."""
+    cos_pitch = math.hypot(rot[0, 0], rot[1, 0])
+    pitch = math.atan2(-rot[2, 0], cos_pitch)
+    if cos_pitch < 1e-12:
+        return 0.0, pitch, math.atan2(-rot[0, 1], rot[1, 1])
+    return math.atan2(rot[2, 1], rot[2, 2]), pitch, math.atan2(rot[1, 0], rot[0, 0])
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(WALKED_CHAINS) + ["gimbal"]), data=st.data())
+def test_forward_kinematics_is_the_pose_of_fk_transform(name, data):
+    config = GIMBAL if name == "gimbal" else WALKED_CHAINS[name]
+    q = np.array(data.draw(st.lists(st.floats(-7.0, 7.0), min_size=config.dof, max_size=config.dof)))
+    t = fk_transform(config, q)
+    want = Pose(t[:3, 3], np.array(rpy_by_entries(t[:3, :3])))
+    got = forward_kinematics(config, q)
+    for values, wanted in ((got.translation, want.translation), (got.rpy, want.rpy)):
+        assert values.dtype == np.float64 and values.shape == (3,)
+        np.testing.assert_array_equal(values, wanted)
+    if name == "gimbal":
+        assert got.rpy[0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pose_from_vector_rejects_non_finite_components(bad):
+    vec = [0.1, 0.2, 0.3, 0.0, 0.5, 0.0]
+    for k in range(6):
+        with pytest.raises(ValueError, match="^Pose components must be finite$"):
+            Pose.from_vector(vec[:k] + [bad] + vec[k + 1 :])
 
 
 class TestEulerConvention:

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -55,6 +57,9 @@ class TestPlanCommand:
             ("NaN xyz", "joint 1 offset is not finite"),
             ("huge duration", "waypoint 0: int too large to convert to float"),
             ("NaN q0", "initial state must hold 6 finite values"),
+            ("boolean duration", "waypoint 0: pose entries and duration must be numbers"),
+            ("boolean pose entry", "waypoint 0: pose entries and duration must be numbers"),
+            ("NaN pose entry", "waypoint 0: Pose components must be finite"),
         ],
         ids=[
             "non-numeric q0",
@@ -66,6 +71,9 @@ class TestPlanCommand:
             "NaN offset xyz",
             "400-digit waypoint duration",
             "NaN q0",
+            "boolean duration",
+            "boolean pose entry",
+            "NaN pose entry",
         ],
     )
     def test_malformed_inputs_are_input_errors(self, tmp_path, capsys, case, message):
@@ -85,6 +93,12 @@ class TestPlanCommand:
         raw_waypoints = json.loads(Path(WAYPOINTS).read_text())
         if case == "huge duration":
             raw_waypoints[0]["duration"] = 10**400
+        elif case == "boolean duration":
+            raw_waypoints[0]["duration"] = True
+        elif case == "boolean pose entry":
+            raw_waypoints[0]["pose"] = [True, 0, 0.5, 0, 0, False]
+        elif case == "NaN pose entry":  # a waypoint file may spell NaN, which the wire cannot
+            raw_waypoints[0]["pose"][2] = float("nan")
         waypoints = tmp_path / "wps.json"
         waypoints.write_text('[{"pose": ' if case == "waypoints" else json.dumps(raw_waypoints))
         q0 = {"q0": ["--q0", "a,b,c,d,e,f"], "NaN q0": ["--q0", "nan,0,0,0,0,0"]}.get(case, [])
@@ -171,11 +185,24 @@ class TestSimCommand:
                 lambda raw: raw["events"][0]["request"]["waypoints"][0].update(duration=10**400),
                 "validation: waypoint 0: int too large to convert to float",
             ),
+            # JSON's true and false are not numbers, though Python counts them as ints
+            (lambda raw: raw.update(settle_time=True), "'settle_time' must be finite and >= 0"),
+            (lambda raw: raw["events"][0].update(t=True), "event 0 must be an object with a finite 't'"),
+            (
+                lambda raw: raw["events"][0]["request"]["waypoints"][0].update(duration=True),
+                "validation: waypoint 0: pose entries and duration must be numbers",
+            ),
+            (lambda raw: raw.update(q0={"a": 1}), "'q0' must be a list of numbers"),
+            (lambda raw: raw.update(q0=[0, 0.4, -1.0, 0, 0.4, False]), "'q0' must be a list of numbers"),
+            (lambda raw: raw.update(chase=5), "'chase' must be an object"),
+            (lambda raw: raw.update(teleop=[]), "'teleop' must be an object"),
         ],
         ids=[
             "no chain", "no q0", "events not a list", "request not an object",
             "infinite t", "NaN t", "NaN settle_time", "negative settle_time",
             "400-digit settle_time", "400-digit t", "400-digit duration",
+            "boolean settle_time", "boolean t", "boolean duration", "q0 an object",
+            "boolean in q0", "chase not an object", "teleop not an object",
         ],
     )
     def test_malformed_scenario_is_an_input_error(self, tmp_path, capsys, edit, message):
@@ -261,3 +288,14 @@ class TestBenchCommand:
         code = main(["bench", "--samples", "2", *args])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path, monkeypatch, capsys):
+    report = tmp_path / "report.json"
+    scenario = str(data_path("scenarios", "draw-line.json"))
+    monkeypatch.setattr(sys, "argv", ["rtmotion", "sim", scenario, "--report", str(report)])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("rtmotion", run_name="__main__")
+    assert exited.value.code == 0
+    assert "scenario 'draw-line'" in capsys.readouterr().out
+    assert json.loads(report.read_text())["scenario"] == "draw-line"

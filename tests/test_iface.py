@@ -11,7 +11,7 @@ from rtmotion import planner
 from rtmotion.chain import Pose, forward_kinematics, inverse_kinematics, load_chain
 from rtmotion.iface import RobotServer, encode_line, handle_request_line, telemetry_message
 from rtmotion.planner import RobotState
-from rtmotion.runtime import Session, TelemetryRecord, load_scenario
+from rtmotion.runtime import Session, TelemetryRecord, handle_payload, load_scenario
 
 from conftest import data_path
 
@@ -52,6 +52,34 @@ class TestHandleRequestLine:
         ack = handle_request_line(sessions, "{not json", 0.0)
         assert ack["status"] == "rejected"
         assert "parse" in ack["reason"]
+
+    @pytest.mark.parametrize("field, value", [("duration", True), ("pose", False)])
+    def test_boolean_where_a_number_belongs_rejected(self, arm6, field, value):
+        # float(True) is 1.0: a true duration used to plan a 1 s waypoint
+        sessions = {"sim": make_session(arm6)}
+        waypoints = hold_waypoints(arm6)
+        if field == "duration":
+            waypoints[0]["duration"] = value
+        else:
+            waypoints[0]["pose"][4] = value
+        ack = handle_request_line(sessions, request_line("b", waypoints), 0.0)
+        assert ack == {"id": "b", "status": "rejected",
+                       "reason": "validation: waypoint 0: pose entries and duration must be numbers"}
+        assert sessions["sim"].active_plan is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pose_rejected_on_the_wire_and_from_a_script(self, arm6, bad):
+        sessions = {"sim": make_session(arm6)}
+        waypoints = hold_waypoints(arm6)
+        waypoints[0]["pose"][1] = bad
+        # the wire's JSON cannot carry one; a scenario file's parser can
+        ack = handle_request_line(sessions, request_line("w", waypoints), 0.0)
+        assert ack["status"] == "rejected" and ack["reason"].startswith("parse: ")
+        payload = {"id": "s", "robot": "sim", "type": "rt-move-cartesian", "waypoints": waypoints}
+        ack = handle_payload(sessions, payload, 0.0)
+        assert ack == {"id": "s", "status": "rejected",
+                       "reason": "validation: waypoint 0: Pose components must be finite"}
+        assert sessions["sim"].active_plan is None
 
     def test_unknown_robot(self, arm6):
         sessions = {"sim": make_session(arm6)}
@@ -159,6 +187,12 @@ HUGE_POSE_LINE = json.dumps(
     {"id": "huge", "robot": "sim", "type": "rt-move-cartesian",
      "waypoints": [{"pose": [10**400, 0, 0, 0, 0, 0], "duration": 0.04}]}
 )
+# booleans where the schema says number (the duration case is drawn by
+# teleop_payloads)
+BOOLEAN_POSE_LINE = json.dumps(
+    {"id": "bool", "robot": "sim", "type": "rt-move-cartesian",
+     "waypoints": [{"pose": [True, 0, 0.5, 0, 0, False], "duration": 0.04}]}
+)
 
 
 def _truncated(line_and_cut):
@@ -171,9 +205,9 @@ WIRE_LINES = st.one_of(
     st.tuples(teleop_payloads().map(json.dumps), st.integers(0, 10**6)).map(_truncated),
     JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
     teleop_payloads(robot=JSON_VALUES.filter(lambda r: r != "sim")).map(json.dumps),
-    teleop_payloads(duration=st.sampled_from([0.0, -0.04, 0.005, 10**400])).map(json.dumps),
+    teleop_payloads(duration=st.sampled_from([0.0, -0.04, 0.005, 10**400, True, False])).map(json.dumps),
     st.text(max_size=40),
-    st.sampled_from(['{"id": 1e400}', '{"id": NaN}', "[" * 5000, HUGE_POSE_LINE]),
+    st.sampled_from(['{"id": 1e400}', '{"id": NaN}', "[" * 5000, HUGE_POSE_LINE, BOOLEAN_POSE_LINE]),
 )
 
 
@@ -396,6 +430,24 @@ class TestServer:
             assert [a["id"] for a in acks] == [7, "next"]
             assert [a["status"] for a in acks] == ["rejected", "accepted"]
             assert acks[0]["reason"] == "validation: waypoint 0: int too large to convert to float"
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("field", ["duration", "pose"])
+    def test_boolean_where_a_number_belongs_is_acked_and_the_connection_kept(self, arm6, server, field):
+        waypoints = hold_waypoints(arm6)
+        if field == "duration":
+            waypoints[0]["duration"] = True
+        else:
+            waypoints[0]["pose"][0] = True
+        client = _LineClient(server.host, server.port)
+        try:
+            client.send_line(request_line(8, waypoints))
+            client.send_line(request_line("next", hold_waypoints(arm6)))
+            acks = client.read_acks(2)
+            assert [a["id"] for a in acks] == [8, "next"]
+            assert [a["status"] for a in acks] == ["rejected", "accepted"]
+            assert acks[0]["reason"] == "validation: waypoint 0: pose entries and duration must be numbers"
         finally:
             client.close()
 

@@ -73,6 +73,22 @@ def test_state_at_matches_per_joint_eval(plan_, data):
 
 @PROPERTY
 @given(plan_=plans(), data=st.data())
+def test_state_at_is_the_power_table_product_bit_for_bit(plan_, data):
+    """Every control-grid time before the end, and random ones: state_at's
+    row is the matmul of u's powers and its segment's power table."""
+    total = plan_.total_time
+    fc = plan_.chain.control_frequency
+    times = [k / fc for k in range(int(total * fc) + 1) if k / fc < total]
+    times += [data.draw(st.floats(0.0, total, exclude_max=True)) for _ in range(5)]
+    for t in times:
+        i = bisect.bisect_right(plan_.starts, t) - 1
+        u = min((t - plan_.starts[i]) / plan_.spans[i], 1.0)
+        want = (u ** plan_.exponents) @ plan_.power_table[i]
+        np.testing.assert_array_equal(np.concatenate(plan_.state_at(t)), want)
+
+
+@PROPERTY
+@given(plan_=plans(), data=st.data())
 def test_state_at_matches_state_rows_of_its_segment(plan_, data):
     """Random times, every segment boundary, the last double before each
     boundary (where u reaches 1 and no further), the exact end and past it."""

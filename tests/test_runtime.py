@@ -56,6 +56,21 @@ class TestSession:
             np.testing.assert_array_equal(record.encoder.qd, record.reference.qd)
             np.testing.assert_array_equal(record.encoder.qdd, record.reference.qdd)
 
+    def test_tick_states_are_float_arrays_of_one_value_per_joint(self, arm6):
+        # the tick's states hold the arrays it computed, unconverted: idle,
+        # on a plan, and past its end, from a q0 given as integers
+        session = Session(arm6, [0, 1, -1, 0, 1, 0])
+        records = [session.tick(0.0)]
+        session.submit(hold_request(arm6, arm6.mid_position(), duration=0.05), 0.01)
+        records += [session.tick(k / session.fc) for k in range(1, 10)]
+        for record in records:
+            for state in (record.reference, record.encoder):
+                for values in (state.q, state.qd, state.qdd):
+                    assert values.dtype == np.float64 and values.shape == (arm6.dof,)
+                assert state.timestamp == record.t
+            for values in (record.ee_pose_ref.translation, record.ee_pose_ref.rpy):
+                assert values.dtype == np.float64 and values.shape == (3,)
+
     @pytest.mark.parametrize("q0", [[np.nan, 0, 0, 0, 0, 0], [np.inf] * 6, [0.0] * 5])
     def test_initial_q_must_be_dof_finite_values(self, arm6, q0):
         # a NaN hold would kill the first tick of a served session's dispatch thread
