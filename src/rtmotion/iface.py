@@ -191,7 +191,6 @@ class RobotServer:
         self._stop = threading.Event()
         self._t0 = time.monotonic()
         self._threads: list[threading.Thread] = []
-        self.jitter_max = 0.0
 
     def now(self) -> float:
         return time.monotonic() - self._t0
@@ -241,8 +240,6 @@ class RobotServer:
             delay = deadline - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            else:
-                self.jitter_max = max(self.jitter_max, -delay)
             record = self.session.tick(self.now())
             data = encode_line(telemetry_message(self.session.robot_id, record))
             with self._clients_lock:

@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from numpy.typing import NDArray
 
 from rtmotion import qpbuild, qpsolve
 from rtmotion.chain import ChainConfig, IkConvergenceError, Pose, forward_kinematics, inverse_kinematics
-from rtmotion.poly import MIN_DEGREE, JointTrajectory, Segment, state_rows
+from rtmotion.poly import MIN_DEGREE, state_rows
 
 Array = NDArray[np.float64]
 
@@ -163,18 +164,10 @@ class Plan:
         return self.coeffs.shape[1] - 1
 
     @property
-    def joints(self) -> tuple[JointTrajectory, ...]:
-        """Per-joint trajectories whose segment coefficients are views of
-        coeffs."""
-        return tuple(
-            JointTrajectory(
-                [
-                    Segment(self.coeffs[i, :, j], start, float(duration))
-                    for i, (start, duration) in enumerate(zip(self.starts, self.durations))
-                ]
-            )
-            for j in range(self.chain.dof)
-        )
+    def joints(self) -> tuple[SimpleNamespace, ...]:
+        """Views of coeffs only: joints[j].segments[i].coeffs is coeffs[i, :, j]."""
+        views = self.coeffs.transpose(2, 0, 1)
+        return tuple(SimpleNamespace(segments=[SimpleNamespace(coeffs=c) for c in v]) for v in views)
 
     def state_at(self, local_t: float) -> tuple[Array, Array, Array]:
         """Position, velocity and acceleration of every joint at local time t

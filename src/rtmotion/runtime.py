@@ -30,6 +30,8 @@ from rtmotion.planner import Plan, PlanRequest, RobotState
 
 Array = NDArray[np.float64]
 
+DEFAULT_TOL = 1e-6  # a scenario assert's tolerance when it gives none
+
 
 class ScenarioError(RuntimeError):
     """Script-level failure: an event did not play out as the script demands."""
@@ -295,6 +297,8 @@ def _check_shape(raw, path: Path) -> None:
     for key in ("chase", "teleop"):
         if not isinstance(raw.get(key, {}), dict):
             raise ScenarioError(f"{path}: '{key}' must be an object")
+    if "teleop" in raw and not isinstance(raw["teleop"].get("master_log"), str):
+        raise ScenarioError(f"{path}: 'teleop' needs a string 'master_log'")
     # compared with the largest float: NaN, inf and an int too large for a float fail
     settle = raw.get("settle_time", 0.5)
     if not (planner.is_number(settle) and 0 <= settle <= sys.float_info.max):
@@ -306,8 +310,20 @@ def _check_shape(raw, path: Path) -> None:
         t = event.get("t") if isinstance(event, dict) else None
         if not (planner.is_number(t) and abs(t) <= sys.float_info.max and "action" in event):
             raise ScenarioError(f"{path}: event {i} must be an object with a finite 't' and an 'action'")
-        if event["action"] == "send_request" and not isinstance(event.get("request"), dict):
+        action, pose, tol = event["action"], event.get("pose"), event.get("tol", DEFAULT_TOL)
+        if action == "send_request" and not isinstance(event.get("request"), dict):
             raise ScenarioError(f"{path}: event {i} sends a request that is not an object")
+        if action == "move_target" and not _is_numbers(pose, 6):
+            raise ScenarioError(f"{path}: event {i} moves the target without a 'pose' of 6 numbers")
+        if action == "assert" and not (planner.is_number(tol) and 0 <= tol <= sys.float_info.max):
+            raise ScenarioError(f"{path}: event {i} asserts with a 'tol' that is not finite and >= 0")
+        if action == "assert" and event.get("check") == "near_pose" and not _is_numbers(pose, 3, 6):
+            raise ScenarioError(f"{path}: event {i} asserts near_pose without a 'pose' of 3 or 6 numbers")
+
+
+def _is_numbers(value, *lengths: int) -> bool:
+    """Whether value is a list of numbers of one of the given lengths."""
+    return isinstance(value, list) and len(value) in lengths and all(map(planner.is_number, value))
 
 
 def load_scenario(path: str | Path) -> ScenarioScript:
@@ -485,7 +501,7 @@ def run_scenario(script: ScenarioScript | str | Path) -> ScenarioResult:
 
 def _run_assert(event: dict, session: Session, t: float) -> None:
     check = event.get("check")
-    tol = float(event.get("tol", 1e-6))
+    tol = float(event.get("tol", DEFAULT_TOL))
     ref = session.reference(t)
     if check == "at_rest":
         worst = max(float(np.max(np.abs(ref.qd))), float(np.max(np.abs(ref.qdd))))

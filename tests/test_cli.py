@@ -196,6 +196,19 @@ class TestSimCommand:
             (lambda raw: raw.update(q0=[0, 0.4, -1.0, 0, 0.4, False]), "'q0' must be a list of numbers"),
             (lambda raw: raw.update(chase=5), "'chase' must be an object"),
             (lambda raw: raw.update(teleop=[]), "'teleop' must be an object"),
+            (lambda raw: raw.update(teleop={"buffer_size": 5}), "'teleop' needs a string 'master_log'"),
+            (lambda raw: raw.update(teleop={"master_log": 7}), "'teleop' needs a string 'master_log'"),
+            (lambda raw: raw["events"].append({"t": 1.0, "action": "move_target"}),
+             "event 2 moves the target without a 'pose' of 6 numbers"),
+            (lambda raw: raw["events"].append({"t": 1.0, "action": "move_target", "pose": [0.5, 0.1, 0.4]}),
+             "event 2 moves the target without a 'pose' of 6 numbers"),
+            (lambda raw: raw["events"].append({"t": 3.9, "action": "assert", "check": "near_pose", "tol": 0.001}),
+             "event 2 asserts near_pose without a 'pose' of 3 or 6 numbers"),
+            # a NaN tol fails no comparison, so the assert could never fail
+            (lambda raw: raw["events"][1].update(tol=float("nan")),
+             "event 1 asserts with a 'tol' that is not finite and >= 0"),
+            (lambda raw: raw["events"][1].update(tol=-1.0),
+             "event 1 asserts with a 'tol' that is not finite and >= 0"),
         ],
         ids=[
             "no chain", "no q0", "events not a list", "request not an object",
@@ -203,6 +216,9 @@ class TestSimCommand:
             "400-digit settle_time", "400-digit t", "400-digit duration",
             "boolean settle_time", "boolean t", "boolean duration", "q0 an object",
             "boolean in q0", "chase not an object", "teleop not an object",
+            "teleop without master_log", "teleop master_log not a string",
+            "move_target without pose", "move_target with a 3-number pose",
+            "near_pose without pose", "NaN tol", "negative tol",
         ],
     )
     def test_malformed_scenario_is_an_input_error(self, tmp_path, capsys, edit, message):

@@ -1,6 +1,5 @@
-"""Plan's one coefficient array against the per-joint evaluation it replaced:
-JointTrajectory / Segment built from copies of the same coefficients, and
-against state_rows of the segment at the same u."""
+"""Plan's one coefficient array against state_rows of the segment at the
+same u, and its junction residuals against basis_row per joint."""
 
 import bisect
 
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from rtmotion.chain import load_chain
 from rtmotion.planner import Plan
-from rtmotion.poly import JointTrajectory, Segment, state_rows
+from rtmotion.poly import basis_row, state_rows
 
 from conftest import data_path
 
@@ -40,35 +39,9 @@ def plans(draw, chain=ARM6):
     )
 
 
-def oracle(plan_):
-    starts = np.concatenate([[0.0], np.cumsum(plan_.durations)[:-1]])
-    return [
-        JointTrajectory(
-            [
-                Segment(plan_.coeffs[i, :, j].copy(), float(starts[i]), float(plan_.durations[i]))
-                for i in range(len(plan_.durations))
-            ]
-        )
-        for j in range(plan_.chain.dof)
-    ]
-
-
 def assert_close(got, want):
     want = np.asarray(want)
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * (1.0 + np.max(np.abs(want))))
-
-
-@PROPERTY
-@given(plan_=plans(), data=st.data())
-def test_state_at_matches_per_joint_eval(plan_, data):
-    """Random times, every segment boundary, the exact end and past it."""
-    trajectories = oracle(plan_)
-    total = plan_.total_time
-    times = plan_.starts + [total, total + 1.0]
-    times += [data.draw(st.floats(0.0, total * 1.2)) for _ in range(5)]
-    for t in times:
-        want = np.array([traj.eval(t) for traj in trajectories]).T  # (3, dof)
-        assert_close(np.array(plan_.state_at(t)), want)
 
 
 @PROPERTY
@@ -110,7 +83,16 @@ def test_state_at_matches_state_rows_of_its_segment(plan_, data):
 @PROPERTY
 @given(plan_=plans())
 def test_junction_residuals_match_per_joint_oracle(plan_):
-    want = np.max([traj.junction_residuals() for traj in oracle(plan_)], axis=0)
+    """Every joint and junction: the left segment at u = 1 against the right
+    one at u = 0, order k scaled by D**-k."""
+    degree, durations, coeffs = plan_.degree, plan_.durations, plan_.coeffs
+    want = np.zeros(3)
+    for i in range(1, len(durations)):
+        for j in range(plan_.chain.dof):
+            for k in range(3):
+                left = basis_row(degree, 1.0, k) @ coeffs[i - 1, :, j] * durations[i - 1] ** -k
+                right = basis_row(degree, 0.0, k) @ coeffs[i, :, j] * durations[i] ** -k
+                want[k] = max(want[k], abs(left - right))
     assert_close(plan_.junction_residuals(), want)
 
 
@@ -122,12 +104,15 @@ def test_boundaries_belong_to_later_segment_and_end_holds(arm6):
     assert plan_.total_time == 0.75
     q, qd, _ = plan_.state_at(0.5)
     assert np.all(q == 7.0) and np.all(qd == 0.0)
-    q, qd, _ = plan_.state_at(0.25)
-    assert np.allclose(q, 0.5) and np.allclose(qd, 2.0)
-    for t in (0.75, 9.0):
+    for t in (0.25, 0.5 - 1e-12):  # on the first segment up to the boundary
+        q, qd, _ = plan_.state_at(t)
+        assert np.allclose(q, 2.0 * t) and np.allclose(qd, 2.0)
+    for t in [0.75, 9.0, *np.linspace(0.75, 5.75, 13)]:
         q, qd, qdd = plan_.state_at(t)
         assert np.all(q == 7.0) and not qd.any() and not qdd.any()
-    for t in (-1e-9, float("nan")):  # NaN fails the guard too
+    for t in np.linspace(0.0, 2.75, 400):  # every t >= 0 has a value
+        assert np.isfinite(plan_.state_at(t)).all()
+    for t in (-1e-9, -0.1, float("nan")):  # NaN fails the guard too
         with pytest.raises(ValueError):
             plan_.state_at(t)
     with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtmotion.poly import JointTrajectory, Segment, basis_row, state_rows
+from rtmotion.planner import Plan
+from rtmotion.poly import basis_row, state_rows
 
 QUINTIC_REST = np.array([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
 
@@ -50,84 +51,43 @@ class TestStateRows:
         np.testing.assert_allclose(rows, expected, rtol=1e-13, atol=0)
 
 
-class TestSegment:
-    def test_quintic_boundary_value(self):
-        seg = Segment(QUINTIC_REST, start_time=0.0, duration=1.0)
-        assert seg.eval(1.0, 0) == pytest.approx(1.0)
+def one_segment_plan(chain, coeffs, duration=1.0, epoch=0.0):
+    """A plan of one segment with the given (degree + 1,) coefficients on every joint."""
+    stacked = np.repeat(np.asarray(coeffs, dtype=float)[None, :, None], chain.dof, axis=2)
+    return Plan(chain, stacked, np.array([duration]), np.zeros((1, chain.dof)), epoch, "one")
 
-    def test_rest_to_rest_boundary_derivatives(self):
-        seg = Segment(QUINTIC_REST, start_time=0.0, duration=1.0)
-        assert seg.eval(1.0, 1) == pytest.approx(0.0, abs=1e-12)
-        assert seg.eval(1.0, 2) == pytest.approx(0.0, abs=1e-12)
 
-    def test_symmetric_midpoint(self):
+class TestOneSegmentPlan:
+    def test_quintic_boundary_value(self, arm6):
+        plan_ = one_segment_plan(arm6, QUINTIC_REST)
+        q, _, _ = plan_.state_at(np.nextafter(1.0, 0.0))
+        np.testing.assert_allclose(q, 1.0)
+        q, _, _ = plan_.state_at(1.0)
+        np.testing.assert_allclose(q, 1.0)
+
+    def test_rest_to_rest_boundary_derivatives(self, arm6):
+        plan_ = one_segment_plan(arm6, QUINTIC_REST)
+        _, qd, qdd = plan_.state_at(np.nextafter(1.0, 0.0))
+        np.testing.assert_allclose(qd, 0.0, atol=1e-12)
+        np.testing.assert_allclose(qdd, 0.0, atol=1e-12)
+
+    def test_symmetric_midpoint(self, arm6):
         # direct evaluation: 10*(0.5)^3 - 15*(0.5)^4 + 6*(0.5)^5
         expected = 10 * 0.125 - 15 * 0.0625 + 6 * 0.03125
-        seg = Segment(QUINTIC_REST, start_time=0.0, duration=1.0)
-        assert seg.eval(0.5, 0) == pytest.approx(expected)
+        q, _, _ = one_segment_plan(arm6, QUINTIC_REST).state_at(0.5)
+        np.testing.assert_allclose(q, expected)
         assert expected == pytest.approx(0.5)
 
-    def test_duration_scaling_matches_absolute_time_differences(self):
+    def test_duration_scaling_matches_absolute_time_differences(self, arm6):
         rng = np.random.default_rng(3)
-        coeffs = rng.normal(size=6)
-        seg = Segment(coeffs, start_time=1.5, duration=0.7)
+        plan_ = one_segment_plan(arm6, rng.normal(size=6), duration=0.7, epoch=1.5)
         step = 1e-6
-        for k in (1, 2, 3):
+
+        def derivatives(t):  # absolute time: the plan starts at its epoch
+            state = plan_.state(t)
+            return state.q, state.qd, state.qdd
+
+        for k in (1, 2):
             for t in np.linspace(1.5 + 1e-3, 2.2 - 1e-3, 7):
-                fd = (seg.eval(t + step, k - 1) - seg.eval(t - step, k - 1)) / (2 * step)
-                assert seg.eval(t, k) == pytest.approx(fd, abs=1e-4 * max(1, abs(fd)))
-
-    def test_rejects_time_outside(self):
-        seg = Segment(QUINTIC_REST, start_time=0.0, duration=1.0)
-        with pytest.raises(ValueError, match="outside segment"):
-            seg.eval(1.2, 0)
-
-
-def _two_segment_trajectory():
-    a = Segment(QUINTIC_REST, start_time=0.0, duration=1.0)
-    b = Segment(np.array([1.0, 0.0, 0.0, -10.0, 15.0, -6.0]), start_time=1.0, duration=0.5)
-    return JointTrajectory([a, b])
-
-
-class TestJointTrajectory:
-    def test_terminal_state(self):
-        traj = _two_segment_trajectory()
-        q, qd, qdd = traj.eval(traj.total_time)
-        assert q == pytest.approx(0.0, abs=1e-12)
-        assert qd == 0.0 and qdd == 0.0
-
-    def test_hold_semantics(self):
-        traj = _two_segment_trajectory()
-        assert traj.eval(traj.total_time + 10.0) == traj.eval(traj.total_time)
-
-    def test_hold_is_exact_rest(self):
-        traj = _two_segment_trajectory()
-        for t in np.linspace(traj.total_time, traj.total_time + 5, 13):
-            _, qd, qdd = traj.eval(t)
-            assert qd == 0.0 and qdd == 0.0
-
-    def test_boundary_belongs_to_later_segment(self):
-        traj = _two_segment_trajectory()
-        assert traj.segment_index(1.0) == 1
-        assert traj.segment_index(1.0 - 1e-12) == 0
-
-    def test_lookup_total_on_half_line(self):
-        traj = _two_segment_trajectory()
-        for t in np.linspace(0, traj.total_time + 2, 400):
-            q, qd, qdd = traj.eval(t)
-            assert np.isfinite([q, qd, qdd]).all()
-
-    def test_rejects_negative_time(self):
-        traj = _two_segment_trajectory()
-        with pytest.raises(ValueError, match="precedes"):
-            traj.eval(-0.1)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one segment"):
-            JointTrajectory([])
-
-    def test_rejects_gap(self):
-        a = Segment(QUINTIC_REST, start_time=0.0, duration=1.0)
-        b = Segment(QUINTIC_REST, start_time=1.5, duration=1.0)
-        with pytest.raises(ValueError, match="contiguous"):
-            JointTrajectory([a, b])
+                fd = (derivatives(t + step)[k - 1] - derivatives(t - step)[k - 1]) / (2 * step)
+                np.testing.assert_allclose(derivatives(t)[k], fd, atol=1e-4 * max(1, np.max(np.abs(fd))))
