@@ -51,10 +51,14 @@ class TestStateRows:
         np.testing.assert_allclose(rows, expected, rtol=1e-13, atol=0)
 
 
+def plan_of(chain, pieces, durations, epoch=0.0):
+    """A plan whose segment i has the (degree + 1,) coefficients pieces[i] on every joint."""
+    stacked = np.repeat(np.asarray(pieces, dtype=float)[:, :, None], chain.dof, axis=2)
+    return Plan(chain, stacked, np.asarray(durations, dtype=float), np.zeros((len(pieces), chain.dof)), epoch, "p")
+
+
 def one_segment_plan(chain, coeffs, duration=1.0, epoch=0.0):
-    """A plan of one segment with the given (degree + 1,) coefficients on every joint."""
-    stacked = np.repeat(np.asarray(coeffs, dtype=float)[None, :, None], chain.dof, axis=2)
-    return Plan(chain, stacked, np.array([duration]), np.zeros((1, chain.dof)), epoch, "one")
+    return plan_of(chain, [coeffs], [duration], epoch)
 
 
 class TestOneSegmentPlan:
@@ -91,3 +95,49 @@ class TestOneSegmentPlan:
             for t in np.linspace(1.5 + 1e-3, 2.2 - 1e-3, 7):
                 fd = (derivatives(t + step)[k - 1] - derivatives(t - step)[k - 1]) / (2 * step)
                 np.testing.assert_allclose(derivatives(t)[k], fd, atol=1e-4 * max(1, np.max(np.abs(fd))))
+
+
+def two_segment_plan(chain, jump=0.0):
+    """QUINTIC_REST over 1 s, then back to rest at 0 over 0.5 s, on every
+    joint; jump adds a constant to the second segment."""
+    back = np.array([1.0 + jump, 0.0, 0.0, -10.0, 15.0, -6.0])
+    return plan_of(chain, [QUINTIC_REST, back], [1.0, 0.5])
+
+
+class TestJointTrajectory:
+    """The rules each joint's trajectory in a plan keeps: a hold at rest
+    from the end on, boundaries on the later segment, a value for every
+    t >= 0 and none before 0."""
+
+    def test_terminal_state(self, arm6):
+        plan_ = two_segment_plan(arm6)
+        q, qd, qdd = plan_.state_at(plan_.total_time)
+        np.testing.assert_allclose(q, 0.0, atol=1e-12)
+        assert not qd.any() and not qdd.any()
+
+    def test_hold_semantics(self, arm6):
+        plan_ = two_segment_plan(arm6)
+        np.testing.assert_array_equal(plan_.state_at(plan_.total_time + 10.0), plan_.state_at(plan_.total_time))
+
+    def test_hold_is_exact_rest(self, arm6):
+        plan_ = two_segment_plan(arm6)
+        for t in np.linspace(plan_.total_time, plan_.total_time + 5, 13):
+            _, qd, qdd = plan_.state_at(t)
+            assert not qd.any() and not qdd.any()
+
+    def test_boundary_belongs_to_later_segment(self, arm6):
+        plan_ = two_segment_plan(arm6, jump=1.0)  # q jumps from 1 to 2 at t = 1
+        q, _, _ = plan_.state_at(1.0)
+        np.testing.assert_allclose(q, 2.0)
+        q, _, _ = plan_.state_at(1.0 - 1e-12)
+        np.testing.assert_allclose(q, 1.0)
+
+    def test_lookup_total_on_half_line(self, arm6):
+        plan_ = two_segment_plan(arm6)
+        for t in np.linspace(0, plan_.total_time + 2, 400):
+            assert np.isfinite(plan_.state_at(t)).all()
+
+    def test_rejects_negative_time(self, arm6):
+        plan_ = two_segment_plan(arm6)
+        with pytest.raises(ValueError, match="precedes"):
+            plan_.state_at(-0.1)
