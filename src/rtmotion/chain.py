@@ -38,6 +38,9 @@ def rpy_to_matrix(roll, pitch, yaw) -> Array:
     """Rotation matrix for Z-Y-X intrinsic Euler angles; angle arrays of one
     shape give that shape of matrices, (..., 3, 3)."""
     angles = np.array([roll, pitch, yaw], dtype=float)
+    shape = angles.shape[1:] + (3, 3)
+    if angles.size == 3:  # one rotation: numpy scalars cost a fraction of 1-element arrays
+        angles = angles.reshape(3)
     (cr, cp, cy), (sr, sp, sy) = np.cos(angles), np.sin(angles)
     cy_sp, sy_sp = cy * sp, sy * sp
     rot = np.empty(angles.shape[1:] + (3, 3))
@@ -50,7 +53,7 @@ def rpy_to_matrix(roll, pitch, yaw) -> Array:
     rot[..., 2, 0] = -sp
     rot[..., 2, 1] = cp * sr
     rot[..., 2, 2] = cp * cr
-    return rot
+    return rot.reshape(shape)
 
 
 def matrix_to_rpy(rot: Array) -> tuple[float, float, float]:
@@ -251,26 +254,26 @@ def _skew(vectors: Array) -> Array:
 
 def _joint_transforms(config: ChainConfig, q) -> Array:
     """Every joint's local 4x4 transform, its fixed offset then its own
-    rotation, joint-major and contiguous: (dof, 4, 4) for one checked
-    configuration q, (dof, N, 4, 4) for a stack of them, (N, dof)."""
+    rotation, joint-major: (dof, 4, 4) for one checked configuration q,
+    (dof, N, 4, 4) for a stack of them, (N, dof)."""
     q = q[..., None, None]
     local = config.offsets + (np.sin(q) * config.offset_k + (1.0 - np.cos(q)) * config.offset_k2)
-    return np.ascontiguousarray(local.swapaxes(0, -3))
+    return local.swapaxes(0, -3)
 
 
-def _frames(config: ChainConfig, q) -> tuple[Array, Array]:
+def _frames(config: ChainConfig, q: Array) -> tuple[Array, Array]:
     """One walk down the chain: every joint's 4x4 frame in the base frame
     after its fixed offset and its own rotation, shape (dof, 4, 4), and the
     end-effector transform. A stack of configurations q, (N, dof), walks
-    them all at once: (N, dof, 4, 4) and (N, 4, 4).
+    them all at once: (N, dof, 4, 4) and (N, 4, 4). q is a float array
+    that _check_q would pass.
 
     A joint's rotation moves neither its origin nor its axis, so frame i
     also carries joint i's origin (its translation) and axis (its rotation
     applied to the joint-frame axis).
     """
-    local = _joint_transforms(config, _check_q(config, q, stack=True))
-    frames = np.empty_like(local)
-    frames[0] = local[0]
+    local = _joint_transforms(config, q)
+    frames = local.copy()
     for i in range(1, config.dof):
         np.matmul(frames[i - 1], local[i], out=frames[i])
     return frames.swapaxes(0, -3), frames[-1] @ config.ee_transform
@@ -298,7 +301,7 @@ def jacobian(config: ChainConfig, q, walk: tuple[Array, Array] | None = None) ->
     contribution of joint i. walk is _frames(config, q) when the caller has
     already walked the chain at q.
     """
-    frames, ee = walk or _frames(config, q)
+    frames, ee = walk or _frames(config, _check_q(config, q, stack=True))
     origins = frames[..., :3, 3]
     axes = (frames[..., :3, :3] @ config.axes[:, :, None])[..., 0]
     lever = ee[..., None, :3, 3] - origins
@@ -332,7 +335,7 @@ def _shepperd_map() -> Array:
 
 
 _SHEPPERD = _shepperd_map()
-_EYE4 = np.eye(4)
+_EYE16 = np.eye(4).ravel()
 
 
 def rotation_log(rot: Array) -> Array:
@@ -347,15 +350,17 @@ def rotation_log(rot: Array) -> Array:
     axis xyz / |xyz|.
     """
     lead = rot.shape[:-2]
-    shepperd = rot.reshape(-1, 9) @ _SHEPPERD + _EYE4.ravel()
-    pick = np.argmax(shepperd[:, ::5], axis=1)  # the diagonal
-    quat = shepperd.reshape(-1, 4, 4)[np.arange(len(shepperd)), pick]
+    shepperd = rot.reshape(-1, 9) @ _SHEPPERD
+    shepperd += _EYE16  # 0.0 added off the diagonal turns -0.0 into 0.0: no w below is -0.0
+    pick = shepperd[:, ::5].argmax(axis=1)  # the diagonal
+    quat = shepperd.reshape(-1, 4, 4)[np.arange(len(pick)), pick]
     w, xyz = quat[:, 0], quat[:, 1:]
-    xyz_norm = np.sqrt(np.einsum("ij,ij->i", xyz, xyz))
+    xyz_norm = np.sqrt(np.add.reduce(xyz * xyz, axis=1))
     # the quaternion with w >= 0 gives the angle in [0, pi]
     angle = 2.0 * np.arctan2(xyz_norm, np.abs(w))
-    # xyz_norm is 0 only at angle 0, where xyz is 0 too
-    factor = np.where(w < 0.0, -angle, angle) / np.where(xyz_norm > 0.0, xyz_norm, 1.0)
+    # xyz_norm is 0 only at angle 0, where xyz is 0 too; otherwise it is at
+    # least 1e-162, the root of the least double, so the floor only guards 0 / 0
+    factor = np.copysign(angle, w) / np.maximum(xyz_norm, 1e-300)
     return (factor[:, None] * xyz).reshape(lead + (3,))
 
 
@@ -370,10 +375,7 @@ def pose_error(target, current: Array) -> Array:
     if isinstance(target, Pose):
         target = make_transform(target.translation, target.rpy)
     rot = target[..., :3, :3] @ current[..., :3, :3].swapaxes(-1, -2)
-    err = np.empty(rot.shape[:-2] + (6,))
-    err[..., :3] = target[..., :3, 3] - current[..., :3, 3]
-    err[..., 3:] = rotation_log(rot)
-    return err
+    return np.concatenate([target[..., :3, 3] - current[..., :3, 3], rotation_log(rot)], axis=-1)
 
 
 IK_POS_TOL = 1e-4  # m
@@ -399,35 +401,41 @@ def _lockstep(config: ChainConfig, goals: Array, seed: Array) -> tuple[Array, Ar
     Returns the solutions (N, dof), their errors (N, 6) and which converged.
     """
     n, dof = len(goals), config.dof
-    # one walk down the chain per iteration: an accepted iterate's walk
-    # gives its next Jacobian, and the first is the seed's, shared by all
-    seed_frames, seed_ee = _frames(config, seed)
-    frames = np.empty((n,) + seed_frames.shape)
-    frames[:] = seed_frames
-    ee = np.empty((n, 4, 4))
-    ee[:] = seed_ee
+    # one walk down the chain per iteration, and one of the seed: an
+    # accepted iterate's walk gives its next Jacobian
     q = np.empty((n, dof))
     q[:] = seed
-    err = pose_error(goals, seed_ee)
+    frames, ee = _frames(config, q)
+    err = pose_error(goals, ee)
     err_sq, done = _error_norms(err)
     lam = np.full(n, IK_DAMPING)
-    eye = np.eye(dof)
     for _ in range(IK_MAX_ITERS):
         active = (~done).nonzero()[0]
         if not active.size:
             break
         # views while every target iterates, copies once some have converged
-        sub = slice(None) if active.size == n else active
+        every = active.size == n
+        sub = slice(None) if every else active
         q_sub, lam_sub = q[sub], lam[sub]
         jac = jacobian(config, q_sub, (frames[sub], ee[sub]))
         jac_t = jac.swapaxes(1, 2)
-        step = np.linalg.solve(jac_t @ jac + lam_sub[:, None, None] * eye, jac_t @ err[sub, :, None])
+        normal = jac_t @ jac
+        normal.reshape(len(jac), -1)[:, :: dof + 1] += lam_sub[:, None]  # the damping on the diagonal
+        step = np.linalg.solve(normal, jac_t @ err[sub, :, None])
         q_new = config.clamp(q_sub + step[..., 0])
         frames_new, ee_new = _frames(config, q_new)
         err_new = pose_error(goals[sub], ee_new)
         sq_new, done_new = _error_norms(err_new)
         better = sq_new < err_sq[sub]
+        if every and np.count_nonzero(better & done_new) == n:  # every target stepped and converged
+            return q_new, err_new, done_new
         lam[sub] = np.where(better, np.maximum(lam_sub / 10.0, 1e-10), np.minimum(lam_sub * 10.0, 1e8))
+        stepped = np.count_nonzero(better)
+        if every and stepped == n:  # the new iterates replace the old ones
+            q, frames, ee, err, err_sq, done = q_new, frames_new, ee_new, err_new, sq_new, done_new
+            continue
+        if not stepped:
+            continue
         accepted = active[better]
         q[accepted] = q_new[better]
         frames[accepted] = frames_new[better]
@@ -441,8 +449,9 @@ def _lockstep(config: ChainConfig, goals: Array, seed: Array) -> tuple[Array, Ar
 def _error_norms(err: Array) -> tuple[Array, Array]:
     """Squared norms of (N, 6) pose errors, and which meet both tolerances."""
     parts = err.reshape(-1, 2, 3)
-    sq = np.einsum("ijk,ijk->ij", parts, parts)
-    return np.add.reduce(sq, axis=1), np.logical_and.reduce(sq <= _SQUARED_TOLS, axis=1)
+    sq = np.add.reduce(parts * parts, axis=2)
+    within = sq <= _SQUARED_TOLS
+    return sq[:, 0] + sq[:, 1], within[:, 0] & within[:, 1]
 
 
 def inverse_kinematics(config: ChainConfig, targets, seed) -> Array:
@@ -461,14 +470,16 @@ def inverse_kinematics(config: ChainConfig, targets, seed) -> Array:
     single = isinstance(targets, Pose)
     poses = [targets] if single else list(targets)
     q0 = config.clamp(_check_q(config, seed))
-    xyz, rpy = np.array([(p.translation, p.rpy) for p in poses]).reshape(-1, 2, 3).transpose(1, 0, 2)
+    xyz, rpy = np.array([(p.translation, p.rpy) for p in poses]).transpose(1, 2, 0)
     goals = np.zeros((len(poses), 4, 4))
-    goals[:, :3, :3] = rpy_to_matrix(*rpy.T)
-    goals[:, :3, 3] = xyz
+    goals[:, :3, :3] = rpy_to_matrix(*rpy)
+    goals[:, :3, 3] = xyz.T
     goals[:, 3, 3] = 1.0
     q, err, done = _lockstep(config, goals, q0)
-    off_branch = np.abs(np.diff(q, axis=0)).max(axis=1, initial=0.0) > IK_BRANCH_STEP
-    redo = np.flatnonzero(~done | np.concatenate([[False], off_branch]))
+    redo = ~done
+    if len(poses) > 1:
+        redo[1:] |= np.abs(q[1:] - q[:-1]).max(axis=1) > IK_BRANCH_STEP
+    redo = redo.nonzero()[0]
     start = redo[0] if redo.size else len(poses)
     for i in range(start, len(poses)):
         if i > 0:

@@ -17,7 +17,8 @@ Telemetry is broadcast to all connected clients at the control frequency:
 The transport is deliberately a single ubiquitous text protocol; the planning
 layers underneath never see sockets, so further transports can be layered on
 without touching them. Slow telemetry consumers are disconnected rather than
-allowed to stall the dispatch loop.
+allowed to stall the dispatch loop, and at most MAX_CLIENTS connections are
+served at once.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ SERVE_HISTORY = 1000
 OUTBOX_LINES = 512
 # longest inbound line read; a longer one is rejected and skipped unread
 MAX_LINE_BYTES = 65536
+# connections served at once, each with two threads and an outbox; one past
+# the cap gets a single rejection line and is closed
+MAX_CLIENTS = 16
 
 
 def encode_line(message: dict | str) -> bytes:
@@ -88,6 +92,16 @@ def handle_request_line(sessions: dict[str, Session], line: str, t_now: float) -
     if not isinstance(payload, dict):
         return {"id": None, "status": "rejected", "reason": "parse: expected a JSON object"}
     return handle_payload(sessions, payload, t_now)
+
+
+def _refuse(conn: socket.socket, reason: str) -> None:
+    """Send one rejection line to a connection that is not served, and close it."""
+    try:
+        conn.sendall(encode_line({"id": None, "status": "rejected", "reason": reason}))
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    conn.close()
 
 
 class _Client:
@@ -227,10 +241,15 @@ class RobotServer:
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            client = _Client(self, conn)
             with self._clients_lock:
-                self._clients.add(client)
-            client.start()
+                busy = len(self._clients) >= MAX_CLIENTS
+                if not busy:
+                    client = _Client(self, conn)
+                    self._clients.add(client)
+            if busy:
+                _refuse(conn, f"busy: {MAX_CLIENTS} clients are connected")
+            else:
+                client.start()
 
     def _dispatch_loop(self):
         period = 1.0 / self.session.fc

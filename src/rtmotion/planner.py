@@ -3,7 +3,8 @@ evaluable multi-joint trajectory.
 
 Waypoints are resolved to joint space by chained IK in one call (each
 solution is the one seeded from the previous solution, the first from the
-current position; all are iterated in lockstep), then
+current position; all are iterated in lockstep; leading waypoints that repeat
+the replaced plan's last ones keep its solutions), then
 one minimum-jerk QP per joint is assembled on a shared segment-time grid and
 solved as a batch. Any IK or QP failure rejects the whole request; a
 previously active plan is never touched by a failed replan.
@@ -17,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -121,7 +122,9 @@ class Plan:
     segment-time grid that all joints share.
 
     coeffs[i, :, j] are joint j's coefficients on segment i over normalized
-    local time u = (t - start_i) / durations[i] in [0, 1]. unit_rows[i] is
+    local time u = (t - start_i) / durations[i] in [0, 1]. poses[i] is the
+    pose vector (x, y, z, roll, pitch, yaw) that joint_waypoints[i] solves,
+    None for a plan not made from poses. unit_rows[i] is
     segment i's state_rows at u = 1, the part that does not depend on u.
     Evaluation reads power_table, fixed when the plan is made: row m of
     power_table[i] holds the coefficients of u^m in q, qd and qdd of every
@@ -138,6 +141,7 @@ class Plan:
     solve_time: float = 0.0
     build_time: float = 0.0
     iterations: int = 0
+    poses: Optional[Array] = None  # (N, 6)
     starts: list[float] = field(init=False, repr=False, compare=False)
     spans: list[float] = field(init=False, repr=False, compare=False)  # durations as floats
     unit_rows: Array = field(init=False, repr=False, compare=False)  # (N, 3, degree + 1)
@@ -263,12 +267,39 @@ def _validate_request(request: PlanRequest, chain: ChainConfig) -> None:
             )
 
 
-def _solve_joint_waypoints(request: PlanRequest, chain: ChainConfig, q0: Array) -> Array:
-    """Chained IK of every waypoint in one call: d_0 is the current position."""
-    try:
-        return inverse_kinematics(chain, [wp.pose for wp in request.waypoints], q0)
-    except IkConvergenceError as exc:
-        raise IkFailure(exc.index, exc) from exc
+def _repeated(previous: Optional[Plan], poses: Array, chain: ChainConfig) -> int:
+    """How many leading pose vectors repeat, bit for bit, the trailing ones
+    of a previous plan on the same chain object; the longest such run."""
+    if previous is None or previous.chain is not chain or previous.poses is None:
+        return 0
+    old, new = previous.poses.tobytes(), poses.tobytes()
+    row = len(new) // len(poses)
+    for kept in range(min(len(previous.poses), len(poses)), 0, -1):
+        if old[len(old) - kept * row :] == new[: kept * row]:
+            return kept
+    return 0
+
+
+def _solve_joint_waypoints(
+    request: PlanRequest, chain: ChainConfig, q0: Array, previous: Optional[Plan]
+) -> tuple[Array, Array]:
+    """The pose vectors of the waypoints and their chained IK: d_0 is the
+    current position. Leading poses that repeat the previous plan's trailing
+    poses keep its solutions; the rest are solved in one call, seeded from
+    the last kept solution, so a kept solution is never solved again."""
+    waypoints = request.waypoints
+    poses = np.array([(wp.pose.translation, wp.pose.rpy) for wp in waypoints]).reshape(-1, 6)
+    kept = _repeated(previous, poses, chain)
+    joint_targets = np.empty((len(poses), chain.dof))
+    if kept:
+        joint_targets[:kept] = previous.joint_waypoints[-kept:]
+    if kept < len(poses):
+        seed = joint_targets[kept - 1] if kept else q0
+        try:
+            joint_targets[kept:] = inverse_kinematics(chain, [wp.pose for wp in waypoints[kept:]], seed)
+        except IkConvergenceError as exc:
+            raise IkFailure(kept + exc.index, exc) from exc
+    return poses, joint_targets
 
 
 def plan(
@@ -276,14 +307,26 @@ def plan(
     chain: ChainConfig,
     s0: RobotState,
     degree: int = DEFAULT_DEGREE,
+    *,
+    previous: Optional[Plan] = None,
 ) -> Plan:
     """Plan a request starting from s0; the epoch is s0.timestamp.
 
     The returned trajectory starts at s0 exactly, passes through the IK image
     of every waypoint at its cumulative time, ends at the final target at
-    rest, and respects the velocity/acceleration limits on the control grid.
+    rest, and respects the velocity/acceleration limits at the QP's samples:
+    round(f_c D) + 1 evenly spaced per segment of D seconds. Those samples
+    are control ticks only when every duration is a whole number of control
+    periods; otherwise a tick may exceed a limit slightly (up to 5.5e-4
+    rad/s over v_max was measured at the ticks of plans whose limits bind).
     The QP bounds no position, so s0 may lie past a joint limit (IK clamps
     its own seed).
+
+    previous is the plan this one replaces: when the request's leading poses
+    repeat its trailing poses bit for bit on the same chain object, their
+    joint solutions are kept and only the new poses are solved, seeded from
+    the last kept solution (IkFailure still counts waypoints from the
+    request's first).
     """
     _validate_request(request, chain)
     if degree < MIN_DEGREE:
@@ -291,7 +334,7 @@ def plan(
     if s0.q.shape != (chain.dof,) or not np.isfinite(s0.q).all():
         raise ValidationError(f"initial state must hold {chain.dof} finite values, one per chain dof")
 
-    joint_targets = _solve_joint_waypoints(request, chain, s0.q)
+    poses, joint_targets = _solve_joint_waypoints(request, chain, s0.q, previous)
 
     t_build0 = time.perf_counter()
     durations = np.array([wp.duration for wp in request.waypoints])
@@ -319,6 +362,7 @@ def plan(
         solve_time=batch.solve_time,
         build_time=build_time,
         iterations=batch.iterations,
+        poses=poses,
     )
 
 

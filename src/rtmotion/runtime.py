@@ -141,7 +141,9 @@ class Session:
     def submit(self, request: PlanRequest, t_now: float) -> RequestRecord:
         """Plan (idle) or preempt (active) at receipt time t_now, starting
         from the commanded reference (not the measured state) so the command
-        stream stays C2 continuous regardless of tracking error.
+        stream stays C2 continuous regardless of tracking error. The active
+        plan is handed to the planner, which keeps its joint solutions of
+        the poses the request repeats.
 
         A rejected request leaves the active plan untouched. Serialized so
         concurrent clients multiplex onto one intake activity.
@@ -153,7 +155,7 @@ class Session:
             record = RequestRecord(request_id=request.request_id, t_submitted=t_now, accepted=False)
             start = self.reference(t_now)
             try:
-                new_plan = planner.plan(request, self.chain, start)
+                new_plan = planner.plan(request, self.chain, start, previous=old_plan)
             except (planner.ValidationError, planner.PlanningError) as exc:
                 record.reason = f"{getattr(exc, 'stage', 'validation')}: {exc}"
                 self.requests.append(record)

@@ -483,6 +483,27 @@ class TestServer:
             c1.close()
             c2.close()
 
+    def test_a_connection_past_the_cap_gets_one_busy_line_and_is_closed(self, arm6, server, monkeypatch):
+        monkeypatch.setattr("rtmotion.iface.MAX_CLIENTS", 2)
+        served = [_LineClient(server.host, server.port) for _ in range(2)]
+        extra = None
+        try:
+            for i, client in enumerate(served):  # an ack shows the server holds the connection
+                client.send_line(request_line(f"c{i}", hold_waypoints(arm6)))
+                assert client.read_acks(1)[0]["status"] == "accepted"
+            extra = _LineClient(server.host, server.port)
+            message = extra.read_message()
+            assert message["id"] is None and message["status"] == "rejected"
+            assert message["reason"].startswith("busy: ")
+            with pytest.raises(ConnectionError):
+                extra.read_message()
+            served[0].send_line(request_line("after", hold_waypoints(arm6)))
+            assert served[0].read_acks(1)[0] == {"id": "after", "status": "accepted"}
+        finally:
+            for client in served + [extra]:
+                if client is not None:
+                    client.close()
+
 
 class TestJitterRobustness:
     def test_teleop_replay_with_jitter(self, arm6):

@@ -1,12 +1,15 @@
+import contextlib
 import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtmotion import planner, qpbuild
-from rtmotion.chain import Pose, forward_kinematics
+from rtmotion.chain import Pose, forward_kinematics, inverse_kinematics
 from rtmotion.planner import (
     CartesianWaypoint,
     IkFailure,
@@ -17,8 +20,9 @@ from rtmotion.planner import (
     plan,
     reference_at,
 )
+from rtmotion.runtime import Session
 
-from conftest import data_path
+from conftest import TELEOP_BUFFER, TELEOP_PERIOD_S, data_path
 
 
 def scenario_request(name: str):
@@ -345,6 +349,118 @@ class TestPreempt:
                     ],
                 )
         assert np.all(worst <= 1e-6)
+
+
+@contextlib.contextmanager
+def recorded_ik():
+    """The calls planner.plan makes to inverse_kinematics while the block
+    runs, as (target pose vectors, seed)."""
+    calls = []
+    solve = planner.inverse_kinematics
+
+    def record(chain, targets, seed):
+        calls.append((np.array([t.to_vector() for t in targets]), np.array(seed)))
+        return solve(chain, targets, seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner, "inverse_kinematics", record)
+        yield calls
+
+
+def first_window(arm6, stream, k):
+    """Window k planned from rest at its first sample, and the state one
+    master period later."""
+    rest = inverse_kinematics(arm6, stream.poses(k)[0], stream.q0)
+    active = plan(stream.window(k), arm6, RobotState.rest(rest))
+    return active, active.state(active.epoch + TELEOP_PERIOD_S)
+
+
+class TestReuse:
+    """A request whose leading poses repeat the trailing poses of the plan it
+    replaces keeps that plan's IK solutions: sliding teleop windows."""
+
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 2**16), k=st.integers(0, 20), shift=st.integers(1, TELEOP_BUFFER - 1))
+    def test_repeated_samples_keep_their_solutions_and_only_new_ones_are_solved(
+        self, arm6, teleop_stream, seed, k, shift
+    ):
+        stream = teleop_stream(seed, k + shift + 1)
+        active, start = first_window(arm6, stream, k)
+        with recorded_ik() as calls:
+            replan = plan(stream.window(k + shift), arm6, start, previous=active)
+        kept = TELEOP_BUFFER - shift
+        assert replan.joint_waypoints[:kept].tobytes() == active.joint_waypoints[shift:].tobytes()
+        assert len(calls) == 1
+        targets, seed_q = calls[0]
+        np.testing.assert_array_equal(targets, stream.samples[k + TELEOP_BUFFER : k + shift + TELEOP_BUFFER])
+        assert seed_q.tobytes() == active.joint_waypoints[-1].tobytes()
+        np.testing.assert_array_equal(replan.poses, stream.samples[k + shift : k + shift + TELEOP_BUFFER])
+
+    @settings(max_examples=12)
+    @given(
+        seed=st.integers(0, 2**16),
+        k=st.integers(0, 20),
+        index=st.integers(0, TELEOP_BUFFER - 2),
+        component=st.integers(0, 5),
+        up=st.booleans(),
+    )
+    def test_a_leading_pose_one_ulp_off_is_solved_again(self, arm6, teleop_stream, seed, k, index, component, up):
+        stream = teleop_stream(seed, k + 2)
+        active, start = first_window(arm6, stream, k)
+        vectors = stream.samples[k + 1 : k + 1 + TELEOP_BUFFER].copy()
+        vectors[index, component] = np.nextafter(vectors[index, component], np.inf if up else -np.inf)
+        with recorded_ik() as calls:
+            plan(stream.window(k + 1, [Pose.from_vector(v) for v in vectors]), arm6, start, previous=active)
+        assert len(calls) == 1
+        targets, seed_q = calls[0]
+        np.testing.assert_array_equal(targets, vectors)
+        np.testing.assert_array_equal(seed_q, start.q)
+
+    @settings(max_examples=8)
+    @given(seed=st.integers(0, 2**16), k=st.integers(0, 8), shift=st.integers(1, TELEOP_BUFFER - 1))
+    def test_an_unreachable_new_sample_is_named_request_wide_and_keeps_what_was_kept(
+        self, arm6, teleop_stream, seed, k, shift
+    ):
+        stream = teleop_stream(seed, k + shift + 1)
+        session = Session(arm6, stream.q0)
+        for j in range(k + 1):
+            assert session.submit(stream.window(j), stream.send_time(j)).accepted
+        active = session.active_plan
+        solutions, poses = active.joint_waypoints.tobytes(), active.poses.tobytes()
+        bad = TELEOP_BUFFER - shift  # the first new sample
+        window = stream.poses(k + shift)
+        window[bad] = Pose(np.array([3.0, 0.0, 0.0]), np.zeros(3))
+        t = stream.send_time(k + shift)
+        record = session.submit(stream.window(k + shift, window), t)
+        assert not record.accepted
+        assert record.reason.startswith(f"ik: IK failed at waypoint {bad}:")
+        assert session.active_plan is active
+        assert (active.joint_waypoints.tobytes(), active.poses.tobytes()) == (solutions, poses)
+        with recorded_ik() as calls:
+            assert session.submit(stream.window(k + shift), t).accepted
+        assert [len(targets) for targets, _ in calls] == [shift]
+
+    @settings(max_examples=6)
+    @given(seed=st.integers(0, 2**16), k=st.integers(0, 20))
+    def test_a_different_chain_object_never_reuses(self, arm6, teleop_stream, seed, k):
+        twin = dataclasses.replace(arm6)
+        stream = teleop_stream(seed, k + 2)
+        active, start = first_window(arm6, stream, k)
+        with recorded_ik() as calls:
+            plan(stream.window(k + 1), twin, start, previous=active)
+        assert [len(targets) for targets, _ in calls] == [TELEOP_BUFFER]
+
+    @settings(max_examples=8)
+    @given(seed=st.integers(0, 2**16), k=st.integers(0, 20), count=st.integers(1, TELEOP_BUFFER))
+    def test_a_window_of_repeated_samples_only_calls_no_ik(self, arm6, teleop_stream, seed, k, count):
+        stream = teleop_stream(seed, k + 1)
+        active, start = first_window(arm6, stream, k)
+        # half a second each, so that even one waypoint can be reached at rest
+        repeats = [CartesianWaypoint(pose, 0.5) for pose in stream.poses(k)[TELEOP_BUFFER - count :]]
+        with recorded_ik() as calls:
+            replan = plan(make_request(repeats), arm6, start, previous=active)
+        assert calls == []
+        assert replan.joint_waypoints.tobytes() == active.joint_waypoints[-count:].tobytes()
 
 
 class TestWaypointFiles:

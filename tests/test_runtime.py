@@ -251,6 +251,26 @@ class TestSession:
             assert record.active_request_id == "r"
 
 
+class TestTeleopStream:
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_a_repeated_sample_keeps_its_joint_target_across_windows(self, arm6, teleop_stream, seed):
+        # each window repeats four samples of the last one; solving them
+        # again moved their joint targets by up to 1.1e-3 rad between windows
+        count = 100
+        stream = teleop_stream(seed, count)
+        session = Session(arm6, stream.q0)
+        previous = None
+        for k in range(count):
+            t = stream.send_time(k)
+            assert session.submit(stream.window(k), t).accepted
+            targets = session.active_plan.joint_waypoints
+            if previous is not None:
+                assert np.abs(targets[:-1] - previous[1:]).max() == 0.0
+            previous = targets
+            for j in range(4):
+                session.tick(t + j / session.fc)
+
+
 class TestScenarios:
     def test_draw_line_summary(self, draw_line_result):
         summary = draw_line_result.summary
