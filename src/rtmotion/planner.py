@@ -6,7 +6,8 @@ solution is the one seeded from the previous solution, the first from the
 current position; all are iterated in lockstep; leading waypoints that repeat
 the replaced plan's last ones keep its solutions), then
 one minimum-jerk QP per joint is assembled on a shared segment-time grid and
-solved as a batch. Any IK or QP failure rejects the whole request; a
+solved as a batch, reusing the replaced plan's QP structure when the request
+repeats its durations. Any IK or QP failure rejects the whole request; a
 previously active plan is never touched by a failed replan.
 """
 
@@ -124,7 +125,9 @@ class Plan:
     coeffs[i, :, j] are joint j's coefficients on segment i over normalized
     local time u = (t - start_i) / durations[i] in [0, 1]. poses[i] is the
     pose vector (x, y, z, roll, pitch, yaw) that joint_waypoints[i] solves,
-    None for a plan not made from poses. unit_rows[i] is
+    None for a plan not made from poses. structure is the QP structure the
+    plan was solved on (assemble_qp's and solve_batch's, or None), for the
+    plan that replaces it. unit_rows[i] is
     segment i's state_rows at u = 1, the part that does not depend on u.
     Evaluation reads power_table, fixed when the plan is made: row m of
     power_table[i] holds the coefficients of u^m in q, qd and qdd of every
@@ -142,6 +145,7 @@ class Plan:
     build_time: float = 0.0
     iterations: int = 0
     poses: Optional[Array] = None  # (N, 6)
+    structure: tuple = field(default=(None, None), repr=False, compare=False)
     starts: list[float] = field(init=False, repr=False, compare=False)
     spans: list[float] = field(init=False, repr=False, compare=False)  # durations as floats
     unit_rows: Array = field(init=False, repr=False, compare=False)  # (N, 3, degree + 1)
@@ -326,7 +330,8 @@ def plan(
     repeat its trailing poses bit for bit on the same chain object, their
     joint solutions are kept and only the new poses are solved, seeded from
     the last kept solution (IkFailure still counts waypoints from the
-    request's first).
+    request's first). Its QP structure is reused when the request repeats
+    its degree, control frequency and durations.
     """
     _validate_request(request, chain)
     if degree < MIN_DEGREE:
@@ -338,16 +343,17 @@ def plan(
 
     t_build0 = time.perf_counter()
     durations = np.array([wp.duration for wp in request.waypoints])
+    kept_build, kept_solve = (None, None) if previous is None else previous.structure
     try:
         problem = qpbuild.assemble_qp(
             list(zip(joint_targets, durations)), np.stack([s0.q, s0.qd, s0.qdd]),
-            degree, chain.control_frequency, chain.v_max, chain.a_max,
+            degree, chain.control_frequency, chain.v_max, chain.a_max, kept_build,
         )
     except qpbuild.QpBuildError as exc:  # e.g. too few coefficients for the equality rows
         raise ValidationError(str(exc)) from exc
     build_time = time.perf_counter() - t_build0
 
-    batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper)
+    batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper, previous=kept_solve)
     if batch.status != qpsolve.STATUS_SOLVED:
         failing = int(np.argmax(~batch.converged)) if not batch.converged.all() else 0
         raise QpFailure(failing, batch.status)
@@ -363,6 +369,7 @@ def plan(
         build_time=build_time,
         iterations=batch.iterations,
         poses=poses,
+        structure=(problem.structure, batch.structure),
     )
 
 

@@ -21,13 +21,15 @@ it already has and so no constraint. assemble_qp computes the sample grid
 once, for the cost and the limit rows, and builds the limit rows straight
 into the problem's one BlockRows, which the solver iterates on as it is.
 Q and A depend on (degree, durations, control frequency) alone: assemble_qp
-keeps the last such structure, read-only, and a request that repeats it (a
-teleop window) gets the same Q and BlockRows and builds only its bounds.
+returns them read-only, as the problem's structure, and a request given the
+structure of the plan it replaces gets the same Q and BlockRows when it
+repeats those three (a teleop window) and builds only its bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -127,7 +129,8 @@ class QpProblem:
 
     The first n_eq rows of A are equalities (lower == upper). a_matrix is
     BlockRows (or a dense array); lower and upper follow its rows, with one
-    column per joint when they are 2-D.
+    column per joint when they are 2-D. assemble_qp sets structure to
+    ((degree, control_frequency, durations as bytes), Q, A).
     """
 
     q_matrix: Array
@@ -135,6 +138,7 @@ class QpProblem:
     lower: Array
     upper: Array
     n_eq: int
+    structure: Optional[tuple] = None
 
     @property
     def n_vars(self) -> int:
@@ -281,13 +285,6 @@ def _structure(degree: int, durations: Array, control_frequency: float) -> tuple
     return q_matrix, a_matrix
 
 
-# ((degree, control_frequency, durations as bytes), q_matrix, a_matrix) of the
-# last call. One entry: a teleop stream repeats one structure, and requests
-# whose durations never repeat keep one alive, not more. Read once and
-# replaced whole, never mutated, so concurrent callers may share it.
-_last_structure = None
-
-
 def assemble_qp(
     waypoints: list[tuple[ArrayLike, float]],
     initial_state: ArrayLike,
@@ -295,6 +292,7 @@ def assemble_qp(
     control_frequency: float,
     v_max: ArrayLike,
     a_max: ArrayLike,
+    previous: Optional[tuple] = None,
 ) -> QpProblem:
     """Full problem of every joint: block-diagonal jerk cost, equality rows as
     the dense head (tight intervals) above the limit rows.
@@ -307,18 +305,18 @@ def assemble_qp(
     cubic-and-below nullspace of the jerk Gram matrix so downstream
     factorizations stay stable.
 
-    Q and A are read-only: a request with the previous call's degree,
-    durations and control frequency gets the same objects.
+    Q and A are read-only: previous, the structure of an earlier problem,
+    gives them when its degree, durations and control frequency are this
+    request's, and is otherwise ignored.
     """
-    global _last_structure
     positions, durations, initial_state = _checked_request(waypoints, initial_state, degree)
     if not all(np.all(np.isfinite(x) & (np.asarray(x) > 0)) for x in (v_max, a_max)):
         raise QpBuildError("velocity and acceleration limits must be positive and finite")
     key = (degree, control_frequency, durations.tobytes())
-    last = _last_structure
-    if last is None or last[0] != key:
-        last = _last_structure = (key, *_structure(degree, durations, control_frequency))
-    _, q_matrix, a_matrix = last
+    structure = previous
+    if structure is None or structure[0] != key:
+        structure = (key, *_structure(degree, durations, control_frequency))
+    _, q_matrix, a_matrix = structure
     b_eq = _equality_rhs(positions, initial_state)
     limits = np.empty((a_matrix.shape[0] - len(b_eq),) + np.shape(v_max))
     limits[0::2] = v_max
@@ -330,4 +328,5 @@ def assemble_qp(
         lower=np.concatenate([b_eq, -limits]),
         upper=np.concatenate([b_eq, limits]),
         n_eq=len(b_eq),
+        structure=structure,
     )

@@ -36,12 +36,13 @@ block order), so the caller's bounds are used as they are.
 The problems of a request's joints share Q and A and are solved as the
 columns of one batch (solve_batch), which amortizes the factorization and
 the per-iteration matrix products. What depends on Q, A and the tight rows
-alone (row norms, scaled cost and the KKT start's LU) is kept for the last
-read-only (Q, A), as assemble_qp returns it for a repeated request: a
-teleop window then costs one banded back-solve, one A x and the stopping
-test. One entry, shared by the process; a writeable Q or A is never kept.
-The reduced factor is not kept: a solve that iterates runs hundreds of
-iterations, each costing about as much as the factorization.
+alone (row norms, scaled cost and the KKT start's LU) is the solution's
+Structure, reused when passed back as previous with the same read-only Q
+and A objects (as assemble_qp returns them for a repeated request) and the
+same tight rows: a teleop window then costs one banded back-solve, one A x
+and the stopping test. A writeable Q or A may have changed: it is never
+reused. The reduced factor is not kept: a solve that iterates runs hundreds
+of iterations, each costing about as much as the factorization.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ class BatchSolution:
     primal_residuals: Array
     dual_residuals: Array
     converged: NDArray[np.bool_]
+    structure: Structure  # what the solve derived from Q, A and the tight rows
 
 
 def solve_batch(
@@ -116,6 +118,7 @@ def solve_batch(
     lower: Array,
     upper: Array,
     settings: Optional[SolverSettings] = None,
+    previous: Optional[Structure] = None,
 ) -> BatchSolution:
     """ADMM over the columns of lower/upper; all columns share Q and A.
 
@@ -123,14 +126,15 @@ def solve_batch(
     The start is returned as it is when it passes the stopping test; only
     otherwise is the reduced matrix formed and factored and ADMM run from it.
     For a Q that is not positive semidefinite (P + sigma*I has no Cholesky
-    factor) scipy.linalg.LinAlgError is raised.
+    factor) scipy.linalg.LinAlgError is raised. previous is an earlier
+    solution's structure, reused by the rule of the module docstring.
     """
     settings = settings or SolverSettings()
     start = time.perf_counter()
     a = BlockRows.wrap(a_matrix)
     n = q_matrix.shape[0]
     n_problems = lower.shape[1]
-    s = _structure(q_matrix, a_matrix, a, lower, upper)
+    s = _structure(q_matrix, a_matrix, a, lower, upper, previous)
     p_s = s.p_s
 
     x = np.zeros((n, n_problems))
@@ -190,10 +194,11 @@ def solve_batch(
         primal_residuals=prim_res,
         dual_residuals=dual_res,
         converged=converged,
+        structure=s,
     )
 
 
-class _Structure(NamedTuple):
+class Structure(NamedTuple):
     """What solve_batch derives from Q, A and the tight rows alone."""
 
     q_matrix: Array
@@ -207,25 +212,18 @@ class _Structure(NamedTuple):
     kkt: Optional[tuple]  # _kkt_factor of the unit-norm eq_rows
 
 
-# the _Structure of the last read-only (Q, A) solved. Read once and replaced
-# whole, never mutated, so every Session in the process may share it.
-_last: Optional[_Structure] = None
-
-
-def _structure(q_matrix: Array, a_matrix, a: BlockRows, lower: Array, upper: Array) -> _Structure:
-    """The stored _Structure if it is of this (Q, A) and its tight rows, else
-    a new one, stored if Q and A are read-only, as assemble_qp returns them:
-    only then can they not change under it."""
-    global _last
+def _structure(q_matrix: Array, a_matrix, a: BlockRows, lower: Array, upper: Array, previous) -> Structure:
+    """previous if it is of this (Q, A) and its tight rows, and Q and A are
+    read-only, as assemble_qp returns them: only then can they not have
+    changed under it. Else a new Structure."""
     read_only = isinstance(a_matrix, BlockRows) and not any(
         array.flags.writeable for array in (q_matrix, a_matrix.head, a_matrix.blocks)
     )
-    last = _last
-    hit = read_only and last is not None and last.q_matrix is q_matrix and last.a_matrix is a_matrix
-    norms = last.norms if hit else a.row_norms()
+    hit = read_only and previous is not None and previous.q_matrix is q_matrix and previous.a_matrix is a_matrix
+    norms = previous.norms if hit else a.row_norms()
     tight = _max(upper - lower, axis=1) <= _EQUALITY_GAP * norms
-    if hit and np.array_equal(tight, last.tight):
-        return last
+    if hit and np.array_equal(tight, previous.tight):
+        return previous
     if np.any(norms <= 0):
         raise ValueError("A contains an all-zero row")
     rho = np.where(tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / norms**2
@@ -238,10 +236,7 @@ def _structure(q_matrix: Array, a_matrix, a: BlockRows, lower: Array, upper: Arr
     unit = 1.0 / norms[eq_rows, None]
     a_eq = a.head[eq_rows]
     a_eq *= unit  # in place: one (m, n) copy of the head, not two
-    s = _Structure(q_matrix, a_matrix, norms, tight, rho, p_s, eq_rows, unit, _kkt_factor(cost_band, a_eq))
-    if read_only:
-        _last = s
-    return s
+    return Structure(q_matrix, a_matrix, norms, tight, rho, p_s, eq_rows, unit, _kkt_factor(cost_band, a_eq))
 
 
 def _stopping_test(

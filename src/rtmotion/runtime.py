@@ -67,8 +67,6 @@ class RequestRecord:
     accepted: bool
     reason: Optional[str] = None
     solve_time: float = 0.0
-    build_time: float = 0.0
-    iterations: int = 0
     preempted_request: Optional[str] = None
     # |new - old| reference mismatch (q, qd, qdd) at the swap instant
     preemption_jump: Optional[tuple[float, float, float]] = None
@@ -143,7 +141,7 @@ class Session:
         from the commanded reference (not the measured state) so the command
         stream stays C2 continuous regardless of tracking error. The active
         plan is handed to the planner, which keeps its joint solutions of
-        the poses the request repeats.
+        the poses the request repeats and its QP structure.
 
         A rejected request leaves the active plan untouched. Serialized so
         concurrent clients multiplex onto one intake activity.
@@ -162,8 +160,6 @@ class Session:
                 return record
             record.accepted = True
             record.solve_time = new_plan.solve_time
-            record.build_time = new_plan.build_time
-            record.iterations = new_plan.iterations
             jr = new_plan.junction_residuals()
             record.junction_residual = (float(jr[0]), float(jr[1]), float(jr[2]))
             if old_plan is not None:
@@ -294,6 +290,8 @@ def _check_shape(raw, path: Path) -> None:
     for key in ("chain", "q0"):
         if key not in raw:
             raise ScenarioError(f"{path}: missing '{key}'")
+    if not isinstance(raw["chain"], str):
+        raise ScenarioError(f"{path}: 'chain' must be a string")
     if not (isinstance(raw["q0"], list) and all(map(planner.is_number, raw["q0"]))):
         raise ScenarioError(f"{path}: 'q0' must be a list of numbers")
     for key in ("chase", "teleop"):
@@ -302,9 +300,9 @@ def _check_shape(raw, path: Path) -> None:
     if "teleop" in raw and not isinstance(raw["teleop"].get("master_log"), str):
         raise ScenarioError(f"{path}: 'teleop' needs a string 'master_log'")
     # compared with the largest float: NaN, inf and an int too large for a float fail
-    settle = raw.get("settle_time", 0.5)
-    if not (planner.is_number(settle) and 0 <= settle <= sys.float_info.max):
-        raise ScenarioError(f"{path}: 'settle_time' must be finite and >= 0")
+    for key in ("settle_time", "fc"):
+        if not (planner.is_number(value := raw.get(key, 0.0)) and 0 <= value <= sys.float_info.max):
+            raise ScenarioError(f"{path}: '{key}' must be finite and >= 0")
     events = raw.get("events", [])
     if not isinstance(events, list):
         raise ScenarioError(f"{path}: 'events' must be a list")
@@ -313,6 +311,8 @@ def _check_shape(raw, path: Path) -> None:
         if not (planner.is_number(t) and abs(t) <= sys.float_info.max and "action" in event):
             raise ScenarioError(f"{path}: event {i} must be an object with a finite 't' and an 'action'")
         action, pose, tol = event["action"], event.get("pose"), event.get("tol", DEFAULT_TOL)
+        if action == "marker" and "label" not in event:
+            raise ScenarioError(f"{path}: event {i} is a marker without a 'label'")
         if action == "send_request" and not isinstance(event.get("request"), dict):
             raise ScenarioError(f"{path}: event {i} sends a request that is not an object")
         if action == "move_target" and not _is_numbers(pose, 6):

@@ -209,6 +209,11 @@ class TestSimCommand:
              "event 1 asserts with a 'tol' that is not finite and >= 0"),
             (lambda raw: raw["events"][1].update(tol=-1.0),
              "event 1 asserts with a 'tol' that is not finite and >= 0"),
+            (lambda raw: raw.update(fc=None), "'fc' must be finite and >= 0"),
+            (lambda raw: raw.update(chain=5), "'chain' must be a string"),
+            (lambda raw: raw.update(chain=None), "'chain' must be a string"),
+            (lambda raw: raw["events"].append({"t": 1.0, "action": "marker"}),
+             "event 2 is a marker without a 'label'"),
         ],
         ids=[
             "no chain", "no q0", "events not a list", "request not an object",
@@ -218,7 +223,8 @@ class TestSimCommand:
             "boolean in q0", "chase not an object", "teleop not an object",
             "teleop without master_log", "teleop master_log not a string",
             "move_target without pose", "move_target with a 3-number pose",
-            "near_pose without pose", "NaN tol", "negative tol",
+            "near_pose without pose", "NaN tol", "negative tol", "null fc",
+            "chain a number", "null chain", "marker without label",
         ],
     )
     def test_malformed_scenario_is_an_input_error(self, tmp_path, capsys, edit, message):

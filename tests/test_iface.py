@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtmotion import planner
+from rtmotion import iface, planner
 from rtmotion.chain import Pose, forward_kinematics, inverse_kinematics, load_chain
 from rtmotion.iface import RobotServer, encode_line, handle_request_line, telemetry_message
 from rtmotion.planner import RobotState
@@ -501,6 +501,55 @@ class TestServer:
             assert served[0].read_acks(1)[0] == {"id": "after", "status": "accepted"}
         finally:
             for client in served + [extra]:
+                if client is not None:
+                    client.close()
+
+
+    def test_a_client_that_never_reads_is_dropped_and_stalls_no_one(self, arm6, server, monkeypatch):
+        # README's contract: a slow telemetry consumer is disconnected and
+        # never stalls dispatch. With the kernel's default buffers a client
+        # that never reads was still connected after 20 s, so the server's
+        # send buffer is shrunk to 4096 bytes and the outbox to 8 lines
+        monkeypatch.setattr(iface, "OUTBOX_LINES", 8)
+        monkeypatch.setattr(iface, "MAX_CLIENTS", 2)
+        served, init = [], iface._Client.__init__
+
+        def small_send_buffer(client, server_, conn):
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            init(client, server_, conn)
+            served.append(client)
+
+        monkeypatch.setattr(iface._Client, "__init__", small_send_buffer)
+        silent = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        reader = newcomer = None
+        try:
+            silent.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            silent.connect((server.host, server.port))
+            t_connect = time.monotonic()
+            reader = _LineClient(server.host, server.port)
+            reader.send_line(request_line("r1", hold_waypoints(arm6)))
+            stamps, acks, dropped = [], [], False
+            while not dropped or len(stamps) < 100:
+                message = reader.read_message()  # served[0], the silent client, is accepted by now
+                if "status" in message:
+                    acks.append(message)
+                else:
+                    stamps.append(message["t"])
+                dropped = dropped or not served[0].alive
+                assert time.monotonic() - t_connect < 5.0, "the silent client was not dropped within 5 s"
+            reader.send_line(request_line("r2", hold_waypoints(arm6)))
+            acks += reader.read_acks(1)
+            assert acks == [{"id": "r1", "status": "accepted"}, {"id": "r2", "status": "accepted"}]
+            # telemetry kept its rate while the silent client filled its buffers
+            gaps = np.diff(stamps)
+            assert gaps.max() < 0.25 and len(stamps) >= 0.5 * server.session.fc * (stamps[-1] - stamps[0])
+            # the dropped connection freed its place under the cap of 2
+            newcomer = _LineClient(server.host, server.port)
+            newcomer.send_line(request_line("n1", hold_waypoints(arm6)))
+            assert newcomer.read_acks(1) == [{"id": "n1", "status": "accepted"}]
+        finally:
+            silent.close()
+            for client in (reader, newcomer):
                 if client is not None:
                     client.close()
 

@@ -1,7 +1,9 @@
-"""The one-entry QP structure memo of qpbuild.assemble_qp and
-qpsolve.solve_batch: a repeated request gets the same read-only Q and A and
-reuses the LU of its start, with results bit-identical to a solve from
-scratch. Within one structure, segments of one duration share their blocks."""
+"""QP structure reuse through the plan a request replaces: given the
+previous problem's structure, qpbuild.assemble_qp returns the same read-only
+Q and A for a repeated request, and given the previous solution's structure,
+qpsolve.solve_batch reuses the LU of its start, with results bit-identical
+to a solve from scratch. Nothing is kept between calls otherwise. Within one
+structure, segments of one duration share their blocks."""
 
 import sys
 import threading
@@ -12,23 +14,38 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtmotion import qpbuild
+from rtmotion import qpbuild, qpsolve
 from rtmotion.chain import Pose, forward_kinematics
 from rtmotion.planner import CartesianWaypoint, PlanRequest, RobotState, plan
 from rtmotion.poly import state_rows
 from rtmotion.qpbuild import assemble_qp
 from rtmotion.qpsolve import STATUS_SOLVED, SolverSettings, solve_batch
-from rtmotion.runtime import run_scenario
+from rtmotion.runtime import Session, run_scenario
 
-from conftest import data_path, forget_structures
+from conftest import data_path
 from test_qpsolve import binding_problem
 
+BINDING = ([(1.0, 1.0)], (0.0, 0.0, 0.0), 7, 100.0, 1.8, 100.0)  # binding_problem's request
 
-def solved(problem, settings=None):
+
+def solved(problem, settings=None, previous=None):
     columns = len(problem.lower), -1
     return solve_batch(
-        problem.q_matrix, problem.a_matrix, problem.lower.reshape(columns), problem.upper.reshape(columns), settings
+        problem.q_matrix, problem.a_matrix, problem.lower.reshape(columns), problem.upper.reshape(columns),
+        settings, previous,
     )
+
+
+def count_builds(monkeypatch) -> dict:
+    """Calls of qpbuild._structure and qpsolve._kkt_factor from now on."""
+    calls = {"structure": 0, "kkt": 0}
+    for module, name, key in ((qpbuild, "_structure", "structure"), (qpsolve, "_kkt_factor", "kkt")):
+        def counted(*args, _fn=getattr(module, name), _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def assert_same_solve(a, b):
@@ -41,10 +58,15 @@ def assert_same_solve(a, b):
 class TestReuse:
     def test_a_repeated_request_gets_the_same_read_only_structure(self):
         first = binding_problem()
-        second = binding_problem()
+        second = assemble_qp(*BINDING, previous=first.structure)
+        assert second.structure is first.structure
         assert second.q_matrix is first.q_matrix
         assert second.a_matrix is first.a_matrix
         assert second.lower is not first.lower
+        # no previous, or one of other durations: built anew
+        assert binding_problem().q_matrix is not first.q_matrix
+        other = assemble_qp([(1.0, 0.5)], *BINDING[1:], previous=first.structure)
+        assert other.q_matrix is not first.q_matrix and other.structure[0] != first.structure[0]
 
     @pytest.mark.parametrize("field", ["q_matrix", "head", "blocks"])
     def test_memoized_arrays_reject_writes(self, field):
@@ -57,11 +79,13 @@ class TestReuse:
         calls = []
         factor = scipy.linalg.cho_factor
         monkeypatch.setattr(scipy.linalg, "cho_factor", lambda *a, **k: calls.append(1) or factor(*a, **k))
-        first, second = solved(binding_problem()), solved(binding_problem())
+        problem = binding_problem()
+        first = solved(problem)
+        second = solved(assemble_qp(*BINDING, previous=problem.structure), previous=first.structure)
+        assert second.structure is first.structure  # the start is reused, the reduced factor is not
         assert len(calls) == 2
         assert first.status == STATUS_SOLVED and first.iterations > 1
         assert_same_solve(first, second)
-        forget_structures()
         assert_same_solve(first, solved(binding_problem()))
         assert len(calls) == 3
 
@@ -70,10 +94,11 @@ class TestReuse:
         # factored over the remaining tight rows
         problem = binding_problem()
         bounds = problem.lower[:, None].copy(), problem.upper[:, None].copy()
-        solve_batch(problem.q_matrix, problem.a_matrix, *bounds)
+        first = solve_batch(problem.q_matrix, problem.a_matrix, *bounds)
         bounds[0][0], bounds[1][0] = -np.inf, np.inf  # the initial position
-        freed = solve_batch(problem.q_matrix, problem.a_matrix, *bounds)
-        forget_structures()
+        freed = solve_batch(problem.q_matrix, problem.a_matrix, *bounds, previous=first.structure)
+        assert freed.structure is not first.structure
+        assert not np.array_equal(freed.structure.tight, first.structure.tight)
         assert_same_solve(freed, solve_batch(problem.q_matrix, problem.a_matrix, *bounds))
 
     def test_a_writeable_cost_is_never_memoized(self):
@@ -81,11 +106,12 @@ class TestReuse:
         # a change to Q between solves must show in the second solve
         problem = assemble_qp([(0.3, 0.5), (1.0, 0.5)], (0.0, 0.0, 0.0), 5, 100.0, 1e3, 1e5)
         q_matrix = problem.q_matrix.copy()
-        before = solve_batch(q_matrix, problem.a_matrix, problem.lower[:, None], problem.upper[:, None])
+        bounds = problem.lower[:, None], problem.upper[:, None]
+        before = solve_batch(q_matrix, problem.a_matrix, *bounds)
         q_matrix[:6, :6] *= 50.0
-        after = solve_batch(q_matrix, problem.a_matrix, problem.lower[:, None], problem.upper[:, None])
-        forget_structures()
-        fresh = solve_batch(q_matrix.copy(), problem.a_matrix, problem.lower[:, None], problem.upper[:, None])
+        after = solve_batch(q_matrix, problem.a_matrix, *bounds, previous=before.structure)
+        fresh = solve_batch(q_matrix.copy(), problem.a_matrix, *bounds)
+        assert after.structure is not before.structure
         assert not np.array_equal(before.p, after.p)
         assert_same_solve(after, fresh)
 
@@ -93,10 +119,10 @@ class TestReuse:
         problem = binding_problem()
         dense = problem.a_matrix.toarray()
         bounds = problem.lower[:, None], problem.upper[:, None]
-        solve_batch(problem.q_matrix, dense, *bounds)
+        before = solve_batch(problem.q_matrix, dense, *bounds)
         dense[problem.n_eq :] *= 0.5  # the velocity limit doubles and no longer binds
-        after = solve_batch(problem.q_matrix, dense, *bounds)
-        forget_structures()
+        after = solve_batch(problem.q_matrix, dense, *bounds, previous=before.structure)
+        assert after.structure is not before.structure
         assert_same_solve(after, solve_batch(problem.q_matrix, dense.copy(), *bounds))
 
 
@@ -126,12 +152,15 @@ class TestInvisible:
                 request[4] = fraction * float(np.max(np.abs(velocities)))
             requests.append(request)
         # a binding solve may need thousands of iterations: the first 400
-        # exercise the iteration as well
+        # exercise the iteration as well. Each request is given the
+        # structures of the one before, as a plan is given the one it replaces
         short = SolverSettings(max_iters=400)
-        forget_structures()
-        memoized = [(problem, solved(problem, short)) for problem in map(lambda r: assemble_qp(*r), requests)]
-        for request, (problem, batch) in zip(requests, memoized):
-            forget_structures()
+        reused, problem, batch = [], None, None
+        for request in requests:
+            problem = assemble_qp(*request, previous=problem and problem.structure)
+            batch = solved(problem, short, batch and batch.structure)
+            reused.append((problem, batch))
+        for request, (problem, batch) in zip(requests, reused):
             fresh = assemble_qp(*request)
             np.testing.assert_array_equal(problem.lower, fresh.lower)
             np.testing.assert_array_equal(problem.upper, fresh.upper)
@@ -178,12 +207,15 @@ class TestConcurrency:
         start = RobotState.rest(q0)
         requests = [PlanRequest("sim", teleop_window(arm6, q0), "teleop"), PlanRequest("sim", drawing(arm6, q0), "draw")]
         expected = [plan(request, arm6, start) for request in requests]
+        # the plan last made by either thread: each plan replaces it, so the
+        # threads pass each other their structures
+        latest = [None]
         mismatches, errors = [], []
 
         def worker(request, reference):
             try:
                 for _ in range(200):
-                    result = plan(request, arm6, start)
+                    result = latest[0] = plan(request, arm6, start, previous=latest[0])
                     if not (np.array_equal(result.coeffs, reference.coeffs) and result.iterations == reference.iterations):
                         mismatches.append(request.request_id)
             except Exception as exc:  # reported by the assertion below
@@ -204,11 +236,26 @@ class TestConcurrency:
 
 
 def test_teleop_replay_builds_one_structure(monkeypatch):
-    # the memo keys on exact float durations: a parsing change that perturbs
+    # reuse keys on exact float durations: a parsing change that perturbs
     # one would turn every window into a miss without failing anything else
-    calls = []
-    build = qpbuild._structure
-    monkeypatch.setattr(qpbuild, "_structure", lambda *args: calls.append(1) or build(*args))
+    calls = count_builds(monkeypatch)
     result = run_scenario(data_path("scenarios", "teleop-replay.json"))
     assert result.summary["preemptions"] >= 100
-    assert len(calls) == 1
+    assert calls == {"structure": 1, "kkt": 1}
+
+
+def test_a_teleop_session_shares_one_structure_across_its_windows(arm6, teleop_stream, monkeypatch):
+    # the session's first window builds and factors; every later one gets
+    # the same objects through the plan it replaces, and a new session
+    # builds its own
+    count = 20
+    stream = teleop_stream(2, count)
+    calls = count_builds(monkeypatch)
+    for sessions in (1, 2):
+        session = Session(arm6, stream.q0)
+        structures = []
+        for k in range(count):
+            assert session.submit(stream.window(k), stream.send_time(k)).accepted
+            structures.append(session.active_plan.structure)
+        assert calls == {"structure": sessions, "kkt": sessions}
+        assert all(s[0] is structures[0][0] and s[1] is structures[0][1] for s in structures)
