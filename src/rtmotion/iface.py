@@ -16,8 +16,10 @@ Telemetry is broadcast to all connected clients at the control frequency:
 
 The transport is deliberately a single ubiquitous text protocol; the planning
 layers underneath never see sockets, so further transports can be layered on
-without touching them. Slow telemetry consumers are disconnected rather than
-allowed to stall the dispatch loop, and at most MAX_CLIENTS connections are
+without touching them. Each connection has one thread, its reader; acks and
+telemetry are written straight into the connection's send buffer without
+waiting, so a consumer that lets SEND_BUFFER_BYTES fill is disconnected rather
+than allowed to stall the dispatch loop. At most MAX_CLIENTS connections are
 served at once.
 """
 
@@ -25,12 +27,10 @@ from __future__ import annotations
 
 import json
 import math
-import queue
 import socket
 import threading
 import time
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 import numpy as np
 
@@ -39,12 +39,14 @@ from rtmotion.runtime import Session, TelemetryRecord, handle_payload
 
 # telemetry and request records a served session keeps: 10 s at 100 Hz
 SERVE_HISTORY = 1000
-# lines queued to one client before it counts as slow and is dropped
-OUTBOX_LINES = 512
+# kernel send buffer of one client, which Linux doubles to 32 KB: over 0.5 s of
+# arm6 telemetry. A line that does not fit whole drops the client, which may
+# then see its last line cut
+SEND_BUFFER_BYTES = 16384
 # longest inbound line read; a longer one is rejected and skipped unread
 MAX_LINE_BYTES = 65536
-# connections served at once, each with two threads and an outbox; one past
-# the cap gets a single rejection line and is closed
+# connections served at once, each with a reader thread and a send buffer; one
+# past the cap gets a single rejection line and is closed
 MAX_CLIENTS = 16
 
 
@@ -105,52 +107,37 @@ def _refuse(conn: socket.socket, reason: str) -> None:
 
 
 class _Client:
-    """One connection: a reader loop plus a queue-drained writer thread."""
+    """One connection and its reader thread, which answers each request line
+    with an ack. Acks and the dispatch thread's telemetry go out through send."""
 
     def __init__(self, server: "RobotServer", conn: socket.socket):
         self.server = server
         self.conn = conn
-        self.outbox: queue.Queue[Optional[bytes]] = queue.Queue(maxsize=OUTBOX_LINES)
         self.alive = True
-        self._writer = threading.Thread(target=self._write_loop, daemon=True)
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-
-    def start(self):
-        self._writer.start()
-        self._reader.start()
+        self._lock = threading.RLock()  # one writer at a time; reentrant, as send closes under it
+        self.reader = threading.Thread(target=self._read_loop, daemon=True)
 
     def send(self, data: bytes) -> None:
-        try:
-            self.outbox.put_nowait(data)
-        except queue.Full:
-            # slow consumer: drop the connection, never the dispatch loop
-            self.close()
+        """Write one whole line without waiting, or drop the client: a slow
+        consumer never stalls the thread that sends to it."""
+        with self._lock:
+            try:
+                whole = not self.alive or self.conn.send(data, socket.MSG_DONTWAIT) == len(data)
+            except OSError:  # BlockingIOError when the send buffer is full
+                whole = False
+            if not whole:
+                self.close()
 
     def close(self):
-        if not self.alive:
-            return
-        self.alive = False
-        try:
-            self.outbox.put_nowait(None)
-        except queue.Full:
-            pass
-        try:
-            self.conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.conn.close()
-        self.server._drop(self)
-
-    def _write_loop(self):
-        while self.alive:
-            data = self.outbox.get()
-            if data is None:
-                return
-            try:
-                self.conn.sendall(data)
-            except OSError:
-                self.close()
-                return
+        with self._lock:
+            if self.alive:
+                self.alive = False
+                try:
+                    self.conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                self.conn.close()
+                self.server._drop(self)
 
     def _read_loop(self):
         stream = self.conn.makefile("rb")
@@ -219,16 +206,18 @@ class RobotServer:
 
     def stop(self):
         self._stop.set()
-        try:
-            self._sock.close()
+        try:  # closing alone does not wake a thread blocked in accept
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
+        for thread in self._threads:  # accept ends first: no client joins after the copy
+            thread.join(timeout=2.0)
         with self._clients_lock:
             clients = list(self._clients)
         for client in clients:
             client.close()
-        for thread in self._threads:
-            thread.join(timeout=2.0)
+            client.reader.join(timeout=2.0)
 
     def _drop(self, client: _Client):
         with self._clients_lock:
@@ -241,6 +230,7 @@ class RobotServer:
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SEND_BUFFER_BYTES)
             with self._clients_lock:
                 busy = len(self._clients) >= MAX_CLIENTS
                 if not busy:
@@ -249,7 +239,7 @@ class RobotServer:
             if busy:
                 _refuse(conn, f"busy: {MAX_CLIENTS} clients are connected")
             else:
-                client.start()
+                client.reader.start()
 
     def _dispatch_loop(self):
         period = 1.0 / self.session.fc

@@ -270,7 +270,11 @@ def _expand_teleop(raw: dict, base_dir: Path) -> tuple[list[dict], list[tuple[fl
     wp_duration = float(policy.get("waypoint_duration_s", 0.04))
     samples: list[tuple[float, Array]] = []
     with open(log_path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        rows = csv.DictReader(fh, restval="")  # a short row's missing cell fails float()
+        missing = [k for k in ("timestamp", "x", "y", "z", "roll", "pitch", "yaw") if k not in (rows.fieldnames or ())]
+        if missing:
+            raise ScenarioError(f"{log_path}: the master log has no '{missing[0]}' column")
+        for row in rows:
             pose = np.array(
                 [float(row[k]) for k in ("x", "y", "z", "roll", "pitch", "yaw")]
             )
@@ -303,6 +307,12 @@ def _check_shape(raw, path: Path) -> None:
     for key in ("settle_time", "fc"):
         if not (planner.is_number(value := raw.get(key, 0.0)) and 0 <= value <= sys.float_info.max):
             raise ScenarioError(f"{path}: '{key}' must be finite and >= 0")
+    for block, key in (("chase", "request_duration"), ("chase", "grasp_epsilon_m"), ("teleop", "waypoint_duration_s")):
+        if not (planner.is_number(value := raw.get(block, {}).get(key, 1.0)) and 0 < value <= sys.float_info.max):
+            raise ScenarioError(f"{path}: '{block}' needs a '{key}' that is finite and > 0")
+    size = raw.get("teleop", {}).get("buffer_size", 5)
+    if not (planner.is_number(size) and isinstance(size, int) and size >= 1):
+        raise ScenarioError(f"{path}: 'teleop' needs a 'buffer_size' that is an integer >= 1")
     events = raw.get("events", [])
     if not isinstance(events, list):
         raise ScenarioError(f"{path}: 'events' must be a list")

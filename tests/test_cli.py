@@ -214,6 +214,18 @@ class TestSimCommand:
             (lambda raw: raw.update(chain=None), "'chain' must be a string"),
             (lambda raw: raw["events"].append({"t": 1.0, "action": "marker"}),
              "event 2 is a marker without a 'label'"),
+            (lambda raw: raw.update(chase={"request_duration": None}),
+             "'chase' needs a 'request_duration' that is finite and > 0"),
+            (lambda raw: raw.update(chase={"grasp_epsilon_m": [1]}),
+             "'chase' needs a 'grasp_epsilon_m' that is finite and > 0"),
+            (lambda raw: raw.update(teleop={"master_log": "teleop-master.csv", "buffer_size": None}),
+             "'teleop' needs a 'buffer_size' that is an integer >= 1"),
+            (lambda raw: raw.update(teleop={"master_log": "teleop-master.csv", "buffer_size": 2.5}),
+             "'teleop' needs a 'buffer_size' that is an integer >= 1"),
+            (lambda raw: raw.update(teleop={"master_log": "teleop-master.csv", "waypoint_duration_s": None}),
+             "'teleop' needs a 'waypoint_duration_s' that is finite and > 0"),
+            (lambda raw: raw.update(teleop={"master_log": "teleop-master.csv", "waypoint_duration_s": "nan"}),
+             "'teleop' needs a 'waypoint_duration_s' that is finite and > 0"),
         ],
         ids=[
             "no chain", "no q0", "events not a list", "request not an object",
@@ -225,6 +237,8 @@ class TestSimCommand:
             "move_target without pose", "move_target with a 3-number pose",
             "near_pose without pose", "NaN tol", "negative tol", "null fc",
             "chain a number", "null chain", "marker without label",
+            "null request_duration", "list grasp_epsilon_m", "null buffer_size",
+            "fractional buffer_size", "null waypoint_duration_s", "string waypoint_duration_s",
         ],
     )
     def test_malformed_scenario_is_an_input_error(self, tmp_path, capsys, edit, message):
@@ -234,6 +248,25 @@ class TestSimCommand:
         path.write_text(json.dumps(raw))
         with pytest.raises(ScenarioError, match=message):
             run_scenario(path)
+        assert main(["sim", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (slice(None), "the master log has no 'yaw' column"),
+            (slice(1, 2), "could not convert string to float: ''"),  # a short row
+        ],
+        ids=["no yaw column", "short row"],
+    )
+    def test_master_log_without_a_cell_is_an_input_error(self, tmp_path, capsys, cut, message):
+        rows = data_path("scenarios", "teleop-master.csv").read_text().splitlines()
+        assert rows[0].endswith(",yaw")  # cut the last cell from the rows in cut
+        rows[cut] = [row.rsplit(",", 1)[0] for row in rows[cut]]
+        (tmp_path / "teleop-master.csv").write_text("\n".join(rows))
+        path = tmp_path / "teleop.json"
+        path.write_text(data_path("scenarios", "teleop-replay.json").read_text())
         assert main(["sim", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

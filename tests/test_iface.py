@@ -1,5 +1,6 @@
 import json
 import socket
+import threading
 import time
 
 import numpy as np
@@ -504,43 +505,44 @@ class TestServer:
                 if client is not None:
                     client.close()
 
+    def test_stop_is_prompt_and_ends_every_thread_it_started(self, arm6):
+        before = set(threading.enumerate())
+        server = RobotServer(arm6, robot_id="sim", port=0)
+        server.start()
+        client = _LineClient(server.host, server.port)
+        try:
+            client.send_line(request_line("s1", hold_waypoints(arm6)))
+            assert client.read_acks(1)[0]["status"] == "accepted"
+            t_stop = time.monotonic()
+            server.stop()
+            assert time.monotonic() - t_stop < 0.5
+            assert set(threading.enumerate()) <= before
+        finally:
+            server.stop()
+            client.close()
 
-    def test_a_client_that_never_reads_is_dropped_and_stalls_no_one(self, arm6, server, monkeypatch):
-        # README's contract: a slow telemetry consumer is disconnected and
-        # never stalls dispatch. With the kernel's default buffers a client
-        # that never reads was still connected after 20 s, so the server's
-        # send buffer is shrunk to 4096 bytes and the outbox to 8 lines
-        monkeypatch.setattr(iface, "OUTBOX_LINES", 8)
-        monkeypatch.setattr(iface, "MAX_CLIENTS", 2)
-        served, init = [], iface._Client.__init__
-
-        def small_send_buffer(client, server_, conn):
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-            init(client, server_, conn)
-            served.append(client)
-
-        monkeypatch.setattr(iface._Client, "__init__", small_send_buffer)
-        silent = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    def _serve_beside_a_slow_client(self, arm6, server, t_connect, on_message=lambda: None):
+        """Read a second client's acks and telemetry until the slow client,
+        connected first, is dropped: within 5 s of t_connect, with the reader's
+        acks in order, its telemetry on time and the freed place served."""
         reader = newcomer = None
         try:
-            silent.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-            silent.connect((server.host, server.port))
-            t_connect = time.monotonic()
             reader = _LineClient(server.host, server.port)
             reader.send_line(request_line("r1", hold_waypoints(arm6)))
             stamps, acks, dropped = [], [], False
             while not dropped or len(stamps) < 100:
-                message = reader.read_message()  # served[0], the silent client, is accepted by now
+                message = reader.read_message()  # the slow client, accepted first, is served by now
                 if "status" in message:
                     acks.append(message)
                 else:
                     stamps.append(message["t"])
-                dropped = dropped or not served[0].alive
-                assert time.monotonic() - t_connect < 5.0, "the silent client was not dropped within 5 s"
+                dropped = dropped or len(server._clients) < 2
+                on_message()
+                assert time.monotonic() - t_connect < 5.0, "the slow client was not dropped within 5 s"
             reader.send_line(request_line("r2", hold_waypoints(arm6)))
             acks += reader.read_acks(1)
             assert acks == [{"id": "r1", "status": "accepted"}, {"id": "r2", "status": "accepted"}]
-            # telemetry kept its rate while the silent client filled its buffers
+            # telemetry kept its rate while the slow client filled its buffers
             gaps = np.diff(stamps)
             assert gaps.max() < 0.25 and len(stamps) >= 0.5 * server.session.fc * (stamps[-1] - stamps[0])
             # the dropped connection freed its place under the cap of 2
@@ -548,10 +550,46 @@ class TestServer:
             newcomer.send_line(request_line("n1", hold_waypoints(arm6)))
             assert newcomer.read_acks(1) == [{"id": "n1", "status": "accepted"}]
         finally:
-            silent.close()
             for client in (reader, newcomer):
                 if client is not None:
                     client.close()
+
+    def test_a_client_that_never_reads_is_dropped_and_stalls_no_one(self, arm6, server, monkeypatch):
+        # README's contract: a slow telemetry consumer is disconnected and
+        # never stalls dispatch. The server bounds its unsent bytes by
+        # iface.SEND_BUFFER_BYTES; the silent client's small receive buffer
+        # makes it fill sooner
+        monkeypatch.setattr(iface, "MAX_CLIENTS", 2)
+        silent = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            silent.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            silent.connect((server.host, server.port))
+            self._serve_beside_a_slow_client(arm6, server, time.monotonic())
+        finally:
+            silent.close()
+
+    def test_a_client_that_sends_but_never_reads_is_dropped_and_stalls_no_one(self, arm6, server, monkeypatch):
+        # its acks, sent from its own reader thread, fill the buffer beside
+        # telemetry; its requests keep coming at 25 Hz until it is dropped
+        monkeypatch.setattr(iface, "MAX_CLIENTS", 2)
+        sender = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        line = (request_line("s", hold_waypoints(arm6)) + "\n").encode()
+        next_send = [0.0]
+
+        def send_at_25_hz():
+            if time.monotonic() >= next_send[0]:
+                next_send[0] = time.monotonic() + 0.04
+                try:
+                    sender.sendall(line)
+                except OSError:  # dropped
+                    next_send[0] = float("inf")
+
+        try:
+            sender.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sender.connect((server.host, server.port))
+            self._serve_beside_a_slow_client(arm6, server, time.monotonic(), send_at_25_hz)
+        finally:
+            sender.close()
 
 
 class TestJitterRobustness:
