@@ -16,9 +16,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 Array = NDArray[np.float64]
 
@@ -197,13 +201,13 @@ class ChainConfig:
         return 0.5 * (self.joint_limits[:, 0] + self.joint_limits[:, 1])
 
 
-def load_chain(path: str | Path) -> ChainConfig:
-    """Load a chain description from its JSON file format.
+def load_chain(path: str | Traversable) -> ChainConfig:
+    """Load a chain description from its JSON file, a path or a zip member.
 
     Expected keys: dof, joints (list of {axis, offset: {xyz, rpy}}),
     joint_limits, v_max, a_max, control_frequency, ee_offset ({xyz, rpy}).
     """
-    path = Path(path)
+    path = Path(path) if isinstance(path, str) else path
     raw = json.loads(path.read_text())
     try:
         joints = raw["joints"]

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,6 +27,9 @@ from numpy.typing import NDArray
 from rtmotion import planner
 from rtmotion.chain import ChainConfig, Pose, forward_kinematics, load_chain
 from rtmotion.planner import Plan, PlanRequest, RobotState
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable  # Path, or a member of a zip archive
 
 Array = NDArray[np.float64]
 
@@ -207,14 +210,12 @@ class ScenarioScript:
     master_samples: Optional[list[tuple[float, Array]]] = None
 
 
-def _resolve(base_dir: Path, kind: str, name: str | Path) -> Path:
-    """name under base_dir, else the packaged data/<kind>/name file."""
-    candidate = (base_dir / name).resolve()
-    if candidate.exists():
-        return candidate
-    packaged = Path(str(resources.files("rtmotion").joinpath(f"data/{kind}/{name}")))
-    if packaged.exists():
-        return packaged
+def _resolve(base_dir: Traversable, kind: str, name: str | Path) -> Traversable:
+    """name under base_dir, else the packaged data/<kind>/name file, which
+    is a member of the archive when rtmotion is imported from a zip."""
+    for candidate in (base_dir / name, resources.files("rtmotion").joinpath(f"data/{kind}/{name}")):
+        if candidate.is_file():
+            return candidate
     raise FileNotFoundError(f"cannot resolve {kind} file '{name}'")
 
 
@@ -257,7 +258,7 @@ def _expand_chase(raw: dict, events: list[dict]) -> list[dict]:
     return out
 
 
-def _expand_teleop(raw: dict, base_dir: Path) -> tuple[list[dict], list[tuple[float, Array]]]:
+def _expand_teleop(raw: dict, base_dir: Traversable) -> tuple[list[dict], list[tuple[float, Array]]]:
     """Build sliding-window buffered requests from the recorded master log.
 
     At each send instant the request carries the buffer_size most recent
@@ -269,7 +270,7 @@ def _expand_teleop(raw: dict, base_dir: Path) -> tuple[list[dict], list[tuple[fl
     buffer_size = int(policy.get("buffer_size", 5))
     wp_duration = float(policy.get("waypoint_duration_s", 0.04))
     samples: list[tuple[float, Array]] = []
-    with open(log_path, newline="") as fh:
+    with log_path.open(newline="") as fh:
         rows = csv.DictReader(fh, restval="")  # a short row's missing cell fails float()
         missing = [k for k in ("timestamp", "x", "y", "z", "roll", "pitch", "yaw") if k not in (rows.fieldnames or ())]
         if missing:
@@ -278,7 +279,10 @@ def _expand_teleop(raw: dict, base_dir: Path) -> tuple[list[dict], list[tuple[fl
             pose = np.array(
                 [float(row[k]) for k in ("x", "y", "z", "roll", "pitch", "yaw")]
             )
-            samples.append((float(row["timestamp"]), pose))
+            stamp = float(row["timestamp"])
+            if not -np.inf < stamp < np.inf:  # an event never due would keep the run ticking
+                raise ScenarioError(f"{log_path}: the master log has a non-finite timestamp {stamp}")
+            samples.append((stamp, pose))
     poses = [pose for _, pose in samples]
     events = [
         _send_request(samples[k][0], f"teleop-{k}", poses[k - buffer_size + 1 : k + 1], wp_duration)
@@ -287,7 +291,7 @@ def _expand_teleop(raw: dict, base_dir: Path) -> tuple[list[dict], list[tuple[fl
     return events, samples
 
 
-def _check_shape(raw, path: Path) -> None:
+def _check_shape(raw, path: Traversable) -> None:
     """The keys and event shapes the runner reads without further checks."""
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: a scenario is a JSON object")
@@ -401,59 +405,40 @@ class ScenarioResult:
         Path(path).write_text(json.dumps(self.summary, indent=2))
 
 
-def _segment_distance(point: Array, a: Array, b: Array) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-18:
-        return float(np.linalg.norm(point - a))
-    s = min(max(float((point - a) @ ab) / denom, 0.0), 1.0)
-    return float(np.linalg.norm(point - (a + s * ab)))
+def _dot(u: Array, v: Array) -> Array:
+    """Row-wise products of (N, 3) arrays, as (N, 1, 3) @ (N, 3, 1): each
+    rounds as the 1-D `@` of its two rows does, which einsum does not."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _path_deviation(session: Session, script: ScenarioScript, archive: dict[str, Plan]) -> float:
+def _path_deviation(chain: ChainConfig, archive: dict[str, Plan], t: Array, request_ids: Array, ee: Array) -> float:
     """Max distance from the reference end-effector path to the chord between
     the bracketing waypoints of whichever plan was active at each tick."""
     deviation = 0.0
-    by_id: dict[str, list[TelemetryRecord]] = {}
-    for rec in session.telemetry:
-        if rec.active_request_id is not None:
-            by_id.setdefault(rec.active_request_id, []).append(rec)
-    for request_id, records in by_id.items():
-        plan_ = archive.get(request_id)
-        if plan_ is None:
-            continue
+    for request_id, plan_ in archive.items():
         bounds = np.cumsum(plan_.durations)
-        q_start = plan_.state_at(0.0)[0]
-        anchors = [forward_kinematics(script.chain, q_start).translation] + [
-            forward_kinematics(script.chain, wp).translation for wp in plan_.joint_waypoints
-        ]
-        for rec in records:
-            local = rec.t - plan_.epoch
-            if local >= bounds[-1]:
-                continue
-            idx = int(np.searchsorted(bounds, local, side="right"))
-            deviation = max(
-                deviation,
-                _segment_distance(rec.ee_pose_ref.translation, anchors[idx], anchors[idx + 1]),
-            )
+        local = t - plan_.epoch
+        ticks = (request_ids == request_id) & (local < bounds[-1])
+        idx = np.searchsorted(bounds, local[ticks], side="right")
+        joints = [plan_.state_at(0.0)[0], *plan_.joint_waypoints]
+        anchors = np.array([forward_kinematics(chain, q).translation for q in joints])
+        a, ab, p = anchors[idx], anchors[idx + 1] - anchors[idx], ee[ticks]
+        denom = _dot(ab, ab)
+        s = np.clip(_dot(p - a, ab) / np.maximum(denom, 1e-18), 0.0, 1.0)
+        gap = p - (a + np.where(denom < 1e-18, 0.0, s)[:, None] * ab)
+        deviation = max(deviation, float(np.sqrt(_dot(gap, gap)).max(initial=0.0)))
     return deviation
 
 
-def _teleop_delay(session: Session, script: ScenarioScript) -> dict:
+def _teleop_delay(t: Array, ee: Array, samples: list[tuple[float, Array]]) -> dict:
     """Median lag between a master pose timestamp and the tick at which the
     commanded end-effector passes closest to it."""
-    samples = script.master_samples or []
-    positions = np.array([rec.ee_pose_ref.translation for rec in session.telemetry])
-    times = np.array([rec.t for rec in session.telemetry])
-    if not len(samples) or not len(times):
-        return {}
-    horizon = times[-1]
     delays = []
     for stamp, pose in samples:
-        if stamp < 1.0 or stamp + 0.5 > horizon:
+        if stamp < 1.0 or stamp + 0.5 > t[-1]:
             continue
-        dist = np.linalg.norm(positions - pose[:3], axis=1)
-        delays.append(float(times[int(np.argmin(dist))] - stamp))
+        dist = np.linalg.norm(ee - pose[:3], axis=1)
+        delays.append(float(t[int(np.argmin(dist))] - stamp))
     if not delays:
         return {}
     delays = np.array(delays)
@@ -538,44 +523,38 @@ def _summarize(
     chain = script.chain
     accepted = [r for r in session.requests if r.accepted]
     preemptions = [r for r in accepted if r.preemption_jump is not None]
-    qd = np.array([rec.reference.qd for rec in session.telemetry])
-    qdd = np.array([rec.reference.qdd for rec in session.telemetry])
-    qs = np.array([rec.reference.q for rec in session.telemetry])
-    vel_excess = np.max(np.abs(qd) - chain.v_max, initial=-np.inf)
-    acc_excess = np.max(np.abs(qdd) - chain.a_max, initial=-np.inf)
+    # one walk of the log, which run_scenario never leaves empty
+    rows = (
+        (r.t, r.active_request_id, r.ee_pose_ref.translation, r.reference.q, r.reference.qd, r.reference.qdd)
+        for r in session.telemetry
+    )
+    t, request_ids, ee, q, qd, qdd = (np.array(column) for column in zip(*rows))
     violations = int(np.sum(np.any(np.abs(qd) > chain.v_max + 1e-6, axis=1) | np.any(np.abs(qdd) > chain.a_max + 1e-6, axis=1)))
-    tick_step = np.max(np.abs(np.diff(qs, axis=0)), axis=0) if len(qs) > 1 else np.zeros(chain.dof)
     step_bound = chain.v_max / chain.control_frequency * (1.0 + 1e-3)
-
-    def _stack(records, attr):
-        vals = [getattr(r, attr) for r in records if getattr(r, attr) is not None]
-        return np.array(vals) if vals else np.zeros((0, 3))
-
-    junctions = _stack(accepted, "junction_residual")
-    jumps = _stack(preemptions, "preemption_jump")
-    final_ref = session.telemetry[-1].reference if session.telemetry else None
-
+    # residuals and jumps are >= 0, so the initial 0.0 stands for none
+    junctions = np.reshape([r.junction_residual for r in accepted], (-1, 3))
+    jumps = np.reshape([r.preemption_jump for r in preemptions], (-1, 3))
     summary = {
         "scenario": script.name,
         "fc": chain.control_frequency,
-        "ticks": len(session.telemetry),
+        "ticks": len(t),
         "requests_accepted": len(accepted),
         "requests_rejected": len(session.requests) - len(accepted),
         "preemptions": len(preemptions),
-        "max_junction_residual": junctions.max(axis=0).tolist() if junctions.size else [0.0, 0.0, 0.0],
-        "max_preemption_jump": jumps.max(axis=0).tolist() if jumps.size else [0.0, 0.0, 0.0],
+        "max_junction_residual": junctions.max(axis=0, initial=0.0).tolist(),
+        "max_preemption_jump": jumps.max(axis=0, initial=0.0).tolist(),
         "limit_violation_ticks": violations,
-        "max_velocity_excess": float(vel_excess),
-        "max_acceleration_excess": float(acc_excess),
-        "max_tick_step_ratio": float(np.max(tick_step / step_bound)) if len(qs) > 1 else 0.0,
-        "terminal_velocity": float(np.max(np.abs(final_ref.qd))) if final_ref is not None else 0.0,
-        "terminal_acceleration": float(np.max(np.abs(final_ref.qdd))) if final_ref is not None else 0.0,
+        "max_velocity_excess": float(np.max(np.abs(qd) - chain.v_max)),
+        "max_acceleration_excess": float(np.max(np.abs(qdd) - chain.a_max)),
+        "max_tick_step_ratio": float(np.max(np.abs(np.diff(q, axis=0)) / step_bound, initial=0.0)),
+        "terminal_velocity": float(np.max(np.abs(qd[-1]))),
+        "terminal_acceleration": float(np.max(np.abs(qdd[-1]))),
         "solve_time_median_s": float(np.median([r.solve_time for r in accepted])) if accepted else 0.0,
         "solve_time_max_s": float(np.max([r.solve_time for r in accepted])) if accepted else 0.0,
-        "markers": [{"t": t, "label": label} for t, label in markers],
+        "markers": [{"t": stamp, "label": label} for stamp, label in markers],
     }
     if script.shape:
-        summary["path_deviation_m"] = _path_deviation(session, script, archive)
+        summary["path_deviation_m"] = _path_deviation(chain, archive, t, request_ids, ee)
     if script.master_samples is not None:
-        summary["pipeline_delay"] = _teleop_delay(session, script)
+        summary["pipeline_delay"] = _teleop_delay(t, ee, script.master_samples)
     return summary

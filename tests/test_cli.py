@@ -1,14 +1,18 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
+import zipfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import rtmotion
 from rtmotion import cli
 from rtmotion.cli import main
-from rtmotion.runtime import ScenarioError, run_scenario
+from rtmotion.runtime import ScenarioError, load_scenario, run_scenario
 
 from conftest import data_path
 
@@ -271,6 +275,19 @@ class TestSimCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf"])
+    def test_master_log_with_a_non_finite_timestamp_is_an_input_error(self, tmp_path, capsys, stamp):
+        # an event never due would keep the run ticking without end
+        rows = data_path("scenarios", "teleop-master.csv").read_text().splitlines()
+        rows[10] = ",".join([stamp] + rows[10].split(",")[1:])
+        (tmp_path / "teleop-master.csv").write_text("\n".join(rows))
+        path = tmp_path / "teleop.json"
+        path.write_text(data_path("scenarios", "teleop-replay.json").read_text())
+        with pytest.raises(ScenarioError, match=f"non-finite timestamp {stamp}"):
+            load_scenario(path)
+        assert main(["sim", str(path)]) == 2
+        assert "non-finite timestamp" in capsys.readouterr().err
+
     def test_missing_scenario_is_an_input_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["sim", "no-such-scenario.json"]) == 2
@@ -354,3 +371,24 @@ def test_python_dash_m_runs_the_command_line(tmp_path, monkeypatch, capsys):
     assert exited.value.code == 0
     assert "scenario 'draw-line'" in capsys.readouterr().out
     assert json.loads(report.read_text())["scenario"] == "draw-line"
+
+
+def test_packaged_names_resolve_from_a_zipped_package(tmp_path):
+    # the scenario, its chain and teleop-replay's master log all come from the archive
+    package = Path(rtmotion.__file__).parent
+    archive = tmp_path / "rtmotion.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in package.rglob("*"):
+            if "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent))
+    for scenario in ("draw-line.json", "teleop-replay.json"):
+        out = subprocess.run(
+            [sys.executable, "-m", "rtmotion", "sim", scenario],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(archive)},
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert f"scenario '{Path(scenario).stem}'" in out.stdout

@@ -12,7 +12,7 @@ from rtmotion.iface import SERVE_HISTORY, RobotServer, handle_request_line
 from rtmotion.planner import CartesianWaypoint, PlanRequest, RobotState
 from rtmotion.runtime import ScenarioError, Session, SimArm, load_scenario, run_scenario
 
-from conftest import data_path
+from conftest import data_path, scenario_result
 
 
 def hold_request(chain, q0, request_id="hold", duration=0.5):
@@ -295,6 +295,39 @@ class TestScenarios:
         assert max(summary["max_junction_residual"]) <= 1e-6
         assert summary["limit_violation_ticks"] == 0
 
+    @pytest.mark.parametrize("name", ["draw-line", "draw-circle", "repeated waypoint"])
+    def test_path_deviation_matches_a_per_tick_reference(self, tmp_path, name):
+        def segment_distance(point, a, b):
+            ab = b - a
+            denom = float(ab @ ab)
+            if denom < 1e-18:
+                return float(np.linalg.norm(point - a))
+            s = min(max(float((point - a) @ ab) / denom, 0.0), 1.0)
+            return float(np.linalg.norm(point - (a + s * ab)))
+
+        def repeat_a_waypoint(raw):  # waypoints 3 and 4 give one anchor: a zero-length chord
+            waypoints = raw["events"][0]["request"]["waypoints"]
+            waypoints.insert(3, waypoints[3])
+            raw["events"][1]["t"] = 4.5  # the at_rest check, past the now 4.0 s plan
+
+        if name == "repeated waypoint":
+            result = run_scenario(edited_draw_line(tmp_path, repeat_a_waypoint))
+        else:
+            result = scenario_result(name)
+        plan_ = result.session.active_plan  # the drawing's one request
+        anchors = [forward_kinematics(result.script.chain, q).translation
+                   for q in [plan_.state_at(0.0)[0], *plan_.joint_waypoints]]
+        bounds = np.cumsum(plan_.durations)
+        expected = 0.0
+        for rec in result.session.telemetry:
+            local = rec.t - plan_.epoch
+            if rec.active_request_id == plan_.request_id and local < bounds[-1]:
+                idx = int(np.searchsorted(bounds, local, side="right"))
+                expected = max(expected, segment_distance(rec.ee_pose_ref.translation, anchors[idx], anchors[idx + 1]))
+        if name == "repeated waypoint":
+            assert np.array_equal(anchors[4], anchors[5])
+        assert expected > 0 and result.summary["path_deviation_m"] == expected
+
     def test_chase_preemptions_and_grasp(self, chase_result):
         summary = chase_result.summary
         assert summary["preemptions"] >= 10
@@ -464,6 +497,16 @@ class TestRunLength:
         path = edited_draw_line(tmp_path, add_second_request)
         with pytest.raises(ScenarioError, match=re.escape(f"request line-2 at t=1.000 rejected ({reason})")):
             run_scenario(path)
+
+    def test_one_tick_with_no_events_reports_a_still_arm(self, tmp_path, arm6):
+        script = {"name": "still", "chain": "arm6.json", "q0": arm6.mid_position().tolist(), "settle_time": 0}
+        path = tmp_path / "still.json"
+        path.write_text(json.dumps(script))
+        summary = run_scenario(path).summary
+        assert summary["ticks"] == 1 and summary["preemptions"] == 0
+        assert summary["max_tick_step_ratio"] == 0.0
+        assert summary["terminal_velocity"] == summary["terminal_acceleration"] == 0.0
+        assert summary["max_junction_residual"] == summary["max_preemption_jump"] == [0.0, 0.0, 0.0]
 
     def test_an_integer_request_id_reports_the_same_path_deviation(self, tmp_path, draw_line_result):
         result = run_scenario(edited_draw_line(tmp_path, lambda raw: raw["events"][0]["request"].update(id=17)))
