@@ -20,10 +20,12 @@ segment repeats the limit rows of its last tick, which adds copies of rows
 it already has and so no constraint. assemble_qp computes the sample grid
 once, for the cost and the limit rows, and builds the limit rows straight
 into the problem's one BlockRows, which the solver iterates on as it is.
-Q and A depend on (degree, durations, control frequency) alone: assemble_qp
-returns them read-only, as the problem's structure, and a request given the
-structure of the plan it replaces gets the same Q and BlockRows when it
-repeats those three (a teleop window) and builds only its bounds.
+Q is carried as its (N, L+1, L+1) segment blocks (a dense Q is one block,
+see cost_blocks). Q and A depend on (degree, durations, control frequency)
+alone: assemble_qp returns them read-only, as the problem's structure, and a
+request given the structure of the plan it replaces gets the same Q and
+BlockRows when it repeats those three (a teleop window) and builds only its
+bounds.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ def _block_diagonal(blocks: Array) -> Array:
     diagonal = np.arange(n_blocks)
     out[diagonal, :, diagonal, :] = blocks
     return out.reshape(n_blocks * n_rows, n_blocks * n_cols)
+
+
+def cost_blocks(q_matrix: ArrayLike) -> Array:
+    """Q as its (N, w, w) diagonal blocks: an (N, w, w) Q is that already, and
+    a dense (n, n) Q is one block (a view, not a copy)."""
+    q_matrix = np.asarray(q_matrix, dtype=float)
+    return q_matrix if q_matrix.ndim == 3 else q_matrix[None]
 
 
 class BlockRows:
@@ -100,13 +109,16 @@ class BlockRows:
         return np.concatenate([head, tail.ravel()])
 
     def dot(self, x: Array) -> Array:
-        """A x, for x of shape (n, k)."""
-        n_blocks, _, width = self.blocks.shape
+        """A x, for x of shape (n, k), written into one (m, k) array."""
+        n_blocks, n_tail, width = self.blocks.shape
+        m_head, k = self.head.shape[0], x.shape[1]
         # a Fortran-ordered x (as LAPACK returns it) would reshape to a strided
         # view that matmul cannot hand to BLAS
         x = np.ascontiguousarray(x)
-        tail = np.matmul(self.blocks, x.reshape(n_blocks, width, x.shape[1]))
-        return np.concatenate([self.head @ x, tail.reshape(-1, x.shape[1])])
+        out = np.empty((self.shape[0], k))
+        np.matmul(self.head, x, out=out[:m_head])
+        np.matmul(self.blocks, x.reshape(n_blocks, width, k), out=out[m_head:].reshape(n_blocks, n_tail, k))
+        return out
 
     def tdot(self, y: Array) -> Array:
         """A^T y, for y of shape (m, k)."""
@@ -127,7 +139,8 @@ class BlockRows:
 class QpProblem:
     """min p^T Q p  subject to  lower <= A p <= upper.
 
-    The first n_eq rows of A are equalities (lower == upper). a_matrix is
+    Q is held as its (N, w, w) diagonal blocks or dense (cost_blocks). The
+    first n_eq rows of A are equalities (lower == upper). a_matrix is
     BlockRows (or a dense array); lower and upper follow its rows, with one
     column per joint when they are 2-D. assemble_qp sets structure to
     ((degree, control_frequency, durations as bytes), Q, A).
@@ -142,16 +155,18 @@ class QpProblem:
 
     @property
     def n_vars(self) -> int:
-        return self.q_matrix.shape[0]
+        blocks = cost_blocks(self.q_matrix)
+        return blocks.shape[0] * blocks.shape[1]
 
     def validate(self) -> None:
         n = self.n_vars
         rows = BlockRows.wrap(self.a_matrix)
-        if self.q_matrix.shape != (n, n):
+        blocks = cost_blocks(self.q_matrix)
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
             raise QpBuildError("Q must be square")
-        if not np.isfinite(self.q_matrix).all():
+        if not np.isfinite(blocks).all():
             raise QpBuildError("Q must be finite")
-        if np.max(np.abs(self.q_matrix - self.q_matrix.T)) > 0:
+        if np.max(np.abs(blocks - blocks.transpose(0, 2, 1))) > 0:
             raise QpBuildError("Q must be symmetric")
         if rows.shape[1] != n:
             raise QpBuildError("A column count must match Q")
@@ -271,15 +286,15 @@ def build_equality(
 
 def _structure(degree: int, durations: Array, control_frequency: float) -> tuple[Array, BlockRows]:
     """The part of assemble_qp that depends on (degree, durations,
-    control_frequency) alone: the ridged cost and the constraint rows, both
-    made read-only. A segment's limit rows and jerk block depend on its
-    duration alone, so they are built once per distinct duration."""
+    control_frequency) alone: the ridged cost blocks and the constraint
+    rows, both made read-only. A segment's limit rows and jerk block depend
+    on its duration alone, so they are built once per distinct duration."""
     distinct, segment_of = np.unique(durations, return_inverse=True)
     u, real = _sample_grid(distinct, control_frequency)
     rows = state_rows(degree, u, distinct[:, None], orders=(1, 2))[segment_of]
     a_matrix = BlockRows(_equality_rows(degree, durations), rows.reshape(len(durations), -1, degree + 1))
-    q_matrix = _block_diagonal(_jerk_blocks(degree, distinct, u, real)[segment_of])
-    q_matrix += RIDGE * np.eye(q_matrix.shape[0])
+    q_matrix = _jerk_blocks(degree, distinct, u, real)[segment_of]
+    q_matrix += RIDGE * np.eye(degree + 1)
     for array in (q_matrix, a_matrix.head, a_matrix.blocks, a_matrix._blocks_t):
         array.flags.writeable = False
     return q_matrix, a_matrix
@@ -318,15 +333,18 @@ def assemble_qp(
         structure = (key, *_structure(degree, durations, control_frequency))
     _, q_matrix, a_matrix = structure
     b_eq = _equality_rhs(positions, initial_state)
-    limits = np.empty((a_matrix.shape[0] - len(b_eq),) + np.shape(v_max))
-    limits[0::2] = v_max
-    limits[1::2] = a_max
+    n_eq = len(b_eq)
+    lower = np.empty((a_matrix.shape[0],) + np.shape(v_max))
+    upper = np.empty_like(lower)
+    lower[:n_eq] = upper[:n_eq] = b_eq
+    upper[n_eq::2], upper[n_eq + 1 :: 2] = v_max, a_max
+    np.negative(upper[n_eq:], out=lower[n_eq:])
 
     return QpProblem(
         q_matrix=q_matrix,
         a_matrix=a_matrix,
-        lower=np.concatenate([b_eq, -limits]),
-        upper=np.concatenate([b_eq, limits]),
-        n_eq=len(b_eq),
+        lower=lower,
+        upper=upper,
+        n_eq=n_eq,
         structure=structure,
     )

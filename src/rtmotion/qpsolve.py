@@ -20,29 +20,32 @@ each ordered between the columns it touches, all columns at once) gives the
 minimizer over the equalities and its multipliers; x starts there, z at A x
 clipped to [l, u], y at the multipliers on the tight rows and 0 elsewhere.
 When no limit row is active that start passes the stopping test and is
-returned with iterations == 1: the reduced matrix is never formed. Otherwise
-it is factored and ADMM iterates from the start. A KKT matrix singular to
-working precision falls back to the zero start, silently. A saddle point of
-a nonconvex cost passes the stopping test too, so a banded Cholesky of
-P + sigma*I first raises scipy.linalg.LinAlgError for a Q that is not
-positive semidefinite.
+returned with iterations == 1; that start path builds A x, its clip and one
+scratch array, and reads P x from Q's blocks and A^T y from the unit-norm
+tight rows. Only ADMM builds the penalties, y on every row, the dense scaled
+cost and the reduced matrix. A KKT matrix singular to working precision
+falls back to the zero start, silently. A saddle point of a nonconvex cost
+passes the stopping test too, so a banded Cholesky of P + sigma*I first
+raises scipy.linalg.LinAlgError for a Q that is not positive semidefinite.
 
-A is taken as qpbuild.BlockRows (a dense matrix is a head with no tail), so
-one iteration costs products with the dense head, O(N * R * (L+1)) for the
-per-segment blocks, and a pair of n x n triangular solves with the factor.
-The bounds, z and y follow A's one row order (the head, then each block in
-block order), so the caller's bounds are used as they are.
+Q is taken as its (N, w, w) diagonal blocks (a dense Q is one block, see
+qpbuild.cost_blocks) and A as qpbuild.BlockRows (a dense matrix is a head
+with no tail), so one iteration costs products with the dense head,
+O(N * R * (L+1)) for the per-segment blocks, and a pair of n x n triangular
+solves with the factor. The bounds, z and y follow A's one row order (the
+head, then each block in block order), so the caller's bounds are used as
+they are.
 
 The problems of a request's joints share Q and A and are solved as the
 columns of one batch (solve_batch), which amortizes the factorization and
 the per-iteration matrix products. What depends on Q, A and the tight rows
-alone (row norms, scaled cost and the KKT start's LU) is the solution's
-Structure, reused when passed back as previous with the same read-only Q
-and A objects (as assemble_qp returns them for a repeated request) and the
-same tight rows: a teleop window then costs one banded back-solve, one A x
-and the stopping test. A writeable Q or A may have changed: it is never
-reused. The reduced factor is not kept: a solve that iterates runs hundreds
-of iterations, each costing about as much as the factorization.
+alone (row norms, cost scale, unit-norm tight rows and the KKT start's LU)
+is the solution's Structure, reused when passed back as previous with the
+same read-only Q and A objects (as assemble_qp returns them for a repeated
+request) and the same tight rows: a teleop window then costs the start path
+alone. A writeable Q or A may have changed: it is never reused. The reduced
+factor is not kept: a solve that iterates runs hundreds of iterations, each
+costing about as much as the factorization.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ import scipy.linalg
 from numpy.typing import NDArray
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dpbtrf, dpotrs
 
-from rtmotion.qpbuild import BlockRows, QpProblem
+from rtmotion import qpbuild  # _block_diagonal through the module: a test counts its calls
+from rtmotion.qpbuild import BlockRows, QpProblem, cost_blocks
 
 Array = NDArray[np.float64]
 
@@ -122,6 +126,7 @@ def solve_batch(
 ) -> BatchSolution:
     """ADMM over the columns of lower/upper; all columns share Q and A.
 
+    Q is (N, w, w) blocks or a dense (n, n) matrix (qpbuild.cost_blocks).
     lower and upper follow the rows of A, and so do the iterates z and y.
     The start is returned as it is when it passes the stopping test; only
     otherwise is the reduced matrix formed and factored and ADMM run from it.
@@ -132,31 +137,37 @@ def solve_batch(
     settings = settings or SolverSettings()
     start = time.perf_counter()
     a = BlockRows.wrap(a_matrix)
-    n = q_matrix.shape[0]
+    blocks = cost_blocks(q_matrix)
     n_problems = lower.shape[1]
-    s = _structure(q_matrix, a_matrix, a, lower, upper, previous)
-    p_s = s.p_s
+    s = _structure(q_matrix, blocks, a_matrix, a, lower, upper, previous)
 
-    x = np.zeros((n, n_problems))
-    z = np.zeros((a.shape[0], n_problems))
-    y = np.zeros((a.shape[0], n_problems))
     prim_res = dual_res = np.full(n_problems, np.inf)
     converged = np.zeros(n_problems, dtype=bool)
     start_point = None if s.kkt is None else _kkt_solve(s.kkt, lower[s.eq_rows] * s.unit)
     if start_point is not None:
         x, y_unit = start_point
-        y[s.eq_rows] = y_unit * s.unit
         ax = a.dot(x)
-        z = np.minimum(np.maximum(ax, lower), upper)
-        # with no limit row active the start is already the optimum
-        prim_res, dual_res, converged = _stopping_test(p_s, a, x, ax, z, y, settings)
+        z = np.maximum(ax, lower)
+        np.minimum(z, upper, out=z)  # np.clip, without its overhead
+        px = np.matmul(blocks, x.reshape(len(blocks), blocks.shape[1], n_problems)).reshape(x.shape) * s.scale
+        # with no limit row active the start is already the optimum; y is 0
+        # off the tight rows, so A^T y is a_eq^T y_unit
+        prim_res, dual_res, converged = _stopping_test(ax, z, px, s.a_eq.T @ y_unit, settings)
 
     status, iterations = STATUS_SOLVED, 1
     if not converged.all():
-        factor, lower_factor = scipy.linalg.cho_factor(p_s + _SIGMA * np.eye(n) + a.gram(s.rho), check_finite=False)
+        # only ADMM needs the penalties, the dense scaled cost and y on every row
+        y = np.zeros((a.shape[0], n_problems))
+        if start_point is None:
+            x, z = np.zeros((a.shape[1], n_problems)), np.zeros_like(y)
+        else:
+            y[s.eq_rows] = y_unit * s.unit
+        rho = np.where(s.tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / s.norms**2
+        p_s = qpbuild._block_diagonal(blocks) * s.scale
+        factor, lower_factor = scipy.linalg.cho_factor(p_s + _SIGMA * np.eye(len(x)) + a.gram(rho), check_finite=False)
         # per-row penalties as a full (m, k) array: broadcasting an (m, 1)
         # column over the k problems defeats numpy's contiguous inner loops
-        rho_col = np.repeat(s.rho[:, None], n_problems, axis=1)
+        rho_col = np.repeat(rho[:, None], n_problems, axis=1)
         status, iterations = STATUS_MAX_ITERS, settings.max_iters
         prev_check, stall = np.inf, 0
 
@@ -172,7 +183,7 @@ def solve_batch(
             y = rho_col * (v - z)
 
             if iteration == 1 or iteration % _CHECK_INTERVAL == 0 or iteration == settings.max_iters:
-                prim_res, dual_res, converged = _stopping_test(p_s, a, x, a.dot(x), z, y, settings)
+                prim_res, dual_res, converged = _stopping_test(a.dot(x), z, p_s @ x, a.tdot(y), settings)
                 if converged.all():
                     status, iterations = STATUS_SOLVED, iteration
                     break
@@ -205,77 +216,79 @@ class Structure(NamedTuple):
     a_matrix: BlockRows | Array
     norms: Array
     tight: NDArray[np.bool_]
-    rho: Array  # per-row penalties, equilibrated (see the module docstring)
-    p_s: Array
+    scale: float  # the scaled cost P_s is scale * Q (see the module docstring)
     eq_rows: NDArray[np.intp]
     unit: Array  # 1 / norms[eq_rows, None]
-    kkt: Optional[tuple]  # _kkt_factor of the unit-norm eq_rows
+    a_eq: Array  # the eq_rows of A at unit norm
+    kkt: Optional[tuple]  # _kkt_factor of a_eq
 
 
-def _structure(q_matrix: Array, a_matrix, a: BlockRows, lower: Array, upper: Array, previous) -> Structure:
+def _structure(q_matrix, blocks: Array, a_matrix, a: BlockRows, lower: Array, upper: Array, previous) -> Structure:
     """previous if it is of this (Q, A) and its tight rows, and Q and A are
     read-only, as assemble_qp returns them: only then can they not have
     changed under it. Else a new Structure."""
     read_only = isinstance(a_matrix, BlockRows) and not any(
-        array.flags.writeable for array in (q_matrix, a_matrix.head, a_matrix.blocks)
+        array.flags.writeable for array in (blocks, a_matrix.head, a_matrix.blocks)
     )
     hit = read_only and previous is not None and previous.q_matrix is q_matrix and previous.a_matrix is a_matrix
     norms = previous.norms if hit else a.row_norms()
-    tight = _max(upper - lower, axis=1) <= _EQUALITY_GAP * norms
+    # reduced from a (k, m) copy: numpy reduces the short rows of an (m, k)
+    # array one at a time, several times slower at k = 6
+    tight = np.ascontiguousarray((upper - lower).T).max(axis=0) <= _EQUALITY_GAP * norms
     if hit and np.array_equal(tight, previous.tight):
         return previous
     if np.any(norms <= 0):
         raise ValueError("A contains an all-zero row")
-    rho = np.where(tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / norms**2
     # P = 2Q (gradient convention for p^T Q p) at unit max-abs; no abs(Q) temporary
-    p_s = q_matrix * (1.0 / max(float(q_matrix.max()), -float(q_matrix.min()), 0.5e-12))
-    cost_band = _cost_band(p_s)  # checks that Q is positive semidefinite
+    scale = 1.0 / max(float(blocks.max()), -float(blocks.min()), 0.5e-12)
+    cost_band = _cost_band(blocks, scale)  # checks that Q is positive semidefinite
     # the start solves on the tight rows of the head at unit norm (tight rows
     # in the blocks, which no caller builds, are left to the iteration)
     eq_rows = np.flatnonzero(tight[: a.head.shape[0]])
     unit = 1.0 / norms[eq_rows, None]
     a_eq = a.head[eq_rows]
     a_eq *= unit  # in place: one (m, n) copy of the head, not two
-    return Structure(q_matrix, a_matrix, norms, tight, rho, p_s, eq_rows, unit, _kkt_factor(cost_band, a_eq))
+    return Structure(q_matrix, a_matrix, norms, tight, scale, eq_rows, unit, a_eq, _kkt_factor(cost_band, a_eq))
 
 
-def _stopping_test(
-    p_s: Array, a: BlockRows, x: Array, ax: Array, z: Array, y: Array, settings: SolverSettings
-):
-    """Primal and dual residuals of each column (ax is A x), and whether
-    each passes OSQP's test against the tolerances."""
-    prim_res = _max(np.abs(ax - z), axis=0)
-    prim_ref = _max(np.maximum(np.abs(ax), np.abs(z)), axis=0)
-    px, aty = p_s @ x, a.tdot(y)
-    dual_res = _max(np.abs(px + aty), axis=0)
-    dual_ref = np.maximum(_max(np.abs(px), axis=0), _max(np.abs(aty), axis=0))
-    converged = (prim_res <= settings.eps_abs + settings.eps_rel * prim_ref) & (
-        dual_res <= settings.eps_abs + settings.eps_rel * dual_ref
+def _stopping_test(ax: Array, z: Array, px: Array, aty: Array, settings: SolverSettings):
+    """Primal and dual residuals of each column (ax is A x, px is P_s x and
+    aty is A^T y), and whether each passes OSQP's test against the
+    tolerances. Each term is reduced from one (3, k, m) scratch array, as
+    the tight rows are in _structure."""
+    scratch = np.empty((3, ax.shape[1], max(len(ax), len(px))))
+    reduced = []
+    for first, second, combine in ((ax, z, np.subtract), (px, aty, np.add)):
+        terms = scratch[:, :, : len(first)]
+        terms[0], terms[1] = first.T, second.T
+        combine(terms[0], terms[1], out=terms[2])
+        np.abs(terms, out=terms)
+        reduced.append(terms.max(axis=2))
+    (ax_ref, z_ref, prim_res), (px_ref, aty_ref, dual_res) = reduced
+    converged = (prim_res <= settings.eps_abs + settings.eps_rel * np.maximum(ax_ref, z_ref)) & (
+        dual_res <= settings.eps_abs + settings.eps_rel * np.maximum(px_ref, aty_ref)
     )
     return prim_res, dual_res, converged
 
 
-def _max(rows: Array, axis: int) -> Array:
-    """rows.max(axis) of a tall (m, k) array, reduced from a (k, m) copy:
-    numpy reduces the short rows of an (m, k) array one at a time, which at
-    k = 6 takes several times longer than the copy and the reduction."""
-    return np.ascontiguousarray(rows.T).max(axis=1 - axis)
-
-
-def _cost_band(p_s: Array) -> tuple[Array, Array]:
-    """The symmetric p_s within its bandwidth kd, read once: the
-    (n, 2*kd + 1) column indices and values, entry [i, kd + d] at column
-    i + d (clipped to the matrix, where it repeats an entry of the band).
-    Raises scipy.linalg.LinAlgError unless p_s + sigma*I has a banded
-    Cholesky factor."""
-    n = p_s.shape[0]
-    rows = np.arange(n)
-    nonzero = p_s != 0
-    first = nonzero.argmax(axis=1)  # 0 for a zero row too: masked below
-    kd = int(np.where(nonzero[rows, first], rows - first, 0).max())
-    cols = np.minimum(np.maximum(rows[:, None] + np.arange(-kd, kd + 1), 0), n - 1)
-    values = p_s[rows[:, None], cols]
-    # LAPACK's lower band storage, [d, j] = p_s[j + d, j]; a copy even at kd = 0
+def _cost_band(blocks: Array, scale: float) -> tuple[Array, Array]:
+    """The symmetric block-diagonal P_s = scale * Q of (N, w, w) blocks within
+    its bandwidth kd, read once: the (n, 2*kd + 1) column indices and values,
+    entry [i, kd + d] at column i + d (clipped to the matrix, where it repeats
+    an entry of the band). Raises scipy.linalg.LinAlgError unless
+    P_s + sigma*I has a banded Cholesky factor."""
+    n_blocks, width, _ = blocks.shape
+    rows, local = np.arange(n_blocks * width), np.arange(width)
+    kd = int(np.where(blocks != 0, local[:, None] - local, 0).max())
+    # each block row with kd columns on either side: zeros of the matrix
+    # between blocks, and beyond its edges the column there clips to
+    padded = np.zeros((n_blocks, width, width + 2 * kd))
+    padded[:, :, kd : kd + width] = blocks
+    padded[0, :, :kd], padded[-1, :, kd + width :] = blocks[0, :, :1], blocks[-1, :, -1:]
+    # row r of a block has its 2*kd + 1 entries from padded column r on
+    values = padded.reshape(len(rows), -1)[rows[:, None], rows[:, None] % width + np.arange(2 * kd + 1)] * scale
+    cols = np.minimum(np.maximum(rows[:, None] + np.arange(-kd, kd + 1), 0), len(rows) - 1)
+    # LAPACK's lower band storage, [d, j] = P_s[j + d, j]; a copy even at kd = 0
     lower_band = np.array(values[:, kd:].T, order="F")
     lower_band[0] += _SIGMA
     if dpbtrf(lower_band, lower=1, overwrite_ab=1)[1] != 0:
@@ -287,7 +300,7 @@ def _kkt_factor(cost_band: tuple[Array, Array], a_eq: Array) -> Optional[tuple]:
     """The banded LU of the KKT matrix [p_s a_eq^T; a_eq 0], for _kkt_solve;
     None if it is singular to working precision.
 
-    cost_band is _cost_band(p_s). Ordering each equality row at the midpoint
+    cost_band is _cost_band of p_s. Ordering each equality row at the midpoint
     of its first and last nonzero column, among the variables at their own
     index, makes the KKT matrix banded. It is built straight into LAPACK band
     storage and factored by banded LU with partial pivoting (it is
@@ -361,10 +374,12 @@ def solve(problem: QpProblem, settings: Optional[SolverSettings] = None) -> Solu
 def solve_kkt_equality(q_matrix: Array, a_eq: Array, b_eq: Array) -> Array:
     """Exact minimizer of p^T Q p subject to A_eq p = b_eq.
 
-    One dense symmetric-indefinite solve of the stationarity system
+    Q is blocks or a dense matrix (qpbuild.cost_blocks). One dense
+    symmetric-indefinite solve of the stationarity system
     [Q A^T; A 0] [p; lam] = [0; b], refined once. Requires A_eq to have full
     row rank.
     """
+    q_matrix = qpbuild._block_diagonal(cost_blocks(q_matrix))
     n = q_matrix.shape[0]
     m = a_eq.shape[0]
     # scale-invariant in p: normalize the cost and the constraint rows so the

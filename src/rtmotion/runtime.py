@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 Array = NDArray[np.float64]
 
 DEFAULT_TOL = 1e-6  # a scenario assert's tolerance when it gives none
+MAX_SCENARIO_S = 600.0  # latest event t and longest settle_time, which bound a run's length
 
 
 class ScenarioError(RuntimeError):
@@ -311,6 +312,8 @@ def _check_shape(raw, path: Traversable) -> None:
     for key in ("settle_time", "fc"):
         if not (planner.is_number(value := raw.get(key, 0.0)) and 0 <= value <= sys.float_info.max):
             raise ScenarioError(f"{path}: '{key}' must be finite and >= 0")
+    if raw.get("settle_time", 0.0) > MAX_SCENARIO_S:
+        raise ScenarioError(f"{path}: 'settle_time' must be at most {MAX_SCENARIO_S:g} s")
     for block, key in (("chase", "request_duration"), ("chase", "grasp_epsilon_m"), ("teleop", "waypoint_duration_s")):
         if not (planner.is_number(value := raw.get(block, {}).get(key, 1.0)) and 0 < value <= sys.float_info.max):
             raise ScenarioError(f"{path}: '{block}' needs a '{key}' that is finite and > 0")
@@ -324,6 +327,8 @@ def _check_shape(raw, path: Traversable) -> None:
         t = event.get("t") if isinstance(event, dict) else None
         if not (planner.is_number(t) and abs(t) <= sys.float_info.max and "action" in event):
             raise ScenarioError(f"{path}: event {i} must be an object with a finite 't' and an 'action'")
+        if t > MAX_SCENARIO_S:
+            raise ScenarioError(f"{path}: event {i} has a 't' later than {MAX_SCENARIO_S:g} s")
         action, pose, tol = event["action"], event.get("pose"), event.get("tol", DEFAULT_TOL)
         if action == "marker" and "label" not in event:
             raise ScenarioError(f"{path}: event {i} is a marker without a 'label'")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtmotion.poly import basis_row
-from rtmotion.qpbuild import RIDGE, BlockRows, assemble_qp, build_equality
+from rtmotion.qpbuild import RIDGE, BlockRows, _block_diagonal, assemble_qp, build_equality
 from rtmotion.qpsolve import STATUS_SOLVED, solve_batch, solve_kkt_equality
 
 FC = 100.0
@@ -79,7 +79,7 @@ def test_dense_view_matches_row_by_row_assembly(case):
     np.testing.assert_array_equal(np.asarray(problem.a_matrix), dense)
     assert problem.a_matrix.shape == dense.shape
     np.testing.assert_array_equal(problem.a_matrix.row_norms(), np.abs(dense).max(axis=1))
-    jerk = problem.q_matrix - RIDGE * np.eye(problem.n_vars)
+    jerk = _block_diagonal(problem.q_matrix) - RIDGE * np.eye(problem.n_vars)
     np.testing.assert_allclose(jerk, q_ref, rtol=1e-12, atol=1e-12 * np.abs(q_ref).max())
     limits = np.tile([V_MAX, A_MAX], len(limit_rows) // 2)
     np.testing.assert_array_equal(problem.lower, np.concatenate([b_eq, -limits]))

@@ -185,6 +185,9 @@ class TestSimCommand:
             # a JSON integer too large for a float
             (lambda raw: raw.update(settle_time=10**400), "'settle_time' must be finite and >= 0"),
             (lambda raw: raw["events"][0].update(t=10**400), "event 0 must be an object with a finite 't'"),
+            # finite, but a run that long would tick about 1e11 times
+            (lambda raw: raw["events"][0].update(t=1e9), "event 0 has a 't' later than 600 s"),
+            (lambda raw: raw.update(settle_time=1e9), "'settle_time' must be at most 600 s"),
             (
                 lambda raw: raw["events"][0]["request"]["waypoints"][0].update(duration=10**400),
                 "validation: waypoint 0: int too large to convert to float",
@@ -234,7 +237,7 @@ class TestSimCommand:
         ids=[
             "no chain", "no q0", "events not a list", "request not an object",
             "infinite t", "NaN t", "NaN settle_time", "negative settle_time",
-            "400-digit settle_time", "400-digit t", "400-digit duration",
+            "400-digit settle_time", "400-digit t", "1e9 s t", "1e9 s settle_time", "400-digit duration",
             "boolean settle_time", "boolean t", "boolean duration", "q0 an object",
             "boolean in q0", "chase not an object", "teleop not an object",
             "teleop without master_log", "teleop master_log not a string",

@@ -13,8 +13,10 @@ from rtmotion.qpbuild import (
     BlockRows,
     QpBuildError,
     QpProblem,
+    _block_diagonal,
     assemble_qp,
     build_equality,
+    cost_blocks,
 )
 from rtmotion.qpsolve import (
     STATUS_PRIMAL_INFEASIBLE,
@@ -134,7 +136,7 @@ class TestAdmm:
         problem = assemble_qp([(0.7, 0.5), (0.7, 0.5), (0.7, 0.5)], (0.7, 0.0, 0.0), 5, 100.0, 2.0, 8.0)
         solution = solve(problem)
         assert solution.status == STATUS_SOLVED
-        jerk_gram = problem.q_matrix - RIDGE * np.eye(problem.n_vars)
+        jerk_gram = _block_diagonal(problem.q_matrix) - RIDGE * np.eye(problem.n_vars)
         assert solution.p @ jerk_gram @ solution.p <= 1e-10
         for i in range(3):
             block = solution.p[i * 6 : (i + 1) * 6]
@@ -348,10 +350,10 @@ class TestEarlyReturn:
 
 def banded_start(q_matrix, a_eq, b_eq):
     """The banded KKT start on the scaled cost and unit-norm rows that
-    solve_batch hands it, for one right-hand side."""
-    p_s = q_matrix / np.max(np.abs(q_matrix))
+    solve_batch hands it, for one right-hand side; Q is blocks or dense."""
+    blocks = cost_blocks(q_matrix)
     unit = 1.0 / np.max(np.abs(a_eq), axis=1, keepdims=True)
-    kkt = _kkt_factor(_cost_band(p_s), a_eq * unit)
+    kkt = _kkt_factor(_cost_band(blocks, 1.0 / np.max(np.abs(blocks))), a_eq * unit)
     assert kkt is not None
     start = _kkt_solve(kkt, b_eq[:, None] * unit)
     assert start is not None
@@ -408,6 +410,49 @@ class TestBandedStart:
             a_eq, b_eq = rng.normal(size=(m, n)), rng.normal(size=m)
             kkt = solve_kkt_equality(q_matrix, a_eq, b_eq)
             assert relative_gap(banded_start(q_matrix, a_eq, b_eq), kkt) <= 1e-9
+
+
+class TestCostBlocks:
+    """A dense Q is the one-block case of qpbuild.cost_blocks: the solver
+    gives the same bits for the segment blocks and for their dense matrix."""
+
+    @staticmethod
+    def solve_both_ways(problem, settings=None):
+        bounds = problem.lower[:, None], problem.upper[:, None]
+        as_blocks = solve_batch(problem.q_matrix, problem.a_matrix, *bounds, settings)
+        as_dense = solve_batch(_block_diagonal(problem.q_matrix), problem.a_matrix, *bounds, settings)
+        assert as_blocks.status == as_dense.status
+        assert as_blocks.iterations == as_dense.iterations
+        np.testing.assert_array_equal(as_blocks.p, as_dense.p)
+        return as_blocks
+
+    @settings(max_examples=30)
+    @given(
+        degree=st.sampled_from([5, 7]),
+        durations=st.lists(st.floats(0.03, 1.2), min_size=1, max_size=12),
+        fraction=st.sampled_from([None, 0.97, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_and_their_dense_matrix_solve_alike(self, degree, durations, fraction, seed):
+        rng = np.random.default_rng(seed)
+        request = [[(float(rng.normal(0.0, 0.5)), d) for d in durations], tuple(rng.normal(0.0, 0.3, 3)), degree, 100.0, 1e3, 1e5]
+        if fraction is not None:
+            # a velocity limit just below the peak of the loose solution binds
+            loose = assemble_qp(*request)
+            velocities = (loose.a_matrix @ solve(loose).p)[loose.n_eq :: 2]
+            request[4] = fraction * float(np.max(np.abs(velocities)))
+        problem = assemble_qp(*request)
+        # a binding solve may need thousands of iterations: the first 400
+        # exercise the iteration as well
+        self.solve_both_ways(problem, SolverSettings(max_iters=400))
+        blocks = problem.q_matrix
+        scale = 1.0 / np.max(np.abs(blocks))
+        for got, want in zip(_cost_band(blocks, scale), _cost_band(_block_diagonal(blocks)[None], scale)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_binding_problem_iterates_alike(self):
+        batch = self.solve_both_ways(binding_problem())
+        assert batch.status == STATUS_SOLVED and batch.iterations > 1
 
 
 class TestValidate:

@@ -108,7 +108,7 @@ class TestReuse:
         q_matrix = problem.q_matrix.copy()
         bounds = problem.lower[:, None], problem.upper[:, None]
         before = solve_batch(q_matrix, problem.a_matrix, *bounds)
-        q_matrix[:6, :6] *= 50.0
+        q_matrix[0] *= 50.0  # the first segment's block
         after = solve_batch(q_matrix, problem.a_matrix, *bounds, previous=before.structure)
         fresh = solve_batch(q_matrix.copy(), problem.a_matrix, *bounds)
         assert after.structure is not before.structure
@@ -179,7 +179,7 @@ def test_repeated_durations_build_what_one_segment_at_a_time_builds(degree):
         blocks.append(state_rows(degree, u[i], duration, orders=(1, 2)).reshape(-1, degree + 1))
         jerk.append(qpbuild._jerk_blocks(degree, durations[i : i + 1], u[i : i + 1], real[i : i + 1])[0])
     want_q = qpbuild._block_diagonal(np.array(jerk)) + qpbuild.RIDGE * np.eye(len(durations) * (degree + 1))
-    np.testing.assert_array_equal(q_matrix, want_q)
+    np.testing.assert_array_equal(qpbuild._block_diagonal(q_matrix), want_q)
     np.testing.assert_array_equal(a_matrix.head, qpbuild._equality_rows(degree, durations))
     np.testing.assert_array_equal(a_matrix.blocks, np.array(blocks))
 
@@ -193,11 +193,12 @@ def teleop_window(chain, q0):
     )
 
 
-def drawing(chain, q0):
-    """Twenty 0.5 s waypoints on a 1 cm circle through the pose at q0."""
+def drawing(chain, q0, count=20):
+    """count (by default twenty) 0.5 s waypoints on a 1 cm circle through the
+    pose at q0."""
     pose = forward_kinematics(chain, q0)
-    angles = np.linspace(0.0, 2.0 * np.pi, 21)[1:]
-    offsets = 0.01 * np.stack([np.cos(angles) - 1.0, np.sin(angles), np.zeros(20)], axis=1)
+    angles = np.linspace(0.0, 2.0 * np.pi, count + 1)[1:]
+    offsets = 0.01 * np.stack([np.cos(angles) - 1.0, np.sin(angles), np.zeros(count)], axis=1)
     return tuple(CartesianWaypoint(Pose(pose.translation + d, pose.rpy), 0.5) for d in offsets)
 
 
@@ -233,6 +234,20 @@ class TestConcurrency:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and mismatches == []
+
+
+def test_a_non_binding_plan_builds_no_dense_cost(arm6, monkeypatch):
+    # the jerk cost travels as its segment blocks: only ADMM, which a binding
+    # limit starts, forms the dense n x n matrix
+    shapes = []
+    dense = qpbuild._block_diagonal
+    monkeypatch.setattr(qpbuild, "_block_diagonal", lambda blocks: shapes.append(blocks.shape) or dense(blocks))
+    q0 = arm6.mid_position()
+    result = plan(PlanRequest("sim", drawing(arm6, q0, 35), "draw"), arm6, RobotState.rest(q0))
+    assert len(result.durations) == 35 and result.iterations == 1
+    assert shapes == []
+    assert solved(binding_problem()).iterations > 1
+    assert shapes == [(1, 8, 8)] * 2  # the cost, and the limit rows' Gram matrix
 
 
 def test_teleop_replay_builds_one_structure(monkeypatch):
