@@ -16,17 +16,18 @@ Telemetry is broadcast to all connected clients at the control frequency:
 
 The transport is deliberately a single ubiquitous text protocol; the planning
 layers underneath never see sockets, so further transports can be layered on
-without touching them. Each connection has one thread, its reader; acks and
-telemetry are written straight into the connection's send buffer without
-waiting, so a consumer that lets SEND_BUFFER_BYTES fill is disconnected rather
-than allowed to stall the dispatch loop. At most MAX_CLIENTS connections are
-served at once.
+without touching them. One intake thread reads every connection and handles
+its lines in order, a blank one too; acks and telemetry are written straight
+into the connection's send buffer without waiting, so a consumer that lets
+SEND_BUFFER_BYTES fill is disconnected rather than allowed to stall the
+dispatch loop. At most MAX_CLIENTS connections are served at once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import selectors
 import socket
 import threading
 import time
@@ -43,10 +44,12 @@ SERVE_HISTORY = 1000
 # arm6 telemetry. A line that does not fit whole drops the client, which may
 # then see its last line cut
 SEND_BUFFER_BYTES = 16384
-# longest inbound line read; a longer one is rejected and skipped unread
+# longest inbound line parsed; a longer one is rejected at its newline, and no
+# more of it than this is kept
 MAX_LINE_BYTES = 65536
-# connections served at once, each with a reader thread and a send buffer; one
-# past the cap gets a single rejection line and is closed
+# connections served at once: the cap bounds their line and send buffers and
+# each tick's telemetry fan-out; one past it gets a single rejection line and is
+# closed
 MAX_CLIENTS = 16
 
 
@@ -107,71 +110,46 @@ def _refuse(conn: socket.socket, reason: str) -> None:
 
 
 class _Client:
-    """One connection and its reader thread, which answers each request line
-    with an ack. Acks and the dispatch thread's telemetry go out through send."""
+    """One connection: the bytes read after its last complete line, and send,
+    by which its acks and the dispatch thread's telemetry go out."""
 
-    def __init__(self, server: "RobotServer", conn: socket.socket):
-        self.server = server
+    def __init__(self, conn: socket.socket):
         self.conn = conn
         self.alive = True
-        self._lock = threading.RLock()  # one writer at a time; reentrant, as send closes under it
-        self.reader = threading.Thread(target=self._read_loop, daemon=True)
+        self.pending = b""
+        self._lock = threading.Lock()  # one writer at a time
 
     def send(self, data: bytes) -> None:
-        """Write one whole line without waiting, or drop the client: a slow
-        consumer never stalls the thread that sends to it."""
+        """Write one whole line without waiting, or hang up: a slow consumer
+        never stalls the thread that sends to it. The hang-up wakes the intake
+        loop, which closes the socket."""
         with self._lock:
             try:
                 whole = not self.alive or self.conn.send(data, socket.MSG_DONTWAIT) == len(data)
             except OSError:  # BlockingIOError when the send buffer is full
                 whole = False
             if not whole:
-                self.close()
-
-    def close(self):
-        with self._lock:
-            if self.alive:
                 self.alive = False
                 try:
                     self.conn.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
-                self.conn.close()
-                self.server._drop(self)
 
-    def _read_loop(self):
-        stream = self.conn.makefile("rb")
-        try:
-            while self.alive:
-                line = stream.readline(MAX_LINE_BYTES + 1)
-                if not line.endswith(b"\n"):
-                    if len(line) <= MAX_LINE_BYTES:
-                        break  # closed, possibly mid-line
-                    reason = f"parse: line exceeds {MAX_LINE_BYTES} bytes"
-                    self.send(encode_line({"id": None, "status": "rejected", "reason": reason}))
-                    while line and not line.endswith(b"\n"):
-                        line = stream.readline(MAX_LINE_BYTES + 1)
-                    continue
-                if not line.strip():
-                    continue
-                ack = handle_request_line(
-                    self.server.sessions, line[:-1].decode("utf-8", "replace"), self.server.now()
-                )
-                self.send(encode_line(ack))
-        except OSError:
-            pass
-        finally:
-            stream.close()
-            self.close()
+    def close(self) -> None:
+        with self._lock:
+            self.alive = False
+            self.conn.close()
 
 
 class RobotServer:
-    """Live service: wall-clock dispatch, per-connection intake threads.
+    """Live service: two threads, whatever the number of clients.
 
     The dispatch thread ticks the session at the configured control frequency
-    and fans telemetry out to every client; request handling happens on the
-    connection threads and swaps the plan handle atomically, so dispatch is
-    never blocked by planning.
+    and fans telemetry out to every client. The intake thread accepts
+    connections and handles each complete request line in arrival order; a
+    request swaps the plan handle atomically, so dispatch is never blocked by
+    planning. Only intake closes a socket, and it publishes the client set as
+    a frozenset, replaced on every change, that dispatch reads once per tick.
     """
 
     def __init__(
@@ -186,9 +164,9 @@ class RobotServer:
         self.session = Session(chain, q0, robot_id=robot_id, history=SERVE_HISTORY)
         self.sessions = {robot_id: self.session}
         self._sock = socket.create_server((host, port))
+        self._sock.setblocking(False)  # a connection reset before accept must not block intake
         self.host, self.port = self._sock.getsockname()[:2]
-        self._clients: set[_Client] = set()
-        self._clients_lock = threading.Lock()
+        self._clients: frozenset[_Client] = frozenset()
         self._stop = threading.Event()
         self._t0 = time.monotonic()
         self._threads: list[threading.Thread] = []
@@ -198,48 +176,71 @@ class RobotServer:
 
     def start(self):
         self._t0 = time.monotonic()
-        accept = threading.Thread(target=self._accept_loop, daemon=True)
-        dispatch = threading.Thread(target=self._dispatch_loop, daemon=True)
-        self._threads = [accept, dispatch]
-        accept.start()
-        dispatch.start()
+        self._threads = [threading.Thread(target=loop, daemon=True) for loop in (self._intake_loop, self._dispatch_loop)]
+        for thread in self._threads:
+            thread.start()
 
     def stop(self):
         self._stop.set()
-        try:  # closing alone does not wake a thread blocked in accept
+        try:  # wakes the intake loop; closing alone would not
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._sock.close()
-        for thread in self._threads:  # accept ends first: no client joins after the copy
+        for thread in self._threads:
             thread.join(timeout=2.0)
-        with self._clients_lock:
-            clients = list(self._clients)
-        for client in clients:
-            client.close()
-            client.reader.join(timeout=2.0)
+        self._sock.close()
 
-    def _drop(self, client: _Client):
-        with self._clients_lock:
-            self._clients.discard(client)
+    def _intake_loop(self):
+        selector = selectors.DefaultSelector()
+        selector.register(self._sock, selectors.EVENT_READ)
+        try:
+            while not self._stop.is_set():
+                for key, _ in selector.select():
+                    if key.data is None:
+                        self._accept(selector)
+                    elif not self._read(key.data):
+                        selector.unregister(key.fileobj)
+                        key.data.close()
+                        self._clients -= {key.data}
+        finally:
+            for client in self._clients:
+                client.close()
+            selector.close()
 
-    def _accept_loop(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SEND_BUFFER_BYTES)
-            with self._clients_lock:
-                busy = len(self._clients) >= MAX_CLIENTS
-                if not busy:
-                    client = _Client(self, conn)
-                    self._clients.add(client)
-            if busy:
-                _refuse(conn, f"busy: {MAX_CLIENTS} clients are connected")
+    def _accept(self, selector: selectors.BaseSelector):
+        try:
+            conn, _ = self._sock.accept()
+        except OSError:  # shut down by stop(), or the connection is already gone
+            return
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SEND_BUFFER_BYTES)
+        if len(self._clients) >= MAX_CLIENTS:
+            _refuse(conn, f"busy: {MAX_CLIENTS} clients are connected")
+            return
+        client = _Client(conn)
+        selector.register(conn, selectors.EVENT_READ, client)
+        self._clients |= {client}
+
+    def _read(self, client: _Client) -> bool:
+        """Ack every complete line the client has sent, in order: False once
+        it has closed or been hung up on."""
+        try:
+            chunk = client.conn.recv(MAX_LINE_BYTES) if client.alive else b""
+        except OSError:
+            chunk = b""
+        if not chunk:
+            return False
+        *lines, rest = (client.pending + chunk).split(b"\n")
+        client.pending = rest[: MAX_LINE_BYTES + 1]  # enough of an overlong line to reject it
+        for line in lines:
+            if not client.alive:  # hung up on: its queued lines are not handled
+                break
+            if len(line) > MAX_LINE_BYTES:
+                ack = {"id": None, "status": "rejected", "reason": f"parse: line exceeds {MAX_LINE_BYTES} bytes"}
             else:
-                client.reader.start()
+                ack = handle_request_line(self.sessions, line.decode("utf-8", "replace"), self.now())
+            client.send(encode_line(ack))
+        return True
 
     def _dispatch_loop(self):
         period = 1.0 / self.session.fc
@@ -251,8 +252,6 @@ class RobotServer:
                 time.sleep(delay)
             record = self.session.tick(self.now())
             data = encode_line(telemetry_message(self.session.robot_id, record))
-            with self._clients_lock:
-                clients = list(self._clients)
-            for client in clients:
+            for client in self._clients:  # read once: intake replaces, never mutates, the set
                 client.send(data)
             k += 1

@@ -1,8 +1,12 @@
 import json
 import os
+import re
 import runpy
+import signal
+import socket
 import subprocess
 import sys
+import time
 import zipfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,6 +15,7 @@ import pytest
 
 import rtmotion
 from rtmotion import cli
+from rtmotion.chain import forward_kinematics, load_chain
 from rtmotion.cli import main
 from rtmotion.runtime import ScenarioError, load_scenario, run_scenario
 
@@ -322,6 +327,37 @@ class TestServeCommand:
         monkeypatch.setattr(cli, "time", SimpleNamespace(sleep=interrupt))
         assert main(["serve", CHAIN, "--port", "0", "--q0", "nan,0,0,0,0,0"]) == 2
         assert capsys.readouterr().err == "error: q0 must hold 6 finite joint values\n"
+
+
+    def test_serves_a_request_and_stops_on_sigint(self):
+        chain = load_chain(CHAIN)
+        pose = forward_kinematics(chain, chain.mid_position()).to_vector().tolist()
+        request = {"id": "r1", "robot": "sim", "type": "rt-move-cartesian", "waypoints": [{"pose": pose, "duration": 0.5}]}
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "rtmotion", "serve", CHAIN, "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(rtmotion.__file__).parent.parent)},
+        )
+        try:
+            banner = process.stdout.readline()
+            host, port = re.fullmatch(r"serving robot 'sim' on (\S+):(\d+) at 100 Hz\n", banner).groups()
+            with socket.create_connection((host, int(port)), timeout=5.0) as conn, conn.makefile("rb") as stream:
+                conn.sendall((json.dumps(request) + "\n").encode())
+                messages = [json.loads(stream.readline())]
+                while len({"status" in m for m in messages}) < 2:  # an ack and a telemetry line
+                    messages.append(json.loads(stream.readline()))
+            assert {"id": "r1", "status": "accepted"} in messages
+            assert any(m.get("robot") == "sim" and len(m["q"]) == 6 for m in messages)
+            t_signal = time.monotonic()
+            process.send_signal(signal.SIGINT)
+            out, err = process.communicate(timeout=2.0)
+            assert time.monotonic() - t_signal < 2.0
+            assert (process.returncode, out, err) == (0, "stopping\n", "")
+        finally:
+            process.kill()
+            process.communicate()
 
 
 class TestBenchCommand:

@@ -344,8 +344,12 @@ class _LineClient:
         return json.loads(line.decode())
 
     def read_acks(self, count):
+        # telemetry keeps arriving, so a missing ack is awaited for 10 s, not forever
+        deadline = time.monotonic() + 10.0
         acks = []
         while len(acks) < count:
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"{len(acks)} of {count} acks within 10 s")
             message = self.read_message()
             if "status" in message:
                 acks.append(message)
@@ -385,7 +389,8 @@ class TestServer:
         finally:
             client.close()
 
-    def test_every_line_acked_in_order(self, arm6, server):
+    @pytest.mark.parametrize("sends", ["one-send-per-line", "one-send-for-all", "three-sends-per-line"])
+    def test_every_line_acked_in_order(self, arm6, server, sends):
         client = _LineClient(server.host, server.port)
         try:
             lines = [
@@ -395,24 +400,48 @@ class TestServer:
                 request_line("q2", hold_waypoints(arm6, duration=0.0)),
                 request_line("q3", hold_waypoints(arm6)),
             ]
-            for line in lines:
-                client.send_line(line)
+            data = [(line.encode() if isinstance(line, str) else line) + b"\n" for line in lines]
+            if sends == "one-send-for-all":
+                data = [b"".join(data)]
+            elif sends == "three-sends-per-line":  # each piece its own segment, 20 ms apart
+                client.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                data = [line[k * len(line) // 3 : (k + 1) * len(line) // 3] for line in data for k in range(3)]
+            for piece in data:
+                client.sock.sendall(piece)
+                if sends == "three-sends-per-line":
+                    time.sleep(0.02)
             acks = client.read_acks(5)
             assert [a.get("id") for a in acks] == ["q1", None, None, "q2", "q3"]
             assert [a["status"] for a in acks] == ["accepted", "rejected", "rejected", "rejected", "accepted"]
         finally:
             client.close()
 
-    def test_overlong_line_rejected_unread(self, arm6, server):
-        # a valid request padded past the line bound is not parsed
+    @pytest.mark.parametrize("length", [iface.MAX_LINE_BYTES, iface.MAX_LINE_BYTES + 1, 100_000])
+    def test_overlong_line_rejected_unread(self, arm6, server, length):
+        # a valid request padded past the line bound is not parsed; padded to
+        # the bound, it is
         client = _LineClient(server.host, server.port)
         try:
-            client.send_line(request_line("big", hold_waypoints(arm6)) + " " * 100_000)
+            line = request_line("big", hold_waypoints(arm6))
+            client.send_line(line + " " * (length - len(line)))
             client.send_line(request_line("q1", hold_waypoints(arm6)))
             acks = client.read_acks(2)
-            assert [a.get("id") for a in acks] == [None, "q1"]
-            assert [a["status"] for a in acks] == ["rejected", "accepted"]
-            assert acks[0]["reason"].startswith("parse: ")
+            parsed = length <= iface.MAX_LINE_BYTES
+            assert [a.get("id") for a in acks] == ["big" if parsed else None, "q1"]
+            assert [a["status"] for a in acks] == ["accepted" if parsed else "rejected", "accepted"]
+            assert parsed or acks[0]["reason"] == f"parse: line exceeds {iface.MAX_LINE_BYTES} bytes"
+        finally:
+            client.close()
+
+    def test_blank_lines_are_acked_as_parse_rejections(self, arm6, server):
+        client = _LineClient(server.host, server.port)
+        try:
+            for line in [request_line("b1", hold_waypoints(arm6)), "", "  ", "\t\r", request_line("b2", hold_waypoints(arm6))]:
+                client.send_line(line)
+            acks = client.read_acks(5)
+            assert [a.get("id") for a in acks] == ["b1", None, None, None, "b2"]
+            assert [a["status"] for a in acks] == ["accepted", "rejected", "rejected", "rejected", "accepted"]
+            assert all(a["reason"].startswith("parse: Expecting value") for a in acks[1:4])
         finally:
             client.close()
 
@@ -521,6 +550,25 @@ class TestServer:
             server.stop()
             client.close()
 
+    def test_two_threads_serve_every_client(self, arm6):
+        before = set(threading.enumerate())
+        server = RobotServer(arm6, robot_id="sim", port=0)
+        server.start()
+        clients = [_LineClient(server.host, server.port) for _ in range(3)]
+        try:
+            for i, client in enumerate(clients):  # an ack shows the server holds the connection
+                client.send_line(request_line(f"t{i}", hold_waypoints(arm6)))
+                assert client.read_acks(1)[0]["status"] == "accepted"
+            assert len(set(threading.enumerate()) - before) == 2
+            t_stop = time.monotonic()
+            server.stop()
+            assert time.monotonic() - t_stop < 0.5
+            assert set(threading.enumerate()) <= before
+        finally:
+            server.stop()
+            for client in clients:
+                client.close()
+
     def _serve_beside_a_slow_client(self, arm6, server, t_connect, on_message=lambda: None):
         """Read a second client's acks and telemetry until the slow client,
         connected first, is dropped: within 5 s of t_connect, with the reader's
@@ -569,14 +617,17 @@ class TestServer:
             silent.close()
 
     def test_a_client_that_sends_but_never_reads_is_dropped_and_stalls_no_one(self, arm6, server, monkeypatch):
-        # its acks, sent from its own reader thread, fill the buffer beside
-        # telemetry; its requests keep coming at 25 Hz until it is dropped
+        # its acks fill the buffer beside telemetry; its requests keep coming
+        # at 25 Hz until it is dropped, and none is planned after that
         monkeypatch.setattr(iface, "MAX_CLIENTS", 2)
         sender = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         line = (request_line("s", hold_waypoints(arm6)) + "\n").encode()
         next_send = [0.0]
+        t_dropped = []
 
         def send_at_25_hz():
+            if not t_dropped and len(server._clients) < 2:
+                t_dropped.append(server.now())
             if time.monotonic() >= next_send[0]:
                 next_send[0] = time.monotonic() + 0.04
                 try:
@@ -588,6 +639,8 @@ class TestServer:
             sender.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             sender.connect((server.host, server.port))
             self._serve_beside_a_slow_client(arm6, server, time.monotonic(), send_at_25_hz)
+            submitted = [r.t_submitted for r in list(server.session.requests) if r.request_id == "s"]
+            assert submitted and max(submitted) < t_dropped[0]
         finally:
             sender.close()
 
