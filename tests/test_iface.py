@@ -1,5 +1,6 @@
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -568,6 +569,29 @@ class TestServer:
             server.stop()
             for client in clients:
                 client.close()
+
+    def test_connection_churn_leaves_no_client_behind(self, arm6, server):
+        # clients come and go while telemetry fans out to them; a short switch
+        # interval interleaves the intake and dispatch threads finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(50):
+                client = _LineClient(server.host, server.port)
+                client.read_message()  # telemetry shows it is served
+                client.close()
+        finally:
+            sys.setswitchinterval(interval)
+        deadline = time.monotonic() + 5.0
+        while server._clients and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server._clients
+        client = _LineClient(server.host, server.port)
+        try:
+            client.send_line(request_line("last", hold_waypoints(arm6)))
+            assert client.read_acks(1) == [{"id": "last", "status": "accepted"}]
+        finally:
+            client.close()
 
     def _serve_beside_a_slow_client(self, arm6, server, t_connect, on_message=lambda: None):
         """Read a second client's acks and telemetry until the slow client,
