@@ -126,6 +126,9 @@ def cmd_bench(args) -> int:
     for name in ("n", "joints", "samples"):
         if getattr(args, name) < 1:
             raise planner.ValidationError(f"--{name} must be at least 1")
+    for name in ("vmax", "amax", "duration", "fc"):
+        if not 0 < getattr(args, name) < np.inf:
+            raise planner.ValidationError(f"--{name} must be positive and finite, got {getattr(args, name)}")
     rng = np.random.default_rng(args.seed)
     records = []
     for _ in range(args.samples):

@@ -32,8 +32,8 @@ Array = NDArray[np.float64]
 
 DEFAULT_DEGREE = 5
 REQUEST_TYPE = "rt-move-cartesian"
-# admission bounds: QP memory grows about as N^2 and linearly in duration,
-# and the session's intake lock is held while a request plans
+# admission bounds: QP memory grows about as N times the duration (93 MB at
+# 100 x 10 s with no duration repeated), and planning holds the intake lock
 MAX_WAYPOINTS = 100
 MAX_WAYPOINT_DURATION_S = 10.0
 

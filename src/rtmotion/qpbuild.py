@@ -13,23 +13,24 @@ of whole control periods is sampled on every tick it spans. Only the bounds
 differ between joints: assemble_qp builds one column of them per joint.
 
 A is held as BlockRows: the 4N+2 equality rows form a dense head (continuity
-rows span two segments), and the limit rows form one (R, L+1) block per
-segment, so products with A cost O(N * R * (L+1)) for the tail instead of
-O(m * n). Every block has as many rows as the longest segment's: a shorter
-segment repeats the limit rows of its last tick, which adds copies of rows
-it already has and so no constraint. assemble_qp computes the sample grid
-once, for the cost and the limit rows, and builds the limit rows straight
-into the problem's one BlockRows, which the solver iterates on as it is.
-Q is carried as its (N, L+1, L+1) segment blocks (a dense Q is one block,
-see cost_blocks). Q and A depend on (degree, durations, control frequency)
-alone: assemble_qp returns them read-only, as the problem's structure, and a
-request given the structure of the plan it replaces gets the same Q and
-BlockRows when it repeats those three (a teleop window) and builds only its
-bounds.
+rows span two segments), and the limit rows one (R, L+1) block per distinct
+duration, shared by its segments. Every block has as many rows as the
+longest segment's: a shorter segment repeats the limit rows of its last
+tick, which adds copies of rows it already has and so no constraint. The
+bounds follow the stored rows: the head's, each block's, then again each
+shared block's, where the solver's start checks A x's max and then its min
+over the block's segments. assemble_qp computes the sample grid once, for
+the cost and the limit rows. Q is carried as its (N, L+1, L+1) segment
+blocks (a dense Q is one block, see cost_blocks). Q and A depend on
+(degree, durations, control frequency) alone: assemble_qp returns them
+read-only, as the problem's structure, and a request given the structure of
+the plan it replaces gets the same Q and BlockRows when it repeats those
+three (a teleop window) and builds only its bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,21 +70,35 @@ def cost_blocks(q_matrix: ArrayLike) -> Array:
 class BlockRows:
     """Constraint rows: a dense head stacked above a block-diagonal tail.
 
-    head is (m_head, n); blocks is (N, R, w) with n = N * w, and block i acts
-    on columns i*w .. (i+1)*w. The rows are the head rows, then the rows of
-    each block in block order: toarray, row_norms, dot, tdot and gram all
-    use that one order. A dense matrix is the case of a tail with no rows
-    (wrap).
+    head is (m_head, n); blocks is (D, R, w), those that more segments share
+    first; segment i has block segment_of[i] on columns i*w .. (i+1)*w. The
+    matrix's rows (shape, toarray, dot, tdot, gram) are the head's, then
+    each segment's block in turn. The n_stored rows that row_norms, extremes
+    and a problem's bounds follow are the head's, each block's once, then
+    again each shared block's; spread takes them to the matrix's rows. A
+    dense matrix is a head (wrap).
     """
 
-    def __init__(self, head: Array, blocks: Array):
+    def __init__(self, head: Array, blocks: Array, segment_of: NDArray[np.intp]):
         n_blocks, n_tail, width = blocks.shape
-        if head.ndim != 2 or head.shape[1] != n_blocks * width:
+        counts = np.bincount(segment_of).tolist()
+        # runs of blocks that as many segments share, as (blocks, segments
+        # each): extremes takes each run in one matmul
+        self._runs = [(sum(1 for _ in run), count) for count, run in itertools.groupby(counts)]
+        if head.ndim != 2 or head.shape[1] != len(segment_of) * width:
             raise QpBuildError("head and blocks disagree on the column count")
-        self.head = head
-        self.blocks = blocks
+        if len(counts) != n_blocks or counts != sorted(counts, reverse=True):
+            raise QpBuildError("every block must be used, in order of how many segments share it")
+        self.head, self.blocks, self.segment_of = head, blocks, segment_of
         self._blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
-        self.shape = (head.shape[0] + n_blocks * n_tail, head.shape[1])
+        self._n_shared = sum(n_run for n_run, count in self._runs if count > 1)
+        self.n_stored = head.shape[0] + (n_blocks + self._n_shared) * n_tail
+        self.shape = (head.shape[0] + len(segment_of) * n_tail, head.shape[1])
+        # the segments in block order, and each segment's block, as indices:
+        # all of an axis (a view) when that is 0, 1, 2, ...
+        in_order = bool(np.all(segment_of[1:] >= segment_of[:-1]))
+        self._by_block = slice(None) if in_order else np.argsort(segment_of, kind="stable")
+        self._tail = slice(None) if in_order and n_blocks == len(segment_of) else segment_of
 
     @classmethod
     def wrap(cls, a) -> "BlockRows":
@@ -91,47 +106,81 @@ class BlockRows:
         if isinstance(a, cls):
             return a
         a = np.asarray(a, dtype=float)
-        return cls(a, np.zeros((1, 0, a.shape[1])))
+        return cls(a, np.zeros((1, 0, a.shape[1])), np.zeros(1, dtype=np.intp))
+
+    def per_segment(self) -> "BlockRows":
+        """These rows with each segment's block stored for it."""
+        return BlockRows(self.head, self.blocks[self._tail], np.arange(len(self.segment_of)))
+
+    def spread(self, values: Array) -> Array:
+        """Values of the stored rows (bounds, row norms) at the matrix's rows."""
+        m_head, (n_blocks, n_tail, _) = self.head.shape[0], self.blocks.shape
+        tail = values[m_head : m_head + n_blocks * n_tail].reshape((n_blocks, n_tail) + values.shape[1:])
+        return np.concatenate([values[:m_head], tail[self.segment_of].reshape((-1,) + values.shape[1:])])
 
     def toarray(self) -> Array:
-        return np.vstack([self.head, _block_diagonal(self.blocks)])
+        return np.vstack([self.head, _block_diagonal(self.blocks[self._tail])])
 
     def __array__(self, dtype=None, copy=None):
         dense = self.toarray()
         return dense if dtype is None else dense.astype(dtype)
 
     def row_norms(self) -> Array:
-        """Max-abs of each row, as max(max, -min): abs would copy the rows. The
-        tail's come from the transposed blocks, since numpy reduces a short
-        contiguous axis (a block row) one row at a time."""
+        """Max-abs of each stored row, as max(max, -min): abs would copy the
+        rows. The tail's come from the transposed blocks, since numpy reduces
+        a short contiguous axis (a block row) one row at a time."""
         head, tail = (np.maximum(r.max(axis=1, initial=0.0), -r.min(axis=1, initial=0.0))
                       for r in (self.head, self._blocks_t))
-        return np.concatenate([head, tail.ravel()])
+        return np.concatenate([head, tail.ravel(), tail[: self._n_shared].ravel()])
+
+    def extremes(self, x: Array) -> Array:
+        """A x at the stored rows, for x of shape (n, k): at a block's rows its
+        max over the segments of the block, and at a shared block's rows
+        again its min; max and min are exact. A run of blocks is one matmul,
+        of each block by each of its segments' x, as dot takes them."""
+        m_head, (n_blocks, n_tail, width), k = self.head.shape[0], self.blocks.shape, x.shape[1]
+        segments = x.reshape(len(self.segment_of), width, k)[self._by_block]
+        ax = np.empty((self.n_stored, k))
+        np.matmul(self.head, x, out=ax[:m_head])
+        tops = ax[m_head : m_head + n_blocks * n_tail].reshape(n_blocks, 1, n_tail, k)
+        bottoms = ax[m_head + n_blocks * n_tail :].reshape(self._n_shared, n_tail, k)
+        a = start = 0
+        for n_run, count in self._runs:
+            b, stop = a + n_run, start + n_run * count
+            shared = segments[start:stop].reshape(n_run, count, width, k)
+            if count == 1:
+                np.matmul(self.blocks[a:b, None], shared, out=tops[a:b])
+            else:
+                products = np.matmul(self.blocks[a:b, None], shared)
+                products.max(axis=1, out=tops[a:b, 0])
+                products.min(axis=1, out=bottoms[a:b])
+            a, start = b, stop
+        return ax
 
     def dot(self, x: Array) -> Array:
         """A x, for x of shape (n, k), written into one (m, k) array."""
-        n_blocks, n_tail, width = self.blocks.shape
+        n_segments, n_tail, width = len(self.segment_of), *self.blocks.shape[1:]
         m_head, k = self.head.shape[0], x.shape[1]
         # a Fortran-ordered x (as LAPACK returns it) would reshape to a strided
         # view that matmul cannot hand to BLAS
         x = np.ascontiguousarray(x)
         out = np.empty((self.shape[0], k))
         np.matmul(self.head, x, out=out[:m_head])
-        np.matmul(self.blocks, x.reshape(n_blocks, width, k), out=out[m_head:].reshape(n_blocks, n_tail, k))
+        np.matmul(self.blocks[self._tail], x.reshape(n_segments, width, k), out=out[m_head:].reshape(n_segments, n_tail, k))
         return out
 
     def tdot(self, y: Array) -> Array:
         """A^T y, for y of shape (m, k)."""
         m_head = self.head.shape[0]
-        n_blocks, n_tail, _ = self.blocks.shape
-        tail = np.matmul(self._blocks_t, y[m_head:].reshape(n_blocks, n_tail, y.shape[1]))
+        n_segments, n_tail = len(self.segment_of), self.blocks.shape[1]
+        tail = np.matmul(self._blocks_t[self._tail], y[m_head:].reshape(n_segments, n_tail, y.shape[1]))
         return self.head.T @ y[:m_head] + tail.reshape(-1, y.shape[1])
 
     def gram(self, weights: Array) -> Array:
         """A^T diag(weights) A, for one weight per row."""
-        m_head = self.head.shape[0]
-        tail_w = weights[m_head:].reshape(self.blocks.shape[:2])[..., None]
-        tail = np.matmul(self._blocks_t, self.blocks * tail_w)
+        m_head, blocks = self.head.shape[0], self.blocks[self._tail]
+        tail_w = weights[m_head:].reshape(blocks.shape[:2])[..., None]
+        tail = np.matmul(self._blocks_t[self._tail], blocks * tail_w)
         return (self.head.T * weights[:m_head]) @ self.head + _block_diagonal(tail)
 
 
@@ -141,8 +190,8 @@ class QpProblem:
 
     Q is held as its (N, w, w) diagonal blocks or dense (cost_blocks). The
     first n_eq rows of A are equalities (lower == upper). a_matrix is
-    BlockRows (or a dense array); lower and upper follow its rows, with one
-    column per joint when they are 2-D. assemble_qp sets structure to
+    BlockRows (or a dense array); lower and upper follow its stored rows,
+    with one column per joint when they are 2-D. assemble_qp sets structure to
     ((degree, control_frequency, durations as bytes), Q, A).
     """
 
@@ -170,8 +219,8 @@ class QpProblem:
             raise QpBuildError("Q must be symmetric")
         if rows.shape[1] != n:
             raise QpBuildError("A column count must match Q")
-        if self.lower.shape != self.upper.shape or self.lower.shape[0] != rows.shape[0]:
-            raise QpBuildError("bounds must match A row count")
+        if self.lower.shape != self.upper.shape or self.lower.shape[0] != rows.n_stored:
+            raise QpBuildError("bounds must match A's stored row count")
         # an infinite bound leaves a row free; NaN compares False either way
         if np.isnan(self.lower).any() or np.isnan(self.upper).any():
             raise QpBuildError("bounds must not be NaN")
@@ -288,14 +337,19 @@ def _structure(degree: int, durations: Array, control_frequency: float) -> tuple
     """The part of assemble_qp that depends on (degree, durations,
     control_frequency) alone: the ridged cost blocks and the constraint
     rows, both made read-only. A segment's limit rows and jerk block depend
-    on its duration alone, so they are built once per distinct duration."""
-    distinct, segment_of = np.unique(durations, return_inverse=True)
+    on its duration alone: they are built, and the limit rows kept, once."""
+    index = {}  # distinct durations as first seen
+    first_seen = np.array([index.setdefault(d, len(index)) for d in durations.tolist()])
+    # blocks that more segments share first (BlockRows), else as first seen:
+    # with none repeated, block i is segment i's
+    order = np.argsort(-np.bincount(first_seen), kind="stable")
+    distinct, segment_of = np.array(list(index))[order], np.argsort(order)[first_seen]
     u, real = _sample_grid(distinct, control_frequency)
-    rows = state_rows(degree, u, distinct[:, None], orders=(1, 2))[segment_of]
-    a_matrix = BlockRows(_equality_rows(degree, durations), rows.reshape(len(durations), -1, degree + 1))
+    rows = state_rows(degree, u, distinct[:, None], orders=(1, 2)).reshape(len(distinct), -1, degree + 1)
+    a_matrix = BlockRows(_equality_rows(degree, durations), rows, segment_of)
     q_matrix = _jerk_blocks(degree, distinct, u, real)[segment_of]
     q_matrix += RIDGE * np.eye(degree + 1)
-    for array in (q_matrix, a_matrix.head, a_matrix.blocks, a_matrix._blocks_t):
+    for array in (q_matrix, a_matrix.head, a_matrix.blocks, a_matrix._blocks_t, a_matrix.segment_of):
         array.flags.writeable = False
     return q_matrix, a_matrix
 
@@ -314,10 +368,10 @@ def assemble_qp(
 
     Positions and initial state as in build_equality, the limits alike. The
     limit rows sit on the cost's sampling grid: per sample a velocity row then
-    an acceleration row, one block per segment (a shorter segment's block
-    repeats its last tick, which the cost counts once); the two-sided interval
-    form absorbs the absolute values. The tiny diagonal ridge lifts the
-    cubic-and-below nullspace of the jerk Gram matrix so downstream
+    an acceleration row, one block per distinct duration (a shorter segment's
+    block repeats its last tick, which the cost counts once); the two-sided
+    interval form absorbs the absolute values. The tiny diagonal ridge lifts
+    the cubic-and-below nullspace of the jerk Gram matrix so downstream
     factorizations stay stable.
 
     Q and A are read-only: previous, the structure of an earlier problem,
@@ -334,7 +388,7 @@ def assemble_qp(
     _, q_matrix, a_matrix = structure
     b_eq = _equality_rhs(positions, initial_state)
     n_eq = len(b_eq)
-    lower = np.empty((a_matrix.shape[0],) + np.shape(v_max))
+    lower = np.empty((a_matrix.n_stored,) + np.shape(v_max))
     upper = np.empty_like(lower)
     lower[:n_eq] = upper[:n_eq] = b_eq
     upper[n_eq::2], upper[n_eq + 1 :: 2] = v_max, a_max

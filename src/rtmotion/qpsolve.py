@@ -20,21 +20,24 @@ each ordered between the columns it touches, all columns at once) gives the
 minimizer over the equalities and its multipliers; x starts there, z at A x
 clipped to [l, u], y at the multipliers on the tight rows and 0 elsewhere.
 When no limit row is active that start passes the stopping test and is
-returned with iterations == 1; that start path builds A x, its clip and one
-scratch array, and reads P x from Q's blocks and A^T y from the unit-norm
-tight rows. Only ADMM builds the penalties, y on every row, the dense scaled
-cost and the reduced matrix. A KKT matrix singular to working precision
-falls back to the zero start, silently. A saddle point of a nonconvex cost
-passes the stopping test too, so a banded Cholesky of P + sigma*I first
-raises scipy.linalg.LinAlgError for a Q that is not positive semidefinite.
+returned with iterations == 1. That start path takes A x at A's stored
+rows (BlockRows.extremes): at a block's rows its max over the block's
+segments, at a shared block's second copy its min. Max and min are exact,
+so residuals and verdict are those over every row. It reads
+P x from Q's blocks and A^T y from the unit-norm tight rows. Only ADMM
+builds every segment's block, bounds and penalties at every row, y, the
+dense scaled cost and the reduced matrix. A KKT matrix singular to working
+precision falls back to the zero start, silently. A saddle point of a
+nonconvex cost passes the stopping test too, so a banded Cholesky of
+P + sigma*I first raises scipy.linalg.LinAlgError for a Q that is not
+positive semidefinite.
 
 Q is taken as its (N, w, w) diagonal blocks (a dense Q is one block, see
 qpbuild.cost_blocks) and A as qpbuild.BlockRows (a dense matrix is a head
 with no tail), so one iteration costs products with the dense head,
 O(N * R * (L+1)) for the per-segment blocks, and a pair of n x n triangular
-solves with the factor. The bounds, z and y follow A's one row order (the
-head, then each block in block order), so the caller's bounds are used as
-they are.
+solves with the factor. The caller's bounds and the start's z follow A's
+stored rows; ADMM's z and y follow every row.
 
 The problems of a request's joints share Q and A and are solved as the
 columns of one batch (solve_batch), which amortizes the factorization and
@@ -127,7 +130,7 @@ def solve_batch(
     """ADMM over the columns of lower/upper; all columns share Q and A.
 
     Q is (N, w, w) blocks or a dense (n, n) matrix (qpbuild.cost_blocks).
-    lower and upper follow the rows of A, and so do the iterates z and y.
+    lower and upper follow the stored rows of A (qpbuild.BlockRows).
     The start is returned as it is when it passes the stopping test; only
     otherwise is the reduced matrix formed and factored and ADMM run from it.
     For a Q that is not positive semidefinite (P + sigma*I has no Cholesky
@@ -146,7 +149,8 @@ def solve_batch(
     start_point = None if s.kkt is None else _kkt_solve(s.kkt, lower[s.eq_rows] * s.unit)
     if start_point is not None:
         x, y_unit = start_point
-        ax = a.dot(x)
+        # A x at the stored rows: its maxima are those over every row
+        ax = a.extremes(x)
         z = np.maximum(ax, lower)
         np.minimum(z, upper, out=z)  # np.clip, without its overhead
         px = np.matmul(blocks, x.reshape(len(blocks), blocks.shape[1], n_problems)).reshape(x.shape) * s.scale
@@ -156,15 +160,18 @@ def solve_batch(
 
     status, iterations = STATUS_SOLVED, 1
     if not converged.all():
-        # only ADMM needs the penalties, the dense scaled cost and y on every row
-        y = np.zeros((a.shape[0], n_problems))
+        # only ADMM needs every segment's rows, the bounds and penalties at
+        # every row, y on every row and the dense scaled cost
+        rows, lower, upper = a.per_segment(), a.spread(lower), a.spread(upper)
+        y = np.zeros((rows.shape[0], n_problems))
         if start_point is None:
-            x, z = np.zeros((a.shape[1], n_problems)), np.zeros_like(y)
+            x, z = np.zeros((rows.shape[1], n_problems)), np.zeros_like(y)
         else:
             y[s.eq_rows] = y_unit * s.unit
-        rho = np.where(s.tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / s.norms**2
+            z = np.minimum(np.maximum(rows.dot(x), lower), upper)
+        rho = a.spread(np.where(s.tight, _RHO * _EQUALITY_RHO_SCALE, _RHO) / s.norms**2)
         p_s = qpbuild._block_diagonal(blocks) * s.scale
-        factor, lower_factor = scipy.linalg.cho_factor(p_s + _SIGMA * np.eye(len(x)) + a.gram(rho), check_finite=False)
+        factor, lower_factor = scipy.linalg.cho_factor(p_s + _SIGMA * np.eye(len(x)) + rows.gram(rho), check_finite=False)
         # per-row penalties as a full (m, k) array: broadcasting an (m, 1)
         # column over the k problems defeats numpy's contiguous inner loops
         rho_col = np.repeat(rho[:, None], n_problems, axis=1)
@@ -172,18 +179,18 @@ def solve_batch(
         prev_check, stall = np.inf, 0
 
         for iteration in range(1, settings.max_iters + 1):
-            rhs = _SIGMA * x + a.tdot(rho_col * z - y)
+            rhs = _SIGMA * x + rows.tdot(rho_col * z - y)
             # LAPACK's triangular solves directly: cho_solve's argument
             # handling costs more than the solve itself at teleop sizes
             x_tilde, _ = dpotrs(factor, rhs, lower=lower_factor)
-            z_tilde = a.dot(x_tilde)
+            z_tilde = rows.dot(x_tilde)
             x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
             v = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + y / rho_col
             z = np.minimum(np.maximum(v, lower), upper)  # np.clip, without its overhead
             y = rho_col * (v - z)
 
             if iteration == 1 or iteration % _CHECK_INTERVAL == 0 or iteration == settings.max_iters:
-                prim_res, dual_res, converged = _stopping_test(a.dot(x), z, p_s @ x, a.tdot(y), settings)
+                prim_res, dual_res, converged = _stopping_test(rows.dot(x), z, p_s @ x, rows.tdot(y), settings)
                 if converged.all():
                     status, iterations = STATUS_SOLVED, iteration
                     break
@@ -254,12 +261,11 @@ def _structure(q_matrix, blocks: Array, a_matrix, a: BlockRows, lower: Array, up
 def _stopping_test(ax: Array, z: Array, px: Array, aty: Array, settings: SolverSettings):
     """Primal and dual residuals of each column (ax is A x, px is P_s x and
     aty is A^T y), and whether each passes OSQP's test against the
-    tolerances. Each term is reduced from one (3, k, m) scratch array, as
-    the tight rows are in _structure."""
-    scratch = np.empty((3, ax.shape[1], max(len(ax), len(px))))
+    tolerances. Each pair's terms are reduced from a (3, k, rows) scratch
+    array of its own, as the tight rows are in _structure."""
     reduced = []
     for first, second, combine in ((ax, z, np.subtract), (px, aty, np.add)):
-        terms = scratch[:, :, : len(first)]
+        terms = np.empty((3, first.shape[1], len(first)))
         terms[0], terms[1] = first.T, second.T
         combine(terms[0], terms[1], out=terms[2])
         np.abs(terms, out=terms)

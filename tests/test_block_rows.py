@@ -1,17 +1,19 @@
 """Property tests for the structured constraint rows: a dense equality head
-above per-segment limit blocks, where a segment with fewer samples than the
-longest repeats the limit rows of its last tick.
+above limit blocks, one per distinct duration and shared by its segments,
+where a segment with fewer samples than the longest repeats the limit rows
+of its last tick.
 
 The oracle is the row-by-row assembly from basis_row that the structured
 form replaced.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtmotion.poly import basis_row
-from rtmotion.qpbuild import RIDGE, BlockRows, _block_diagonal, assemble_qp, build_equality
+from rtmotion.qpbuild import RIDGE, BlockRows, QpBuildError, _block_diagonal, assemble_qp, build_equality
 from rtmotion.qpsolve import STATUS_SOLVED, solve_batch, solve_kkt_equality
 
 FC = 100.0
@@ -78,12 +80,13 @@ def test_dense_view_matches_row_by_row_assembly(case):
     np.testing.assert_allclose(dense[problem.n_eq :], limit_rows, rtol=BASIS_RTOL, atol=0.0)
     np.testing.assert_array_equal(np.asarray(problem.a_matrix), dense)
     assert problem.a_matrix.shape == dense.shape
-    np.testing.assert_array_equal(problem.a_matrix.row_norms(), np.abs(dense).max(axis=1))
+    rows = problem.a_matrix
+    np.testing.assert_array_equal(rows.spread(rows.row_norms()), np.abs(dense).max(axis=1))
     jerk = _block_diagonal(problem.q_matrix) - RIDGE * np.eye(problem.n_vars)
     np.testing.assert_allclose(jerk, q_ref, rtol=1e-12, atol=1e-12 * np.abs(q_ref).max())
     limits = np.tile([V_MAX, A_MAX], len(limit_rows) // 2)
-    np.testing.assert_array_equal(problem.lower, np.concatenate([b_eq, -limits]))
-    np.testing.assert_array_equal(problem.upper, np.concatenate([b_eq, limits]))
+    np.testing.assert_array_equal(rows.spread(problem.lower), np.concatenate([b_eq, -limits]))
+    np.testing.assert_array_equal(rows.spread(problem.upper), np.concatenate([b_eq, limits]))
 
 
 @PROPERTY
@@ -92,9 +95,10 @@ def test_repeated_rows_copy_the_last_tick(case):
     degree, durations, targets, initial = case
     v_max, a_max = np.array([1.0, 2.0]), np.array([10.0, 20.0])
     problem = assemble_qp(list(zip(targets, durations)), initial, degree, FC, v_max, a_max)
-    blocks = problem.a_matrix.blocks
-    lower = problem.lower[problem.n_eq :].reshape(len(durations), -1, 2, 2)
-    upper = problem.upper[problem.n_eq :].reshape(lower.shape)
+    rows = problem.a_matrix
+    blocks = rows.per_segment().blocks
+    lower = rows.spread(problem.lower)[problem.n_eq :].reshape(len(durations), -1, 2, 2)
+    upper = rows.spread(problem.upper)[problem.n_eq :].reshape(lower.shape)
     assert blocks.shape[1] == 2 * max(sample_counts(durations))
     for i, count in enumerate(sample_counts(durations)):
         # per sample a velocity row then an acceleration row
@@ -109,7 +113,7 @@ def test_bound_columns_match_per_joint_assembly(case):
     degree, durations, targets, initial = case
     v_max, a_max = np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0])
     problem = assemble_qp(list(zip(targets, durations)), initial, degree, FC, v_max, a_max)
-    assert problem.lower.shape == problem.upper.shape == (problem.a_matrix.shape[0], 3)
+    assert problem.lower.shape == problem.upper.shape == (problem.a_matrix.n_stored, 3)
     for j in range(3):
         wps = waypoints_of(targets, durations, j)
         single = assemble_qp(wps, tuple(initial[:, j]), degree, FC, v_max[j], a_max[j])
@@ -126,7 +130,8 @@ def test_structured_solve_matches_dense_solve(case):
     v_max, a_max = np.full(2, V_MAX), np.full(2, A_MAX)
     problem = assemble_qp(list(zip(targets, durations)), initial, degree, FC, v_max, a_max)
     structured = solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper)
-    dense = solve_batch(problem.q_matrix, problem.a_matrix.toarray(), problem.lower, problem.upper)
+    rows = problem.a_matrix
+    dense = solve_batch(problem.q_matrix, rows.toarray(), rows.spread(problem.lower), rows.spread(problem.upper))
     assert structured.status == dense.status
     if dense.status == STATUS_SOLVED:
         scale = 1.0 + np.max(np.abs(dense.p))
@@ -146,8 +151,34 @@ def test_equality_only_structured_solve_matches_kkt(case):
     problem = assemble_qp(wps, tuple(initial[:, 0]), degree, FC, V_MAX, A_MAX)
     a_eq, b_eq = build_equality(wps, tuple(initial[:, 0]), degree)
     # the equality head over per-segment blocks without rows
-    rows = BlockRows(a_eq, np.zeros((len(durations), 0, degree + 1)))
+    rows = BlockRows(a_eq, np.zeros((len(durations), 0, degree + 1)), np.arange(len(durations)))
     admm = solve_batch(problem.q_matrix, rows, b_eq[:, None], b_eq[:, None])
     assert admm.status == STATUS_SOLVED
     kkt = solve_kkt_equality(problem.q_matrix, a_eq, b_eq)
     assert np.max(np.abs(admm.p[:, 0] - kkt)) <= 1e-5 * (1.0 + np.max(np.abs(kkt)))
+
+
+def test_extremes_hold_a_shared_blocks_max_then_its_min():
+    # durations 0.5, 0.2, 0.5, 0.5: block 0 is shared by segments 0, 2 and 3
+    problem = assemble_qp([(0.3, 0.5), (0.6, 0.2), (0.1, 0.5), (0.4, 0.5)], (0.0, 0.0, 0.0), 5, FC, V_MAX, A_MAX)
+    rows, n_eq = problem.a_matrix, problem.n_eq
+    np.testing.assert_array_equal(rows.segment_of, [0, 1, 0, 0])
+    x = np.random.default_rng(0).normal(size=(rows.shape[1], 2))
+    every = rows.per_segment().dot(x)
+    ax = rows.extremes(x)
+    assert len(ax) == rows.n_stored == n_eq + 3 * rows.blocks.shape[1]
+    np.testing.assert_array_equal(ax[:n_eq], every[:n_eq])
+    by_segment, stored = every[n_eq:].reshape(4, -1, 2), ax[n_eq:].reshape(3, -1, 2)
+    np.testing.assert_array_equal(stored[0], by_segment[[0, 2, 3]].max(axis=0))
+    np.testing.assert_array_equal(stored[1], by_segment[1])
+    np.testing.assert_array_equal(stored[2], by_segment[[0, 2, 3]].min(axis=0))
+
+
+def test_blocks_out_of_sharing_order_are_refused():
+    # extremes keeps the min rows of the shared blocks, which come first;
+    # a block no segment has would be an unused index
+    head, blocks = np.zeros((1, 18)), np.ones((2, 4, 6))
+    assert BlockRows(head, blocks, np.array([0, 1, 0])).n_stored == 1 + 3 * 4
+    for segment_of in ([0, 1, 1], [0, 0, 0]):
+        with pytest.raises(QpBuildError, match="every block must be used, in order"):
+            BlockRows(head, blocks, np.array(segment_of))

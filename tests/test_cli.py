@@ -400,6 +400,14 @@ class TestBenchCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--vmax", "--amax", "--duration", "--fc"])
+    def test_a_bad_limit_duration_or_rate_names_its_flag(self, capsys, flag, value):
+        # NaN used to reach assemble_qp and be blamed on the waypoint positions
+        code = main(["bench", "--samples", "2", flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} must be positive and finite, got {float(value)}\n"
+
 
 def test_python_dash_m_runs_the_command_line(tmp_path, monkeypatch, capsys):
     report = tmp_path / "report.json"

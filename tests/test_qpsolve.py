@@ -159,8 +159,8 @@ class TestAdmm:
         assert solution.status == STATUS_SOLVED
         vals = problem.a_matrix @ solution.p
         slack = settings.eps_abs * 10
-        assert np.all(vals >= problem.lower - slack)
-        assert np.all(vals <= problem.upper + slack)
+        assert np.all(vals >= problem.a_matrix.spread(problem.lower) - slack)
+        assert np.all(vals <= problem.a_matrix.spread(problem.upper) + slack)
 
     def test_inactive_row_does_not_move_solution(self):
         problem = rest_to_rest_problem()
@@ -266,7 +266,7 @@ class TestWarmStart:
         a_eq, b_eq = build_equality(waypoints, (0.0, 0.0, 0.5), 6)
         problem = assemble_qp(waypoints, (0.0, 0.0, 0.5), 6, 100.0, 100.0, 1000.0)  # for its Q
         kkt = solve_kkt_equality(problem.q_matrix, a_eq, b_eq)
-        for rows in (a_eq, BlockRows(a_eq, np.zeros((3, 0, 7)))):
+        for rows in (a_eq, BlockRows(a_eq, np.zeros((3, 0, 7)), np.arange(3))):
             admm = solve_batch(problem.q_matrix, rows, b_eq[:, None], b_eq[:, None])
             assert admm.status == STATUS_SOLVED
             assert relative_gap(admm.p[:, 0], kkt) <= 1e-5
@@ -300,11 +300,10 @@ class TestWarmStart:
         problem = assemble_qp([(0.3, 0.5), (0.6, 0.5)], (0.0, 0.0, 0.0), 5, 100.0, 2.0, 20.0)
         dense = problem.a_matrix.toarray()
         order = np.concatenate([np.arange(problem.n_eq), [0, 3], np.arange(problem.n_eq, len(dense))])
+        lower, upper = (problem.a_matrix.spread(b)[order, None] for b in (problem.lower, problem.upper))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            duplicated = solve_batch(
-                problem.q_matrix, dense[order], problem.lower[order, None], problem.upper[order, None]
-            )
+            duplicated = solve_batch(problem.q_matrix, dense[order], lower, upper)
         # the singular KKT matrix is not used: ADMM starts from zero and
         # iterates, and solves the problem as the unduplicated rows do
         assert duplicated.status == STATUS_SOLVED

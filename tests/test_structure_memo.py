@@ -181,7 +181,7 @@ def test_repeated_durations_build_what_one_segment_at_a_time_builds(degree):
     want_q = qpbuild._block_diagonal(np.array(jerk)) + qpbuild.RIDGE * np.eye(len(durations) * (degree + 1))
     np.testing.assert_array_equal(qpbuild._block_diagonal(q_matrix), want_q)
     np.testing.assert_array_equal(a_matrix.head, qpbuild._equality_rows(degree, durations))
-    np.testing.assert_array_equal(a_matrix.blocks, np.array(blocks))
+    np.testing.assert_array_equal(a_matrix.per_segment().blocks, np.array(blocks))
 
 
 def teleop_window(chain, q0):
