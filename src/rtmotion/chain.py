@@ -395,21 +395,24 @@ IK_BRANCH_STEP = 0.5
 _SQUARED_TOLS = np.array([IK_POS_TOL, IK_ORI_TOL]) ** 2
 
 
-def _lockstep(config: ChainConfig, goals: Array, seed: Array) -> tuple[Array, Array, Array]:
+def _lockstep(config: ChainConfig, goals: Array, seed: Array, walk: tuple[Array, Array] | None) -> tuple:
     """Damped-least-squares iteration of every goal transform, (N, 4, 4),
     from one clamped seed, in lockstep: each iteration takes one batched
     step for all targets not yet converged. The damping factor adapts per
     target, Levenberg-style (x10 on error increase, /10 on decrease), and
-    every iterate is clamped to the joint limits.
+    every iterate is clamped to the joint limits. walk is _frames(config,
+    seed), when the caller has it, of a seed within the joint limits.
 
-    Returns the solutions (N, dof), their errors (N, 6) and which converged.
+    Returns the solutions (N, dof), their errors (N, 6), which converged,
+    and the solutions' walk, (N, dof, 4, 4) and (N, 4, 4).
     """
     n, dof = len(goals), config.dof
-    # one walk down the chain per iteration, and one of the seed: an
-    # accepted iterate's walk gives its next Jacobian
+    # one walk down the chain per iteration, and one of the seed unless it
+    # is given (copied: rows are replaced below): an accepted iterate's walk
+    # gives its next Jacobian
     q = np.empty((n, dof))
     q[:] = seed
-    frames, ee = _frames(config, q)
+    frames, ee = _frames(config, q) if walk is None else (np.repeat(part[None], n, axis=0) for part in walk)
     err = pose_error(goals, ee)
     err_sq, done = _error_norms(err)
     lam = np.full(n, IK_DAMPING)
@@ -432,7 +435,7 @@ def _lockstep(config: ChainConfig, goals: Array, seed: Array) -> tuple[Array, Ar
         sq_new, done_new = _error_norms(err_new)
         better = sq_new < err_sq[sub]
         if every and np.count_nonzero(better & done_new) == n:  # every target stepped and converged
-            return q_new, err_new, done_new
+            return q_new, err_new, done_new, (frames_new, ee_new)
         lam[sub] = np.where(better, np.maximum(lam_sub / 10.0, 1e-10), np.minimum(lam_sub * 10.0, 1e8))
         stepped = np.count_nonzero(better)
         if every and stepped == n:  # the new iterates replace the old ones
@@ -447,7 +450,7 @@ def _lockstep(config: ChainConfig, goals: Array, seed: Array) -> tuple[Array, Ar
         err[accepted] = err_new[better]
         err_sq[accepted] = sq_new[better]
         done[accepted] = done_new[better]
-    return q, err, done
+    return q, err, done, (frames, ee)
 
 
 def _error_norms(err: Array) -> tuple[Array, Array]:
@@ -458,9 +461,13 @@ def _error_norms(err: Array) -> tuple[Array, Array]:
     return sq[:, 0] + sq[:, 1], within[:, 0] & within[:, 1]
 
 
-def inverse_kinematics(config: ChainConfig, targets, seed) -> Array:
+def inverse_kinematics(config: ChainConfig, targets, seed, walk: tuple[Array, Array] | None = None):
     """Damped-least-squares IK of one target Pose, (dof,), or of a sequence
-    of N target Poses, (N, dof), seeded from a reference configuration.
+    of N target Poses, (N, dof), seeded from a reference configuration. An
+    (N, 6) array of pose vectors (x, y, z, roll, pitch, yaw) gives the
+    (N, dof) solutions and the walk of the last one, as _frames gives it,
+    for a solve seeded from that solution: walk is _frames(config, seed)
+    when the caller has it, so the seed is not walked again.
 
     A sequence is solved as the chained rule defines it: target i seeded
     from solution i - 1, target 0 from the seed, so the seed continuity of
@@ -471,23 +478,24 @@ def inverse_kinematics(config: ChainConfig, targets, seed) -> Array:
     Raises IkConvergenceError, naming the first failing target, if one is
     unreachable within IK_MAX_ITERS.
     """
-    single = isinstance(targets, Pose)
-    poses = [targets] if single else list(targets)
+    single, given = isinstance(targets, Pose), isinstance(targets, np.ndarray)
+    poses = [targets] if single else targets
+    vectors = targets if given else np.array([(p.translation, p.rpy) for p in poses]).reshape(-1, 6)
     q0 = config.clamp(_check_q(config, seed))
-    xyz, rpy = np.array([(p.translation, p.rpy) for p in poses]).transpose(1, 2, 0)
-    goals = np.zeros((len(poses), 4, 4))
-    goals[:, :3, :3] = rpy_to_matrix(*rpy)
-    goals[:, :3, 3] = xyz.T
+    goals = np.zeros((len(vectors), 4, 4))
+    goals[:, :3, :3] = rpy_to_matrix(*vectors[:, 3:].T)
+    goals[:, :3, 3] = vectors[:, :3]
     goals[:, 3, 3] = 1.0
-    q, err, done = _lockstep(config, goals, q0)
+    q, err, done, (frames, ee) = _lockstep(config, goals, q0, walk)
     redo = ~done
-    if len(poses) > 1:
+    if len(q) > 1:
         redo[1:] |= np.abs(q[1:] - q[:-1]).max(axis=1) > IK_BRANCH_STEP
     redo = redo.nonzero()[0]
-    start = redo[0] if redo.size else len(poses)
-    for i in range(start, len(poses)):
-        if i > 0:
-            q[i : i + 1], err[i : i + 1], done[i : i + 1] = _lockstep(config, goals[i : i + 1], q[i - 1])
+    start = redo[0] if redo.size else len(q)
+    for i in range(start, len(q)):
+        if i > 0:  # seeded from solution i - 1 and its walk
+            row, before = slice(i, i + 1), (frames[i - 1], ee[i - 1])
+            q[row], err[row], done[row], (frames[row], ee[row]) = _lockstep(config, goals[row], q[i - 1], before)
         if not done[i]:
             pos_err = float(np.linalg.norm(err[i, :3]))
             ori_err = float(np.linalg.norm(err[i, 3:]))
@@ -498,4 +506,4 @@ def inverse_kinematics(config: ChainConfig, targets, seed) -> Array:
                 ori_err,
                 i,
             )
-    return q[0] if single else q
+    return q[0] if single else (q, (frames[-1], ee[-1])) if given else q

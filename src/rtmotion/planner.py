@@ -4,11 +4,12 @@ evaluable multi-joint trajectory.
 Waypoints are resolved to joint space by chained IK in one call (each
 solution is the one seeded from the previous solution, the first from the
 current position; all are iterated in lockstep; leading waypoints that repeat
-the replaced plan's last ones keep its solutions), then
-one minimum-jerk QP per joint is assembled on a shared segment-time grid and
-solved as a batch, reusing the replaced plan's QP structure when the request
-repeats its durations. Any IK or QP failure rejects the whole request; a
-previously active plan is never touched by a failed replan.
+the replaced plan's last ones keep its solutions, and the walk of its last
+solution seeds the rest), then one minimum-jerk QP per joint is assembled on
+a shared segment-time grid and solved as a batch, reusing the replaced plan's
+QP structure, with the segment rows the plan is evaluated with, when the
+request repeats its durations. Any IK or QP failure rejects the whole request;
+a previously active plan is never touched by a failed replan.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from numpy.typing import NDArray
 
 from rtmotion import qpbuild, qpsolve
 from rtmotion.chain import ChainConfig, IkConvergenceError, Pose, forward_kinematics, inverse_kinematics
-from rtmotion.poly import MIN_DEGREE, state_rows
+from rtmotion.poly import MIN_DEGREE
 
 Array = NDArray[np.float64]
 
@@ -77,15 +78,34 @@ class CartesianWaypoint:
             raise ValidationError(f"duration must be positive, got {self.duration}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PlanRequest:
+    """A request whose waypoints are held once, as the read-only arrays that
+    IK, the QP and the plan read: poses (N, 6), each (x, y, z, roll, pitch,
+    yaw), and durations (N,) in seconds."""
+
     robot_id: str
-    waypoints: tuple[CartesianWaypoint, ...]
+    poses: Array
+    durations: Array
     request_id: str
     request_type: str = REQUEST_TYPE
 
-    def __post_init__(self):
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
+    def __init__(self, robot_id: str, waypoints: Sequence[CartesianWaypoint], request_id: str,
+                 request_type: str = REQUEST_TYPE):
+        waypoints = tuple(waypoints)
+        poses = np.array([(wp.pose.translation, wp.pose.rpy) for wp in waypoints]).reshape(-1, 6)
+        self._hold(robot_id, poses, np.array([wp.duration for wp in waypoints], dtype=float), request_id, request_type)
+
+    @classmethod
+    def of_arrays(cls, robot_id: str, poses: Array, durations: Array, request_id: str, request_type: str) -> "PlanRequest":
+        """A request of (N, 6) pose and (N,) duration float arrays that the caller checked."""
+        return object.__new__(cls)._hold(robot_id, poses, durations, request_id, request_type)
+
+    def _hold(self, robot_id, poses, durations, request_id, request_type) -> "PlanRequest":
+        self.__dict__.update(robot_id=robot_id, poses=poses, durations=durations, request_id=request_id,
+                             request_type=request_type)
+        poses.flags.writeable = durations.flags.writeable = False
+        return self
 
 
 @dataclass(frozen=True)
@@ -125,13 +145,14 @@ class Plan:
     coeffs[i, :, j] are joint j's coefficients on segment i over normalized
     local time u = (t - start_i) / durations[i] in [0, 1]. poses[i] is the
     pose vector (x, y, z, roll, pitch, yaw) that joint_waypoints[i] solves,
-    None for a plan not made from poses. structure is the QP structure the
-    plan was solved on (assemble_qp's and solve_batch's, or None), for the
-    plan that replaces it. unit_rows[i] is
-    segment i's state_rows at u = 1, the part that does not depend on u.
-    Evaluation reads power_table, fixed when the plan is made: row m of
+    None for a plan not made from poses. For the plan that replaces it,
+    structure is the QP structure the plan was solved on (assemble_qp's and
+    solve_batch's, or None), and walk the chain walk of joint_waypoints[-1]
+    (inverse_kinematics', or None). unit_rows[0][i] and unit_rows[1][i] are
+    segment i's state_rows at u = 0 and u = 1, the structure's when it has
+    one. Evaluation reads power_table, fixed when the plan is made: row m of
     power_table[i] holds the coefficients of u^m in q, qd and qdd of every
-    joint (unit_rows folded into coeffs), so a later write to coeffs shows
+    joint (unit_rows[1] folded into coeffs), so a later write to coeffs shows
     in junction_residuals only.
     """
 
@@ -146,9 +167,10 @@ class Plan:
     iterations: int = 0
     poses: Optional[Array] = None  # (N, 6)
     structure: tuple = field(default=(None, None), repr=False, compare=False)
+    walk: Optional[tuple[Array, Array]] = field(default=None, repr=False, compare=False)
     starts: list[float] = field(init=False, repr=False, compare=False)
     spans: list[float] = field(init=False, repr=False, compare=False)  # durations as floats
-    unit_rows: Array = field(init=False, repr=False, compare=False)  # (N, 3, degree + 1)
+    unit_rows: Array = field(init=False, repr=False, compare=False)  # (2, N, 3, degree + 1)
     power_table: list[Array] = field(init=False, repr=False, compare=False)  # N x (degree + 1, 3 dof)
     exponents: Array = field(init=False, repr=False, compare=False)  # 0.0, 1.0, ..., degree
     total_time: float = field(init=False)
@@ -156,10 +178,11 @@ class Plan:
     def __post_init__(self):
         n, width, dof = self.coeffs.shape
         starts = [0.0] + np.cumsum(self.durations)[:-1].tolist()
-        unit_rows = state_rows(self.degree, 1.0, self.durations)
+        built = self.structure[0]
+        unit_rows = qpbuild.unit_rows(self.degree, self.durations) if built is None else built[3]
         table = np.zeros((n, width, 3, dof))
-        for k in range(3):  # u^m's coefficient in order k is unit_rows[k, m + k] c_(m + k)
-            table[:, : width - k, k] = unit_rows[:, k, k:, None] * self.coeffs[:, k:]
+        for k in range(3):  # u^m's coefficient in order k is unit_rows[1, k, m + k] c_(m + k)
+            table[:, : width - k, k] = unit_rows[1, :, k, k:, None] * self.coeffs[:, k:]
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "spans", self.durations.tolist())
         object.__setattr__(self, "unit_rows", unit_rows)
@@ -202,8 +225,7 @@ class Plan:
         """Worst |left - right| mismatch in (q, qd, qdd) over all joints and
         interior junctions; a solved plan makes these vanish to solver
         tolerance."""
-        ends = self.unit_rows[:-1] @ self.coeffs[:-1]
-        begins = state_rows(self.degree, 0.0, self.durations[1:]) @ self.coeffs[1:]
+        begins, ends = self.unit_rows[0, 1:] @ self.coeffs[1:], self.unit_rows[1, :-1] @ self.coeffs[:-1]
         return np.abs(ends - begins).max(axis=(0, 2), initial=0.0)
 
 
@@ -222,52 +244,62 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def waypoints_from_payload(items: Sequence[dict]) -> list[CartesianWaypoint]:
-    """Build waypoints from the wire payload schema, validating shape."""
+def _waypoint_arrays(items: Sequence[dict]) -> tuple[Array, Array]:
+    """The (N, 6) pose vectors and (N,) durations of waypoints in the wire
+    payload schema, their 7N numbers checked in one pass."""
     if not isinstance(items, list) or not items:
         raise ValidationError("waypoints: empty")
-    out = []
-    for i, item in enumerate(items):
+    try:
+        rows = [[*item["pose"], item["duration"]] for item in items]
+        values = np.array(rows, dtype=float)
+        numbers = all(is_number(x) for row in rows for x in row)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        numbers = False
+    if numbers and values.shape == (len(items), 7) and np.isfinite(values[:, :6]).all() and (values[:, 6] > 0).all():
+        return values[:, :6].copy(), values[:, 6].copy()
+    for i, item in enumerate(items):  # the first fault, by the checks of one waypoint at a time
         try:
             pose = Pose.from_vector(item["pose"])
             duration = float(item["duration"])
             if not all(map(is_number, [item["duration"], *item["pose"]])):
                 raise ValidationError("pose entries and duration must be numbers")
+            CartesianWaypoint(pose, duration)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"waypoint {i}: {exc}") from exc
-        out.append(CartesianWaypoint(pose, duration))
-    return out
+    raise ValidationError("waypoints: malformed")  # not reached: a waypoint above failed
+
+
+def waypoints_from_payload(items: Sequence[dict]) -> list[CartesianWaypoint]:
+    """Build waypoints from the wire payload schema, validating shape."""
+    poses, durations = _waypoint_arrays(items)
+    return [CartesianWaypoint(Pose.of_arrays(p[:3], p[3:]), d) for p, d in zip(poses, durations.tolist())]
 
 
 def request_from_payload(payload: dict) -> PlanRequest:
     """The request of one wire payload (schema in rtmotion.iface); the
     waypoints are checked here and the type when it is planned, so a missing
     type is rejected then. Routing on the robot is the caller's."""
-    return PlanRequest(
-        robot_id=payload.get("robot"),
-        waypoints=tuple(waypoints_from_payload(payload.get("waypoints"))),
-        request_id=str(payload.get("id")),
-        request_type=payload.get("type", ""),
-    )
+    poses, durations = _waypoint_arrays(payload.get("waypoints"))
+    return PlanRequest.of_arrays(payload.get("robot"), poses, durations, str(payload.get("id")), payload.get("type", ""))
 
 
 def _validate_request(request: PlanRequest, chain: ChainConfig) -> None:
     if request.request_type != REQUEST_TYPE:
         raise ValidationError(f"unsupported request type '{request.request_type}'")
-    if not request.waypoints:
+    if not len(request.durations):
         raise ValidationError("waypoints: empty")
-    if len(request.waypoints) > MAX_WAYPOINTS:
-        raise ValidationError(f"waypoints: {len(request.waypoints)} exceed {MAX_WAYPOINTS}")
+    if len(request.durations) > MAX_WAYPOINTS:
+        raise ValidationError(f"waypoints: {len(request.durations)} exceed {MAX_WAYPOINTS}")
     min_duration = 2.0 / chain.control_frequency
-    for i, wp in enumerate(request.waypoints):
-        if wp.duration < min_duration:
+    for i, duration in enumerate(request.durations.tolist()):
+        if duration < min_duration:
             raise ValidationError(
-                f"waypoint {i}: duration {wp.duration} below two control ticks "
+                f"waypoint {i}: duration {duration} below two control ticks "
                 f"({min_duration})"
             )
-        if wp.duration > MAX_WAYPOINT_DURATION_S:
+        if duration > MAX_WAYPOINT_DURATION_S:
             raise ValidationError(
-                f"waypoint {i}: duration {wp.duration} exceeds {MAX_WAYPOINT_DURATION_S} s"
+                f"waypoint {i}: duration {duration} exceeds {MAX_WAYPOINT_DURATION_S} s"
             )
 
 
@@ -286,24 +318,25 @@ def _repeated(previous: Optional[Plan], poses: Array, chain: ChainConfig) -> int
 
 def _solve_joint_waypoints(
     request: PlanRequest, chain: ChainConfig, q0: Array, previous: Optional[Plan]
-) -> tuple[Array, Array]:
-    """The pose vectors of the waypoints and their chained IK: d_0 is the
-    current position. Leading poses that repeat the previous plan's trailing
-    poses keep its solutions; the rest are solved in one call, seeded from
-    the last kept solution, so a kept solution is never solved again."""
-    waypoints = request.waypoints
-    poses = np.array([(wp.pose.translation, wp.pose.rpy) for wp in waypoints]).reshape(-1, 6)
+) -> tuple[Array, tuple[Array, Array]]:
+    """The chained IK of the request's poses, d_0 the current position, and
+    the walk of the last solution. Leading poses that repeat the previous
+    plan's trailing poses keep its solutions; the rest are solved in one
+    call, seeded from the last kept solution and its walk, so a kept
+    solution is never solved or walked again."""
+    poses = request.poses
     kept = _repeated(previous, poses, chain)
     joint_targets = np.empty((len(poses), chain.dof))
     if kept:
         joint_targets[:kept] = previous.joint_waypoints[-kept:]
-    if kept < len(poses):
-        seed = joint_targets[kept - 1] if kept else q0
-        try:
-            joint_targets[kept:] = inverse_kinematics(chain, [wp.pose for wp in waypoints[kept:]], seed)
-        except IkConvergenceError as exc:
-            raise IkFailure(kept + exc.index, exc) from exc
-    return poses, joint_targets
+    if kept == len(poses):
+        return joint_targets, previous.walk
+    seed, walk = (joint_targets[kept - 1], previous.walk) if kept else (q0, None)
+    try:
+        joint_targets[kept:], walk = inverse_kinematics(chain, poses[kept:], seed, walk)
+    except IkConvergenceError as exc:
+        raise IkFailure(kept + exc.index, exc) from exc
+    return joint_targets, walk
 
 
 def plan(
@@ -339,14 +372,13 @@ def plan(
     if s0.q.shape != (chain.dof,) or not np.isfinite(s0.q).all():
         raise ValidationError(f"initial state must hold {chain.dof} finite values, one per chain dof")
 
-    poses, joint_targets = _solve_joint_waypoints(request, chain, s0.q, previous)
+    joint_targets, walk = _solve_joint_waypoints(request, chain, s0.q, previous)
 
     t_build0 = time.perf_counter()
-    durations = np.array([wp.duration for wp in request.waypoints])
     kept_build, kept_solve = (None, None) if previous is None else previous.structure
     try:
         problem = qpbuild.assemble_qp(
-            list(zip(joint_targets, durations)), np.stack([s0.q, s0.qd, s0.qdd]),
+            list(zip(joint_targets, request.durations)), np.stack([s0.q, s0.qd, s0.qdd]),
             degree, chain.control_frequency, chain.v_max, chain.a_max, kept_build,
         )
     except qpbuild.QpBuildError as exc:  # e.g. too few coefficients for the equality rows
@@ -360,16 +392,17 @@ def plan(
 
     return Plan(
         chain=chain,
-        coeffs=batch.p.reshape(len(durations), degree + 1, chain.dof),
-        durations=durations,
+        coeffs=batch.p.reshape(len(joint_targets), degree + 1, chain.dof),
+        durations=request.durations,
         joint_waypoints=joint_targets,
         epoch=s0.timestamp,
         request_id=request.request_id,
         solve_time=batch.solve_time,
         build_time=build_time,
         iterations=batch.iterations,
-        poses=poses,
+        poses=request.poses,
         structure=(problem.structure, batch.structure),
+        walk=walk,
     )
 
 

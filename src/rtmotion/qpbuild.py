@@ -23,7 +23,8 @@ over the block's segments. assemble_qp computes the sample grid once, for
 the cost and the limit rows. Q is carried as its (N, L+1, L+1) segment
 blocks (a dense Q is one block, see cost_blocks). Q and A depend on
 (degree, durations, control frequency) alone: assemble_qp returns them
-read-only, as the problem's structure, and a request given the structure of
+read-only, as the problem's structure, with the segments' rows at u = 0 and
+u = 1 that a plan is evaluated with, and a request given the structure of
 the plan it replaces gets the same Q and BlockRows when it repeats those
 three (a teleop window) and builds only its bounds.
 """
@@ -192,7 +193,7 @@ class QpProblem:
     first n_eq rows of A are equalities (lower == upper). a_matrix is
     BlockRows (or a dense array); lower and upper follow its stored rows,
     with one column per joint when they are 2-D. assemble_qp sets structure to
-    ((degree, control_frequency, durations as bytes), Q, A).
+    ((degree, control_frequency, durations as bytes), Q, A, unit_rows).
     """
 
     q_matrix: Array
@@ -272,12 +273,17 @@ def _equality_rhs(targets: Array, initial_states: Array) -> Array:
 FULL_RANK_DEGREE = 5
 
 
-def _equality_rows(degree: int, durations: Array) -> Array:
-    """build_equality's A_eq for positive durations."""
+def unit_rows(degree: int, durations: Array) -> Array:
+    """Every segment's state_rows at u = 0 and at u = 1, (2, N, 3, L+1)."""
+    return state_rows(degree, np.array([[0.0], [1.0]]), durations)
+
+
+def _equality_rows(degree: int, durations: Array, rows: Optional[Array] = None) -> Array:
+    """build_equality's A_eq for positive durations; rows is their unit_rows
+    when the caller has them."""
     n_seg = len(durations)
     # every row is a segment's start or end (q, qd, qdd) row
-    start = state_rows(degree, 0.0, durations)
-    end = state_rows(degree, 1.0, durations)
+    start, end = unit_rows(degree, durations) if rows is None else rows
     a_eq = np.zeros((4 * n_seg + 2, n_seg, degree + 1))
     a_eq[0:3, 0] = start[0]  # initial state of segment 1
     a_eq[3:6, -1] = end[-1]  # terminal rest at the last waypoint
@@ -333,11 +339,12 @@ def build_equality(
     return _equality_rows(degree, durations), _equality_rhs(positions, initial_state)
 
 
-def _structure(degree: int, durations: Array, control_frequency: float) -> tuple[Array, BlockRows]:
+def _structure(degree: int, durations: Array, control_frequency: float) -> tuple[Array, BlockRows, Array]:
     """The part of assemble_qp that depends on (degree, durations,
-    control_frequency) alone: the ridged cost blocks and the constraint
-    rows, both made read-only. A segment's limit rows and jerk block depend
-    on its duration alone: they are built, and the limit rows kept, once."""
+    control_frequency) alone: the ridged cost blocks, the constraint rows
+    and the unit_rows the equality rows are made of, all made read-only. A
+    segment's limit rows and jerk block depend on its duration alone: they
+    are built, and the limit rows kept, once."""
     index = {}  # distinct durations as first seen
     first_seen = np.array([index.setdefault(d, len(index)) for d in durations.tolist()])
     # blocks that more segments share first (BlockRows), else as first seen:
@@ -346,12 +353,13 @@ def _structure(degree: int, durations: Array, control_frequency: float) -> tuple
     distinct, segment_of = np.array(list(index))[order], np.argsort(order)[first_seen]
     u, real = _sample_grid(distinct, control_frequency)
     rows = state_rows(degree, u, distinct[:, None], orders=(1, 2)).reshape(len(distinct), -1, degree + 1)
-    a_matrix = BlockRows(_equality_rows(degree, durations), rows, segment_of)
+    ends = unit_rows(degree, durations)
+    a_matrix = BlockRows(_equality_rows(degree, durations, ends), rows, segment_of)
     q_matrix = _jerk_blocks(degree, distinct, u, real)[segment_of]
     q_matrix += RIDGE * np.eye(degree + 1)
-    for array in (q_matrix, a_matrix.head, a_matrix.blocks, a_matrix._blocks_t, a_matrix.segment_of):
+    for array in (q_matrix, a_matrix.head, a_matrix.blocks, a_matrix._blocks_t, a_matrix.segment_of, ends):
         array.flags.writeable = False
-    return q_matrix, a_matrix
+    return q_matrix, a_matrix, ends
 
 
 def assemble_qp(
@@ -385,7 +393,7 @@ def assemble_qp(
     structure = previous
     if structure is None or structure[0] != key:
         structure = (key, *_structure(degree, durations, control_frequency))
-    _, q_matrix, a_matrix = structure
+    _, q_matrix, a_matrix, _ = structure
     b_eq = _equality_rhs(positions, initial_state)
     n_eq = len(b_eq)
     lower = np.empty((a_matrix.n_stored,) + np.shape(v_max))

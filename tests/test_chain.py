@@ -426,7 +426,7 @@ class TestLockstepIk:
         targets = [forward_kinematics(arm6, q) for q in path]
         expected = sequential_inverse_kinematics(arm6, targets, BRANCH_START)
         goals = np.array([make_transform(t.translation, t.rpy) for t in targets])
-        lockstep, _, converged = chain._lockstep(arm6, goals, BRANCH_START)
+        lockstep, _, converged, _ = chain._lockstep(arm6, goals, BRANCH_START, None)
         assert converged.all()
         assert np.abs(lockstep - expected).max() > chain.IK_BRANCH_STEP
         calls = []
@@ -436,6 +436,24 @@ class TestLockstepIk:
         assert len(calls) > 1
         assert np.abs(q - expected).max() <= 1e-3
         assert np.abs(np.diff(q, axis=0)).max() <= chain.IK_BRANCH_STEP
+
+    @pytest.mark.parametrize("branch", [False, True])
+    def test_a_pose_array_gives_the_same_solutions_and_the_last_ones_walk(self, arm6, branch):
+        # with the seed's walk given, the seed is not walked, and the
+        # fallback seeds each target from its predecessor's walk
+        if branch:
+            start = BRANCH_START
+            path = BRANCH_START + np.linspace(0.0, 1.0, 9)[1:, None] * (BRANCH_END - BRANCH_START)
+            targets = [forward_kinematics(arm6, q) for q in path]
+        else:
+            targets, start, _ = joint_path(arm6, 7, 3)
+        expected = inverse_kinematics(arm6, targets, start)
+        vectors = np.array([t.to_vector() for t in targets])
+        for walk in (None, chain._frames(arm6, arm6.clamp(start))):
+            q, (frames, ee) = inverse_kinematics(arm6, vectors, start, walk)
+            assert q.tobytes() == expected.tobytes()
+            want = chain._frames(arm6, q[-1])
+            assert frames.tobytes() == want[0].tobytes() and ee.tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("k", [0, 3, 6])
     def test_unreachable_target_is_named(self, arm6, k):

@@ -18,6 +18,10 @@ from rtmotion.runtime import Session, TelemetryRecord, handle_payload, load_scen
 from conftest import data_path
 
 
+W1 = "validation: waypoint 1: "
+NUMBERS = "pose entries and duration must be numbers"
+
+
 def make_session(arm6):
     return Session(arm6, arm6.mid_position(), robot_id="sim")
 
@@ -81,6 +85,45 @@ class TestHandleRequestLine:
         ack = handle_payload(sessions, payload, 0.0)
         assert ack == {"id": "s", "status": "rejected",
                        "reason": "validation: waypoint 0: Pose components must be finite"}
+        assert sessions["sim"].active_plan is None
+
+    # the wire text of one faulty waypoint, the hold pose with "P" for its
+    # pose, "Pk" for entry k and "D" for its duration, sent after one good
+    # waypoint, and the reason of the rejection
+    REJECTIONS = {
+        "bool-pose-entry": ('{"pose": [P0, P1, P2, P3, true, P5], "duration": D}', f"{W1}{NUMBERS}"),
+        "bool-duration": ('{"pose": P, "duration": false}', f"{W1}{NUMBERS}"),
+        "string-pose-entry": ('{"pose": [P0, P1, "abc", P3, P4, P5], "duration": D}',
+                              f"{W1}could not convert string to float: 'abc'"),
+        "numeric-string-pose-entry": ('{"pose": [P0, P1, "0.5", P3, P4, P5], "duration": D}', f"{W1}{NUMBERS}"),
+        "numeric-string-duration": ('{"pose": P, "duration": "0.5"}', f"{W1}{NUMBERS}"),
+        "5-entry-pose": ('{"pose": [P0, P1, P2, P3, P4], "duration": D}',
+                         f"{W1}pose vector must have 6 entries, got shape (5,)"),
+        "nested-pose": ('{"pose": [[P0, P1, P2], [P3, P4, P5]], "duration": D}',
+                        f"{W1}pose vector must have 6 entries, got shape (2, 3)"),
+        "null-pose": ('{"pose": null, "duration": D}', f"{W1}pose vector must have 6 entries, got shape ()"),
+        "missing-duration": ('{"pose": P}', f"{W1}'duration'"),
+        "missing-pose": ('{"duration": D}', f"{W1}'pose'"),
+        "non-object": ("5", f"{W1}'int' object is not subscriptable"),
+        "list-item": ("[P0, D]", f"{W1}list indices must be integers or slices, not str"),
+        "huge-int": ('{"pose": P, "duration": 1' + "0" * 400 + "}", f"{W1}int too large to convert to float"),
+        "1e999": ('{"pose": [P0, 1e999, P2, P3, P4, P5], "duration": D}', "parse: number 1e999 is not finite"),
+        "11s": ('{"pose": P, "duration": 11.0}', f"{W1}duration 11.0 exceeds 10.0 s"),
+        "below-two-ticks": ('{"pose": P, "duration": 0.015}', f"{W1}duration 0.015 below two control ticks (0.02)"),
+        "0s": ('{"pose": P, "duration": 0}', f"{W1}duration must be positive, got 0.0"),
+        "negative": ('{"pose": P, "duration": -0.5}', f"{W1}duration must be positive, got -0.5"),
+    }
+
+    @pytest.mark.parametrize("waypoint, reason", REJECTIONS.values(), ids=REJECTIONS.keys())
+    def test_every_rejection_names_its_reason(self, arm6, waypoint, reason):
+        sessions = {"sim": make_session(arm6)}
+        good = hold_waypoints(arm6)[0]
+        for k, value in reversed(list(enumerate(good["pose"]))):
+            waypoint = waypoint.replace(f"P{k}", repr(value))
+        waypoint = waypoint.replace("P", json.dumps(good["pose"])).replace("D", repr(good["duration"]))
+        line = request_line("r", [good, "WAYPOINT"]).replace('"WAYPOINT"', waypoint)
+        ack = {"id": None if reason.startswith("parse") else "r", "status": "rejected", "reason": reason}
+        assert handle_request_line(sessions, line, 0.0) == ack
         assert sessions["sim"].active_plan is None
 
     def test_unknown_robot(self, arm6):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtmotion import chain as chain_module
 from rtmotion import planner, qpbuild
 from rtmotion.chain import Pose, forward_kinematics, inverse_kinematics
 from rtmotion.planner import (
@@ -358,9 +359,9 @@ def recorded_ik():
     calls = []
     solve = planner.inverse_kinematics
 
-    def record(chain, targets, seed):
-        calls.append((np.array([t.to_vector() for t in targets]), np.array(seed)))
-        return solve(chain, targets, seed)
+    def record(chain, targets, seed, walk):
+        calls.append((np.array(targets), np.array(seed)))
+        return solve(chain, targets, seed, walk)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(planner, "inverse_kinematics", record)
@@ -463,6 +464,101 @@ class TestReuse:
         assert replan.joint_waypoints.tobytes() == active.joint_waypoints[-count:].tobytes()
 
 
+@contextlib.contextmanager
+def counted_walks():
+    """Chain walks and Jacobians IK takes while the block runs."""
+    counts = {"walks": 0, "jacobians": 0}
+    frames, jac = chain_module._frames, chain_module.jacobian
+
+    def walk(*args):
+        counts["walks"] += 1
+        return frames(*args)
+
+    def jacobian(*args):
+        counts["jacobians"] += 1
+        return jac(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain_module, "_frames", walk)
+        patch.setattr(chain_module, "jacobian", jacobian)
+        yield counts
+
+
+def assert_walk_of(plan_, chain):
+    """plan_.walk is the walk of its last joint solution, bit for bit."""
+    frames, ee = chain_module._frames(chain, plan_.joint_waypoints[-1])
+    assert plan_.walk[0].tobytes() == frames.tobytes() and plan_.walk[1].tobytes() == ee.tobytes()
+
+
+class TestHandover:
+    """What the replaced plan hands to the plan that replaces it, beside its
+    joint solutions and QP structure: the walk of its last solution, which
+    seeds the next IK, and its segments' unit rows."""
+
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**16), k=st.integers(0, 20), shift=st.integers(1, TELEOP_BUFFER - 1))
+    def test_a_window_that_keeps_poses_does_not_walk_its_seed(self, arm6, teleop_stream, seed, k, shift):
+        stream = teleop_stream(seed, k + shift + 1)
+        with counted_walks() as counts:
+            active, start = first_window(arm6, stream, k)
+        assert counts["walks"] == counts["jacobians"] + 1 + 1  # first_window's IK and plan each walk a seed
+        assert_walk_of(active, arm6)
+        with counted_walks() as counts:
+            replan = plan(stream.window(k + shift), arm6, start, previous=active)
+        assert counts["jacobians"] >= 1 and counts["walks"] == counts["jacobians"]
+        assert_walk_of(replan, arm6)
+
+    @settings(max_examples=8)
+    @given(seed=st.integers(0, 2**16), k=st.integers(0, 20), case=st.sampled_from(["fresh", "twin", "ulp"]))
+    def test_a_request_that_keeps_no_pose_walks_its_seed(self, arm6, teleop_stream, seed, k, case):
+        stream = teleop_stream(seed, k + 2)
+        active, start = first_window(arm6, stream, k)
+        config, request, previous = arm6, stream.window(k + 1), active
+        if case == "fresh":
+            previous = None
+        elif case == "twin":
+            config = dataclasses.replace(arm6)
+        else:
+            vectors = stream.samples[k + 1 : k + 1 + TELEOP_BUFFER].copy()
+            vectors[0, 0] = np.nextafter(vectors[0, 0], np.inf)
+            request = stream.window(k + 1, [Pose.from_vector(v) for v in vectors])
+        with counted_walks() as counts:
+            replan = plan(request, config, start, previous=previous)
+        assert counts["walks"] == counts["jacobians"] + 1
+        assert_walk_of(replan, config)
+
+    def test_a_window_of_kept_poses_hands_on_the_walk_it_got(self, arm6, teleop_stream):
+        stream = teleop_stream(5, 2)
+        active, start = first_window(arm6, stream, 1)
+        repeats = [CartesianWaypoint(pose, 0.5) for pose in stream.poses(1)[2:]]
+        replan = plan(make_request(repeats), arm6, start, previous=active)
+        assert replan.walk is active.walk
+
+    def test_unit_rows_and_junction_residuals_match_a_plan_without_structure(self, arm6, teleop_stream):
+        stream = teleop_stream(9, 3)
+        session = Session(arm6, stream.q0)
+        for k in range(3):  # the later windows reuse the first one's structure
+            assert session.submit(stream.window(k), stream.send_time(k)).accepted
+            built = session.active_plan
+            assert built.structure[0] is not None
+            bare = planner.Plan(built.chain, built.coeffs, built.durations, built.joint_waypoints, 0.0, "bare")
+            assert built.unit_rows.tobytes() == bare.unit_rows.tobytes()
+            assert built.junction_residuals().tobytes() == bare.junction_residuals().tobytes()
+            assert [t.tobytes() for t in built.power_table] == [t.tobytes() for t in bare.power_table]
+
+    def test_a_plan_holds_its_requests_read_only_arrays(self, arm6):
+        q0 = arm6.mid_position()
+        pose = forward_kinematics(arm6, q0).to_vector().tolist()
+        payload = {"id": "r", "robot": "sim", "type": planner.REQUEST_TYPE,
+                   "waypoints": [{"pose": pose, "duration": 0.5}, {"pose": pose, "duration": 0.25}]}
+        request = planner.request_from_payload(payload)
+        assert request.poses.tolist() == [pose, pose] and request.durations.tolist() == [0.5, 0.25]
+        plan_ = plan(request, arm6, RobotState.rest(q0))
+        assert plan_.poses is request.poses and plan_.durations is request.durations
+        for array in (request.poses, request.durations):
+            assert not array.flags.writeable
+
+
 class TestWaypointFiles:
     def test_load_waypoints(self):
         waypoints = planner.load_waypoints(data_path("waypoints", "line7.json"))
@@ -475,3 +571,11 @@ class TestWaypointFiles:
         path.write_text(json.dumps(payload))
         loaded = planner.load_waypoints(path)
         assert loaded[0].pose.translation[0] == 0.1234567891234
+
+    @pytest.mark.parametrize("duration", [0.0, -0.5])
+    def test_a_non_positive_duration_names_its_waypoint(self, tmp_path, duration):
+        path = tmp_path / "wps.json"
+        pose = [0.6, 0.0, 0.4, 0.0, -0.2, 0.0]
+        path.write_text(json.dumps([{"pose": pose, "duration": 0.5}, {"pose": pose, "duration": duration}]))
+        with pytest.raises(ValidationError, match=rf"^waypoint 1: duration must be positive, got {duration}$"):
+            planner.load_waypoints(path)

@@ -243,7 +243,7 @@ class TestSession:
         for module in (poly, qpbuild):
             monkeypatch.setattr(module, "basis_row", counted("basis_row", module.basis_row))
         # the rows fixed at plan time serve every tick
-        for module in (poly, planner, qpbuild):
+        for module in (poly, qpbuild):
             monkeypatch.setattr(module, "state_rows", counted("state_rows", module.state_rows))
         for k, t in enumerate((0.2, 0.21, 0.5, 0.6), start=1):
             record = session.tick(t)

@@ -172,7 +172,7 @@ class TestInvisible:
 @pytest.mark.parametrize("degree", [5, 7])
 def test_repeated_durations_build_what_one_segment_at_a_time_builds(degree):
     durations = np.array([0.3, 0.5, 0.3, 0.5, 0.04])
-    q_matrix, a_matrix = qpbuild._structure(degree, durations, 100.0)
+    q_matrix, a_matrix, _ = qpbuild._structure(degree, durations, 100.0)
     u, real = qpbuild._sample_grid(durations, 100.0)
     blocks, jerk = [], []
     for i, duration in enumerate(durations):
