@@ -252,7 +252,9 @@ def _waypoint_arrays(items: Sequence[dict]) -> tuple[Array, Array]:
     try:
         rows = [[*item["pose"], item["duration"]] for item in items]
         values = np.array(rows, dtype=float)
-        numbers = all(is_number(x) for row in rows for x in row)
+        # is_number, once per distinct type: bool refused, int and float subclasses accepted
+        kinds = {type(x) for row in rows for x in row}
+        numbers = bool not in kinds and all(issubclass(kind, (int, float)) for kind in kinds)
     except (KeyError, TypeError, ValueError, OverflowError):
         numbers = False
     if numbers and values.shape == (len(items), 7) and np.isfinite(values[:, :6]).all() and (values[:, 6] > 0).all():

@@ -17,9 +17,9 @@ rows span two segments), and the limit rows one (R, L+1) block per distinct
 duration, shared by its segments. Every block has as many rows as the
 longest segment's: a shorter segment repeats the limit rows of its last
 tick, which adds copies of rows it already has and so no constraint. The
-bounds follow the stored rows: the head's, each block's, then again each
-shared block's, where the solver's start checks A x's max and then its min
-over the block's segments. assemble_qp computes the sample grid once, for
+bounds follow the stored rows: the head's, then each block's once, where
+the solver's start checks max |A x| over the block's segments against
+bounds that are symmetric. assemble_qp computes the sample grid once, for
 the cost and the limit rows. Q is carried as its (N, L+1, L+1) segment
 blocks (a dense Q is one block, see cost_blocks). Q and A depend on
 (degree, durations, control frequency) alone: assemble_qp returns them
@@ -71,13 +71,18 @@ def cost_blocks(q_matrix: ArrayLike) -> Array:
 class BlockRows:
     """Constraint rows: a dense head stacked above a block-diagonal tail.
 
-    head is (m_head, n); blocks is (D, R, w), those that more segments share
-    first; segment i has block segment_of[i] on columns i*w .. (i+1)*w. The
-    matrix's rows (shape, toarray, dot, tdot, gram) are the head's, then
-    each segment's block in turn. The n_stored rows that row_norms, extremes
-    and a problem's bounds follow are the head's, each block's once, then
-    again each shared block's; spread takes them to the matrix's rows. A
-    dense matrix is a head (wrap).
+    head is (m_head, n); blocks is (D, R, w); segment i has block
+    segment_of[i] on columns i*w .. (i+1)*w. The matrix's rows (shape,
+    toarray, dot, tdot, gram) are the head's, then each segment's block in
+    turn. The n_stored rows that row_norms, extremes and a problem's bounds
+    follow are the head's, then each block's once; spread takes them to the
+    matrix's rows. A dense matrix is a head (wrap).
+
+    A stored block row stands for that row of each of the block's segments
+    through one value, max |A x| over them (extremes). That gives the
+    stopping test the terms of every row only if the block rows' bounds are
+    symmetric, lower == -upper, as assemble_qp writes them (check_bounds):
+    a row's distance to such an interval grows with |A x| alone.
     """
 
     def __init__(self, head: Array, blocks: Array, segment_of: NDArray[np.intp]):
@@ -88,12 +93,11 @@ class BlockRows:
         self._runs = [(sum(1 for _ in run), count) for count, run in itertools.groupby(counts)]
         if head.ndim != 2 or head.shape[1] != len(segment_of) * width:
             raise QpBuildError("head and blocks disagree on the column count")
-        if len(counts) != n_blocks or counts != sorted(counts, reverse=True):
-            raise QpBuildError("every block must be used, in order of how many segments share it")
+        if len(counts) != n_blocks or 0 in counts:
+            raise QpBuildError("every block must be used")
         self.head, self.blocks, self.segment_of = head, blocks, segment_of
         self._blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
-        self._n_shared = sum(n_run for n_run, count in self._runs if count > 1)
-        self.n_stored = head.shape[0] + (n_blocks + self._n_shared) * n_tail
+        self.n_stored = head.shape[0] + n_blocks * n_tail
         self.shape = (head.shape[0] + len(segment_of) * n_tail, head.shape[1])
         # the segments in block order, and each segment's block, as indices:
         # all of an axis (a view) when that is 0, 1, 2, ...
@@ -132,29 +136,34 @@ class BlockRows:
         a short contiguous axis (a block row) one row at a time."""
         head, tail = (np.maximum(r.max(axis=1, initial=0.0), -r.min(axis=1, initial=0.0))
                       for r in (self.head, self._blocks_t))
-        return np.concatenate([head, tail.ravel(), tail[: self._n_shared].ravel()])
+        return np.concatenate([head, tail.ravel()])
+
+    def check_bounds(self, lower: Array, upper: Array) -> None:
+        """Raise QpBuildError unless the block rows' bounds are symmetric."""
+        m_head = self.head.shape[0]
+        if not (lower[m_head:] == -upper[m_head:]).all():
+            raise QpBuildError("the bounds of the block rows must be symmetric, lower == -upper")
 
     def extremes(self, x: Array) -> Array:
-        """A x at the stored rows, for x of shape (n, k): at a block's rows its
-        max over the segments of the block, and at a shared block's rows
-        again its min; max and min are exact. A run of blocks is one matmul,
-        of each block by each of its segments' x, as dot takes them."""
+        """A x at the head's rows and, at a block's rows, max |A x| over the
+        segments of the block, for x of shape (n, k); max and abs are exact.
+        A run of blocks is one matmul, of each block by each of its segments'
+        x, as dot takes them."""
         m_head, (n_blocks, n_tail, width), k = self.head.shape[0], self.blocks.shape, x.shape[1]
         segments = x.reshape(len(self.segment_of), width, k)[self._by_block]
         ax = np.empty((self.n_stored, k))
         np.matmul(self.head, x, out=ax[:m_head])
-        tops = ax[m_head : m_head + n_blocks * n_tail].reshape(n_blocks, 1, n_tail, k)
-        bottoms = ax[m_head + n_blocks * n_tail :].reshape(self._n_shared, n_tail, k)
+        tail = ax[m_head:].reshape(n_blocks, 1, n_tail, k)
         a = start = 0
         for n_run, count in self._runs:
             b, stop = a + n_run, start + n_run * count
             shared = segments[start:stop].reshape(n_run, count, width, k)
             if count == 1:
-                np.matmul(self.blocks[a:b, None], shared, out=tops[a:b])
+                np.matmul(self.blocks[a:b, None], shared, out=tail[a:b])
+                np.abs(tail[a:b], out=tail[a:b])
             else:
                 products = np.matmul(self.blocks[a:b, None], shared)
-                products.max(axis=1, out=tops[a:b, 0])
-                products.min(axis=1, out=bottoms[a:b])
+                np.abs(products, out=products).max(axis=1, out=tail[a:b, 0])
             a, start = b, stop
         return ax
 
@@ -227,6 +236,7 @@ class QpProblem:
             raise QpBuildError("bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise QpBuildError("lower bounds exceed upper bounds")
+        rows.check_bounds(self.lower, self.upper)
         if np.any(rows.row_norms() == 0.0):
             raise QpBuildError("A contains an all-zero row")
 
@@ -345,12 +355,9 @@ def _structure(degree: int, durations: Array, control_frequency: float) -> tuple
     and the unit_rows the equality rows are made of, all made read-only. A
     segment's limit rows and jerk block depend on its duration alone: they
     are built, and the limit rows kept, once."""
-    index = {}  # distinct durations as first seen
-    first_seen = np.array([index.setdefault(d, len(index)) for d in durations.tolist()])
-    # blocks that more segments share first (BlockRows), else as first seen:
-    # with none repeated, block i is segment i's
-    order = np.argsort(-np.bincount(first_seen), kind="stable")
-    distinct, segment_of = np.array(list(index))[order], np.argsort(order)[first_seen]
+    index = {}  # distinct durations as first seen: with none repeated, block i is segment i's
+    segment_of = np.array([index.setdefault(d, len(index)) for d in durations.tolist()])
+    distinct = np.array(list(index))
     u, real = _sample_grid(distinct, control_frequency)
     rows = state_rows(degree, u, distinct[:, None], orders=(1, 2)).reshape(len(distinct), -1, degree + 1)
     ends = unit_rows(degree, durations)

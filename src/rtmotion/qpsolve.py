@@ -21,15 +21,15 @@ minimizer over the equalities and its multipliers; x starts there, z at A x
 clipped to [l, u], y at the multipliers on the tight rows and 0 elsewhere.
 When no limit row is active that start passes the stopping test and is
 returned with iterations == 1. That start path takes A x at A's stored
-rows (BlockRows.extremes): at a block's rows its max over the block's
-segments, at a shared block's second copy its min. Max and min are exact,
-so residuals and verdict are those over every row. It reads
-P x from Q's blocks and A^T y from the unit-norm tight rows. Only ADMM
-builds every segment's block, bounds and penalties at every row, y, the
-dense scaled cost and the reduced matrix. A KKT matrix singular to working
-precision falls back to the zero start, silently. A saddle point of a
-nonconvex cost passes the stopping test too, so a banded Cholesky of
-P + sigma*I first raises scipy.linalg.LinAlgError for a Q that is not
+rows (BlockRows.extremes), at a block's rows as max |A x| over the block's
+segments: OSQP's test is a max-norm over rows and a block row's bounds are
+symmetric, so its residuals and verdict are those over every row, bit for
+bit. It reads P x from Q's blocks and A^T y from the unit-norm tight rows.
+Only ADMM builds every segment's block, bounds and penalties at every row,
+y, the dense scaled cost and the reduced matrix. A KKT matrix singular to
+working precision falls back to the zero start, silently. A saddle point of
+a nonconvex cost passes the stopping test too, so a Cholesky of each block
+of P + sigma*I first raises scipy.linalg.LinAlgError for a Q that is not
 positive semidefinite.
 
 Q is taken as its (N, w, w) diagonal blocks (a dense Q is one block, see
@@ -60,7 +60,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dpbtrf, dpotrs
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dpotrs
 
 from rtmotion import qpbuild  # _block_diagonal through the module: a test counts its calls
 from rtmotion.qpbuild import BlockRows, QpProblem, cost_blocks
@@ -130,7 +130,8 @@ def solve_batch(
     """ADMM over the columns of lower/upper; all columns share Q and A.
 
     Q is (N, w, w) blocks or a dense (n, n) matrix (qpbuild.cost_blocks).
-    lower and upper follow the stored rows of A (qpbuild.BlockRows).
+    lower and upper follow the stored rows of A (qpbuild.BlockRows), and a
+    ValueError is raised unless those of its block rows are symmetric.
     The start is returned as it is when it passes the stopping test; only
     otherwise is the reduced matrix formed and factored and ADMM run from it.
     For a Q that is not positive semidefinite (P + sigma*I has no Cholesky
@@ -142,6 +143,7 @@ def solve_batch(
     a = BlockRows.wrap(a_matrix)
     blocks = cost_blocks(q_matrix)
     n_problems = lower.shape[1]
+    a.check_bounds(lower, upper)
     s = _structure(q_matrix, blocks, a_matrix, a, lower, upper, previous)
 
     prim_res = dual_res = np.full(n_problems, np.inf)
@@ -149,7 +151,7 @@ def solve_batch(
     start_point = None if s.kkt is None else _kkt_solve(s.kkt, lower[s.eq_rows] * s.unit)
     if start_point is not None:
         x, y_unit = start_point
-        # A x at the stored rows: its maxima are those over every row
+        # A x at the stored rows: its terms are those of every row
         ax = a.extremes(x)
         z = np.maximum(ax, lower)
         np.minimum(z, upper, out=z)  # np.clip, without its overhead
@@ -248,14 +250,14 @@ def _structure(q_matrix, blocks: Array, a_matrix, a: BlockRows, lower: Array, up
         raise ValueError("A contains an all-zero row")
     # P = 2Q (gradient convention for p^T Q p) at unit max-abs; no abs(Q) temporary
     scale = 1.0 / max(float(blocks.max()), -float(blocks.min()), 0.5e-12)
-    cost_band = _cost_band(blocks, scale)  # checks that Q is positive semidefinite
+    cost_entries = _cost_entries(blocks, scale)  # checks that Q is positive semidefinite
     # the start solves on the tight rows of the head at unit norm (tight rows
     # in the blocks, which no caller builds, are left to the iteration)
     eq_rows = np.flatnonzero(tight[: a.head.shape[0]])
     unit = 1.0 / norms[eq_rows, None]
     a_eq = a.head[eq_rows]
     a_eq *= unit  # in place: one (m, n) copy of the head, not two
-    return Structure(q_matrix, a_matrix, norms, tight, scale, eq_rows, unit, a_eq, _kkt_factor(cost_band, a_eq))
+    return Structure(q_matrix, a_matrix, norms, tight, scale, eq_rows, unit, a_eq, _kkt_factor(cost_entries, a_eq))
 
 
 def _stopping_test(ax: Array, z: Array, px: Array, aty: Array, settings: SolverSettings):
@@ -277,55 +279,42 @@ def _stopping_test(ax: Array, z: Array, px: Array, aty: Array, settings: SolverS
     return prim_res, dual_res, converged
 
 
-def _cost_band(blocks: Array, scale: float) -> tuple[Array, Array]:
-    """The symmetric block-diagonal P_s = scale * Q of (N, w, w) blocks within
-    its bandwidth kd, read once: the (n, 2*kd + 1) column indices and values,
-    entry [i, kd + d] at column i + d (clipped to the matrix, where it repeats
-    an entry of the band). Raises scipy.linalg.LinAlgError unless
-    P_s + sigma*I has a banded Cholesky factor."""
-    n_blocks, width, _ = blocks.shape
-    rows, local = np.arange(n_blocks * width), np.arange(width)
-    kd = int(np.where(blocks != 0, local[:, None] - local, 0).max())
-    # each block row with kd columns on either side: zeros of the matrix
-    # between blocks, and beyond its edges the column there clips to
-    padded = np.zeros((n_blocks, width, width + 2 * kd))
-    padded[:, :, kd : kd + width] = blocks
-    padded[0, :, :kd], padded[-1, :, kd + width :] = blocks[0, :, :1], blocks[-1, :, -1:]
-    # row r of a block has its 2*kd + 1 entries from padded column r on
-    values = padded.reshape(len(rows), -1)[rows[:, None], rows[:, None] % width + np.arange(2 * kd + 1)] * scale
-    cols = np.minimum(np.maximum(rows[:, None] + np.arange(-kd, kd + 1), 0), len(rows) - 1)
-    # LAPACK's lower band storage, [d, j] = P_s[j + d, j]; a copy even at kd = 0
-    lower_band = np.array(values[:, kd:].T, order="F")
-    lower_band[0] += _SIGMA
-    if dpbtrf(lower_band, lower=1, overwrite_ab=1)[1] != 0:
-        raise scipy.linalg.LinAlgError("the cost matrix is not positive semidefinite")
-    return cols, values
+def _cost_entries(blocks: Array, scale: float) -> tuple[Array, Array, Array]:
+    """The nonzero entries of the block-diagonal P_s = scale * Q of (N, w, w)
+    blocks: their rows, columns and values. Raises
+    scipy.linalg.LinAlgError unless every block of P_s + sigma*I has a
+    Cholesky factor."""
+    scaled = blocks * scale
+    np.linalg.cholesky(scaled + _SIGMA * np.eye(blocks.shape[1]))  # numpy's LinAlgError is scipy's
+    block, row, col = np.nonzero(scaled)
+    offset = block * blocks.shape[1]
+    return offset + row, offset + col, scaled[block, row, col]
 
 
-def _kkt_factor(cost_band: tuple[Array, Array], a_eq: Array) -> Optional[tuple]:
+def _kkt_factor(cost_entries: tuple[Array, Array, Array], a_eq: Array) -> Optional[tuple]:
     """The banded LU of the KKT matrix [p_s a_eq^T; a_eq 0], for _kkt_solve;
     None if it is singular to working precision.
 
-    cost_band is _cost_band of p_s. Ordering each equality row at the midpoint
-    of its first and last nonzero column, among the variables at their own
-    index, makes the KKT matrix banded. It is built straight into LAPACK band
-    storage and factored by banded LU with partial pivoting (it is
-    indefinite); its condition estimate is checked, as scipy.linalg.solve
-    does, but without a warning.
+    cost_entries is _cost_entries of p_s. Ordering each equality row at the
+    midpoint of its first and last nonzero column, among the variables at
+    their own index, makes the KKT matrix banded. It is built straight into
+    LAPACK band storage and factored by banded LU with partial pivoting (it
+    is indefinite); its condition estimate is checked, as
+    scipy.linalg.solve does, but without a warning.
     """
-    cost_cols, cost_values = cost_band
-    n, m = cost_cols.shape[0], a_eq.shape[0]
+    cost_rows, cost_cols, cost_values = cost_entries
+    m, n = a_eq.shape
     nonzero = a_eq != 0
     first, last = nonzero.argmax(axis=1), n - 1 - nonzero[:, ::-1].argmax(axis=1)
     keys = np.concatenate([np.arange(n), 0.5 * (first + last)])
     position = np.empty(n + m, dtype=np.intp)
     position[np.argsort(keys, kind="stable")] = np.arange(n + m)
-    # each row's columns first..last, clipped at last like the cost's band
+    # each row's columns first..last, clipped at last (where it repeats that entry)
     eq_cols = np.minimum(first[:, None] + np.arange((last - first).max(initial=0) + 1), last[:, None])
     eq_values = a_eq[np.arange(m)[:, None], eq_cols]
-    var_pos, row_pos = position[:n, None], position[n:, None]
+    var_pos, row_pos = position[cost_rows], position[n:, None]
     cost_pos, eq_pos = position[cost_cols], position[eq_cols]
-    kd = int(max(np.abs(cost_pos - var_pos).max(), np.abs(eq_pos - row_pos).max(initial=0)))
+    kd = int(max(np.abs(cost_pos - var_pos).max(initial=0), np.abs(eq_pos - row_pos).max(initial=0)))
     # general band storage, [2kd + i - j, j], with kd rows on top for the LU's fill
     band = np.zeros((3 * kd + 1, n + m), order="F")
     band[2 * kd + var_pos - cost_pos, cost_pos] = cost_values
@@ -344,7 +333,7 @@ def _kkt_factor(cost_band: tuple[Array, Array], a_eq: Array) -> Optional[tuple]:
 def _kkt_solve(kkt: tuple, b_eq: Array) -> Optional[tuple[Array, Array]]:
     """Minimizer of 1/2 x^T p_s x subject to a_eq x = b_eq, one column per
     column of b_eq, and its multipliers y (p_s x + a_eq^T y = 0), from
-    _kkt_factor(cost_band, a_eq); None if the back-solve is not finite."""
+    _kkt_factor(cost_entries, a_eq); None if the back-solve is not finite."""
     lu, pivots, kd, position = kkt
     n = position.shape[0] - b_eq.shape[0]
     rhs = np.zeros((position.shape[0], b_eq.shape[1]), order="F")

@@ -158,7 +158,7 @@ def test_equality_only_structured_solve_matches_kkt(case):
     assert np.max(np.abs(admm.p[:, 0] - kkt)) <= 1e-5 * (1.0 + np.max(np.abs(kkt)))
 
 
-def test_extremes_hold_a_shared_blocks_max_then_its_min():
+def test_extremes_hold_a_shared_blocks_max_abs():
     # durations 0.5, 0.2, 0.5, 0.5: block 0 is shared by segments 0, 2 and 3
     problem = assemble_qp([(0.3, 0.5), (0.6, 0.2), (0.1, 0.5), (0.4, 0.5)], (0.0, 0.0, 0.0), 5, FC, V_MAX, A_MAX)
     rows, n_eq = problem.a_matrix, problem.n_eq
@@ -166,19 +166,16 @@ def test_extremes_hold_a_shared_blocks_max_then_its_min():
     x = np.random.default_rng(0).normal(size=(rows.shape[1], 2))
     every = rows.per_segment().dot(x)
     ax = rows.extremes(x)
-    assert len(ax) == rows.n_stored == n_eq + 3 * rows.blocks.shape[1]
+    assert len(ax) == rows.n_stored == n_eq + 2 * rows.blocks.shape[1]
     np.testing.assert_array_equal(ax[:n_eq], every[:n_eq])
-    by_segment, stored = every[n_eq:].reshape(4, -1, 2), ax[n_eq:].reshape(3, -1, 2)
-    np.testing.assert_array_equal(stored[0], by_segment[[0, 2, 3]].max(axis=0))
-    np.testing.assert_array_equal(stored[1], by_segment[1])
-    np.testing.assert_array_equal(stored[2], by_segment[[0, 2, 3]].min(axis=0))
+    by_segment, stored = np.abs(every[n_eq:]).reshape(4, -1, 2), ax[n_eq:].reshape(2, -1, 2)
+    assert stored.tobytes() == np.stack([by_segment[[0, 2, 3]].max(axis=0), by_segment[1]]).tobytes()
 
 
-def test_blocks_out_of_sharing_order_are_refused():
-    # extremes keeps the min rows of the shared blocks, which come first;
+def test_every_block_must_be_used():
     # a block no segment has would be an unused index
     head, blocks = np.zeros((1, 18)), np.ones((2, 4, 6))
-    assert BlockRows(head, blocks, np.array([0, 1, 0])).n_stored == 1 + 3 * 4
-    for segment_of in ([0, 1, 1], [0, 0, 0]):
-        with pytest.raises(QpBuildError, match="every block must be used, in order"):
-            BlockRows(head, blocks, np.array(segment_of))
+    assert BlockRows(head, blocks, np.array([0, 1, 0])).n_stored == 1 + 2 * 4
+    assert BlockRows(head, blocks, np.array([0, 1, 1])).n_stored == 1 + 2 * 4
+    with pytest.raises(QpBuildError, match="every block must be used"):
+        BlockRows(head, blocks, np.array([0, 0, 0]))

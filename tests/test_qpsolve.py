@@ -22,7 +22,7 @@ from rtmotion.qpsolve import (
     STATUS_PRIMAL_INFEASIBLE,
     STATUS_SOLVED,
     SolverSettings,
-    _cost_band,
+    _cost_entries,
     _kkt_factor,
     _kkt_solve,
     solve,
@@ -186,8 +186,8 @@ class TestAdmm:
 
     def test_indefinite_cost_raises_linalg_error(self):
         # the equality start (x = 0) is feasible and stationary here, so it
-        # would pass the stopping test as a saddle point: the banded Cholesky
-        # of P + sigma*I is what rejects the indefinite cost
+        # would pass the stopping test as a saddle point: the Cholesky of
+        # P + sigma*I's blocks is what rejects the indefinite cost
         q_matrix = np.diag([1.0, -1.0])
         bounds = np.zeros((1, 1))
         with pytest.raises(scipy.linalg.LinAlgError):
@@ -352,7 +352,7 @@ def banded_start(q_matrix, a_eq, b_eq):
     solve_batch hands it, for one right-hand side; Q is blocks or dense."""
     blocks = cost_blocks(q_matrix)
     unit = 1.0 / np.max(np.abs(a_eq), axis=1, keepdims=True)
-    kkt = _kkt_factor(_cost_band(blocks, 1.0 / np.max(np.abs(blocks))), a_eq * unit)
+    kkt = _kkt_factor(_cost_entries(blocks, 1.0 / np.max(np.abs(blocks))), a_eq * unit)
     assert kkt is not None
     start = _kkt_solve(kkt, b_eq[:, None] * unit)
     assert start is not None
@@ -446,7 +446,7 @@ class TestCostBlocks:
         self.solve_both_ways(problem, SolverSettings(max_iters=400))
         blocks = problem.q_matrix
         scale = 1.0 / np.max(np.abs(blocks))
-        for got, want in zip(_cost_band(blocks, scale), _cost_band(_block_diagonal(blocks)[None], scale)):
+        for got, want in zip(_cost_entries(blocks, scale), _cost_entries(_block_diagonal(blocks)[None], scale)):
             np.testing.assert_array_equal(got, want)
 
     def test_binding_problem_iterates_alike(self):

@@ -1,6 +1,6 @@
 """Attack tests for the solver's start path, which reads each stored limit
-row once: a block that several segments share holds A x's max and min over
-them, and the stopping test reduces those.
+row once: a block that several segments share holds max |A x| over them,
+against bounds that must be symmetric, and the stopping test reduces those.
 
 Its verdict must be the dense formulation's, bit for bit: the stopping test
 on A x at every row of BlockRows.toarray(), clipped to the bounds spread to
@@ -8,19 +8,21 @@ every row. Each row's product is taken as the block product takes it
 (per_segment().dot): a BLAS product with toarray() sums a row over all n
 columns, zeros included, in an order of its own, and differs from it in
 the last bit. And the largest request the planner admits must start within
-a fixed memory bound.
+a fixed memory bound, and in less memory when its durations repeat than
+when they all differ.
 """
 
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtmotion import qpsolve
 from rtmotion.planner import DEFAULT_DEGREE, MAX_WAYPOINT_DURATION_S, MAX_WAYPOINTS
-from rtmotion.qpbuild import assemble_qp
+from rtmotion.qpbuild import QpProblem, assemble_qp
 
 FC = 100.0
 LOOSE = 1e9  # above any peak the drawn cases reach
@@ -78,6 +80,11 @@ def limits_for(case):
 @given(mixed_duration_cases())
 @example((5, np.array([0.3, 0.303, 0.3, 0.5]), np.array([[0.2, 0.1], [0.5, 0.0], [-0.1, 0.2], [0.3, 0.3]]), np.zeros((3, 2)), "one segment", np.ones(2)))
 @example((7, np.array([0.2, 0.45, 0.2]), np.array([[0.4, -0.2], [0.1, 0.3], [0.0, 0.0]]), np.zeros((3, 2)), "scaled", np.array([3.0, 3.0])))
+# every duration twice; one block shared by all segments but one; blocks
+# not in the order of how many segments share them (1, 3, then 2)
+@example((5, np.array([0.2, 0.35, 0.35, 0.2, 0.5, 0.5]), np.array([[0.2, 0.1], [0.4, -0.1], [0.1, 0.3], [-0.2, 0.0], [0.3, 0.2], [0.0, 0.4]]), np.zeros((3, 2)), "one segment", np.ones(2)))
+@example((7, np.array([0.3, 0.3, 0.3, 0.55, 0.3, 0.3]), np.array([[0.1], [0.3], [0.2], [0.5], [0.1], [0.4]]), np.zeros((3, 1)), "scaled", np.array([0.95, 1.5])))
+@example((5, np.array([0.5, 0.25, 0.25, 0.4, 0.25, 0.4]), np.array([[0.3, 0.0, 0.1], [0.1, 0.2, 0.0], [0.4, -0.1, 0.2], [0.0, 0.3, 0.1], [0.2, 0.1, -0.3], [0.5, 0.0, 0.0]]), np.zeros((3, 3)), "one segment", np.ones(2)))
 def test_start_verdict_is_the_dense_formulations(case):
     degree, durations, targets, initial = case[:4]
     v_max, a_max = limits_for(case)
@@ -118,19 +125,63 @@ def test_both_verdicts_occur():
         assert (batch.iterations == 1) == passes
 
 
+def test_block_row_bounds_must_be_symmetric():
+    # a stored block row stands for that row in each of its segments through
+    # one max |A x|, which decides the start only against symmetric bounds
+    problem = assemble_qp([(0.3, 0.5), (0.1, 0.2), (0.2, 0.5)], (0.0, 0.0, 0.0), 5, FC, 2.0, 20.0)
+    rows, n_eq = problem.a_matrix, problem.n_eq
+
+    def bounds(row, low, high):
+        lower, upper = problem.lower.copy(), problem.upper.copy()
+        lower[row], upper[row] = low, high
+        return lower, upper
+
+    for lower, upper in (bounds(n_eq + 1, -1.0, 2.0), bounds(-1, 0.0, np.inf), bounds(n_eq, -np.inf, 1.0)):
+        with pytest.raises(ValueError, match="symmetric"):
+            QpProblem(problem.q_matrix, rows, lower, upper, n_eq).validate()
+        with pytest.raises(ValueError, match="symmetric"):
+            qpsolve.solve_batch(problem.q_matrix, rows, lower[:, None], upper[:, None])
+    # +-inf on a block row, and any interval on a row of the head, are accepted
+    for lower, upper in (bounds(n_eq + 1, -np.inf, np.inf), bounds(0, -1.0, 5.0)):
+        QpProblem(problem.q_matrix, rows, lower, upper, n_eq).validate()
+        batch = qpsolve.solve_batch(problem.q_matrix, rows, lower[:, None], upper[:, None])
+        assert (batch.status, batch.iterations) == (qpsolve.STATUS_SOLVED, 1)
+
+
+def peak_of(problem_of):
+    """The tracemalloc peak of assembling and solving problem_of()'s request,
+    with the problem and its solution."""
+    tracemalloc.start()
+    try:
+        problem = problem_of()
+        batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return problem, batch, peak
+
+
 def test_largest_admissible_request_starts_in_bounded_memory(arm6):
     # 100 waypoints x 10 s: 200,602 limit rows when every segment has its own
     rng = np.random.default_rng(7)
     low, high = arm6.joint_limits.T
     targets = rng.uniform(low, high, (MAX_WAYPOINTS, arm6.dof))
     initial = np.stack([arm6.mid_position(), np.zeros(arm6.dof), np.zeros(arm6.dof)])
-    waypoints = [(target, MAX_WAYPOINT_DURATION_S) for target in targets]
-    tracemalloc.start()
-    try:
-        problem = assemble_qp(waypoints, initial, DEFAULT_DEGREE, arm6.control_frequency, arm6.v_max, arm6.a_max)
-        batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (batch.status, batch.iterations) == (qpsolve.STATUS_SOLVED, 1)
-    assert peak <= MEMORY_BOUND_BYTES
+
+    def request(durations):
+        waypoints = list(zip(targets, durations))
+        return lambda: assemble_qp(waypoints, initial, DEFAULT_DEGREE, arm6.control_frequency, arm6.v_max, arm6.a_max)
+
+    # one duration; durations of as many samples that all differ; the same,
+    # each repeated twice
+    distinct = MAX_WAYPOINT_DURATION_S - 1e-4 * np.arange(MAX_WAYPOINTS)
+    cases = {1: np.full(MAX_WAYPOINTS, MAX_WAYPOINT_DURATION_S), MAX_WAYPOINTS: distinct}
+    cases[MAX_WAYPOINTS // 2] = distinct[np.arange(MAX_WAYPOINTS) // 2]
+    peaks = {}
+    for n_blocks, durations in cases.items():
+        problem, batch, peaks[n_blocks] = peak_of(request(durations))
+        assert (batch.status, batch.iterations) == (qpsolve.STATUS_SOLVED, 1)
+        assert problem.a_matrix.n_stored == problem.n_eq + n_blocks * problem.a_matrix.blocks.shape[1]
+    assert peaks[1] <= MEMORY_BOUND_BYTES
+    # a shared block's rows are stored once, whatever the number of segments
+    assert peaks[MAX_WAYPOINTS // 2] < peaks[MAX_WAYPOINTS]
