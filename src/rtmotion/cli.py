@@ -135,7 +135,7 @@ def cmd_bench(args) -> int:
         shared, lower, upper = bench_problems(
             args.n, args.L, args.joints, args.fc, args.duration, args.vmax, args.amax, rng
         )
-        batch = qpsolve.solve_batch(shared.q_matrix, shared.a_matrix, lower, upper)
+        batch = qpsolve.solve_batch(shared.q_matrix, shared.a_matrix, lower, upper, start=shared.start)
         records.append(
             {
                 "n": args.n,

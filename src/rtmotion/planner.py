@@ -146,8 +146,8 @@ class Plan:
     local time u = (t - start_i) / durations[i] in [0, 1]. poses[i] is the
     pose vector (x, y, z, roll, pitch, yaw) that joint_waypoints[i] solves,
     None for a plan not made from poses. For the plan that replaces it,
-    structure is the QP structure the plan was solved on (assemble_qp's and
-    solve_batch's, or None), and walk the chain walk of joint_waypoints[-1]
+    structure is the QP structure the plan was solved on (assemble_qp's, or
+    None), and walk the chain walk of joint_waypoints[-1]
     (inverse_kinematics', or None). unit_rows[0][i] and unit_rows[1][i] are
     segment i's state_rows at u = 0 and u = 1, the structure's when it has
     one. Evaluation reads power_table, fixed when the plan is made: row m of
@@ -166,7 +166,7 @@ class Plan:
     build_time: float = 0.0
     iterations: int = 0
     poses: Optional[Array] = None  # (N, 6)
-    structure: tuple = field(default=(None, None), repr=False, compare=False)
+    structure: Optional[tuple] = field(default=None, repr=False, compare=False)
     walk: Optional[tuple[Array, Array]] = field(default=None, repr=False, compare=False)
     starts: list[float] = field(init=False, repr=False, compare=False)
     spans: list[float] = field(init=False, repr=False, compare=False)  # durations as floats
@@ -178,8 +178,7 @@ class Plan:
     def __post_init__(self):
         n, width, dof = self.coeffs.shape
         starts = [0.0] + np.cumsum(self.durations)[:-1].tolist()
-        built = self.structure[0]
-        unit_rows = qpbuild.unit_rows(self.degree, self.durations) if built is None else built[3]
+        unit_rows = qpbuild.unit_rows(self.degree, self.durations) if self.structure is None else self.structure[3]
         table = np.zeros((n, width, 3, dof))
         for k in range(3):  # u^m's coefficient in order k is unit_rows[1, k, m + k] c_(m + k)
             table[:, : width - k, k] = unit_rows[1, :, k, k:, None] * self.coeffs[:, k:]
@@ -377,17 +376,16 @@ def plan(
     joint_targets, walk = _solve_joint_waypoints(request, chain, s0.q, previous)
 
     t_build0 = time.perf_counter()
-    kept_build, kept_solve = (None, None) if previous is None else previous.structure
     try:
         problem = qpbuild.assemble_qp(
             list(zip(joint_targets, request.durations)), np.stack([s0.q, s0.qd, s0.qdd]),
-            degree, chain.control_frequency, chain.v_max, chain.a_max, kept_build,
+            degree, chain.control_frequency, chain.v_max, chain.a_max, None if previous is None else previous.structure,
         )
     except qpbuild.QpBuildError as exc:  # e.g. too few coefficients for the equality rows
         raise ValidationError(str(exc)) from exc
     build_time = time.perf_counter() - t_build0
 
-    batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper, previous=kept_solve)
+    batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper, start=problem.start)
     if batch.status != qpsolve.STATUS_SOLVED:
         failing = int(np.argmax(~batch.converged)) if not batch.converged.all() else 0
         raise QpFailure(failing, batch.status)
@@ -403,7 +401,7 @@ def plan(
         build_time=build_time,
         iterations=batch.iterations,
         poses=request.poses,
-        structure=(problem.structure, batch.structure),
+        structure=problem.structure,
         walk=walk,
     )
 

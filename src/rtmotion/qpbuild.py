@@ -12,25 +12,20 @@ A segment of D seconds has round(f_c * D) + 1 samples (at least 2), so one
 of whole control periods is sampled on every tick it spans. Only the bounds
 differ between joints: assemble_qp builds one column of them per joint.
 
-A is held as BlockRows: the 4N+2 equality rows form a dense head (continuity
-rows span two segments), and the limit rows one (R, L+1) block per distinct
-duration, shared by its segments. Every block has as many rows as the
-longest segment's: a shorter segment repeats the limit rows of its last
-tick, which adds copies of rows it already has and so no constraint. The
-bounds follow the stored rows: the head's, then each block's once, where
-the solver's start checks max |A x| over the block's segments against
-bounds that are symmetric. assemble_qp computes the sample grid once, for
-the cost and the limit rows. Q is carried as its (N, L+1, L+1) segment
-blocks (a dense Q is one block, see cost_blocks). Q and A depend on
-(degree, durations, control frequency) alone: assemble_qp returns them
-read-only, as the problem's structure, with the segments' rows at u = 0 and
-u = 1 that a plan is evaluated with, and a request given the structure of
-the plan it replaces gets the same Q and BlockRows when it repeats those
-three (a teleop window) and builds only its bounds.
+Q is carried as its (N, L+1, L+1) segment blocks (cost_blocks) and A as
+BlockRows: the 4N+2 equality rows as a dense head, the limit rows as one
+block per distinct duration. Q, A, the segments' rows at u = 0 and u = 1
+that a plan is evaluated with, and the minimizer over the equality rows in
+closed form (KnotStart) depend on (degree, durations, control frequency)
+alone: assemble_qp computes the sample grid once, returns them read-only as
+the problem's structure, and a request given the structure of the plan it
+replaces gets the same objects when it repeats those three (a teleop
+window) and builds only its bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -46,6 +41,7 @@ from rtmotion.poly import MIN_DEGREE, basis_row, state_rows  # noqa: F401
 Array = NDArray[np.float64]
 
 RIDGE = 1e-9
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 class QpBuildError(ValueError):
@@ -61,6 +57,11 @@ def _block_diagonal(blocks: Array) -> Array:
     return out.reshape(n_blocks * n_rows, n_blocks * n_cols)
 
 
+def cost_scale(blocks: Array) -> float:
+    """The factor taking Q's blocks to unit max-abs, as the solver scales Q."""
+    return 1.0 / max(float(blocks.max()), -float(blocks.min()), 0.5e-12)  # no abs(Q) temporary
+
+
 def cost_blocks(q_matrix: ArrayLike) -> Array:
     """Q as its (N, w, w) diagonal blocks: an (N, w, w) Q is that already, and
     a dense (n, n) Q is one block (a view, not a copy)."""
@@ -74,7 +75,7 @@ class BlockRows:
     head is (m_head, n); blocks is (D, R, w); segment i has block
     segment_of[i] on columns i*w .. (i+1)*w. The matrix's rows (shape,
     toarray, dot, tdot, gram) are the head's, then each segment's block in
-    turn. The n_stored rows that row_norms, extremes and a problem's bounds
+    turn. The n_stored rows that norms, extremes and a problem's bounds
     follow are the head's, then each block's once; spread takes them to the
     matrix's rows. A dense matrix is a head (wrap).
 
@@ -97,6 +98,14 @@ class BlockRows:
             raise QpBuildError("every block must be used")
         self.head, self.blocks, self.segment_of = head, blocks, segment_of
         self._blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
+        # max-abs of each stored row, as max(max, -min): abs would copy the
+        # rows. The tail's come from the transposed blocks, since numpy
+        # reduces a short contiguous axis (a block row) one row at a time
+        head_norms, tail_norms = (np.maximum(r.max(axis=1, initial=0.0), -r.min(axis=1, initial=0.0))
+                                  for r in (head, self._blocks_t))
+        self.norms = np.concatenate([head_norms, tail_norms.ravel()])
+        if np.any(self.norms <= 0):
+            raise QpBuildError("A contains an all-zero row")
         self.n_stored = head.shape[0] + n_blocks * n_tail
         self.shape = (head.shape[0] + len(segment_of) * n_tail, head.shape[1])
         # the segments in block order, and each segment's block, as indices:
@@ -129,14 +138,6 @@ class BlockRows:
     def __array__(self, dtype=None, copy=None):
         dense = self.toarray()
         return dense if dtype is None else dense.astype(dtype)
-
-    def row_norms(self) -> Array:
-        """Max-abs of each stored row, as max(max, -min): abs would copy the
-        rows. The tail's come from the transposed blocks, since numpy reduces
-        a short contiguous axis (a block row) one row at a time."""
-        head, tail = (np.maximum(r.max(axis=1, initial=0.0), -r.min(axis=1, initial=0.0))
-                      for r in (self.head, self._blocks_t))
-        return np.concatenate([head, tail.ravel()])
 
     def check_bounds(self, lower: Array, upper: Array) -> None:
         """Raise QpBuildError unless the block rows' bounds are symmetric."""
@@ -202,7 +203,8 @@ class QpProblem:
     first n_eq rows of A are equalities (lower == upper). a_matrix is
     BlockRows (or a dense array); lower and upper follow its stored rows,
     with one column per joint when they are 2-D. assemble_qp sets structure to
-    ((degree, control_frequency, durations as bytes), Q, A, unit_rows).
+    ((degree, control_frequency, durations as bytes), Q, A, unit_rows, start)
+    and start to the last, the solver's equality start (KnotStart, or None).
     """
 
     q_matrix: Array
@@ -211,6 +213,7 @@ class QpProblem:
     upper: Array
     n_eq: int
     structure: Optional[tuple] = None
+    start: Optional[KnotStart] = None
 
     @property
     def n_vars(self) -> int:
@@ -237,8 +240,6 @@ class QpProblem:
         if np.any(self.lower > self.upper):
             raise QpBuildError("lower bounds exceed upper bounds")
         rows.check_bounds(self.lower, self.upper)
-        if np.any(rows.row_norms() == 0.0):
-            raise QpBuildError("A contains an all-zero row")
 
 
 def _sample_grid(durations: Array, control_frequency: float) -> tuple[Array, NDArray[np.bool_]]:
@@ -286,6 +287,25 @@ FULL_RANK_DEGREE = 5
 def unit_rows(degree: int, durations: Array) -> Array:
     """Every segment's state_rows at u = 0 and at u = 1, (2, N, 3, L+1)."""
     return state_rows(degree, np.array([[0.0], [1.0]]), durations)
+
+
+def inverse_factor(matrix: Array) -> Array:
+    """L^-1 for matrix = L L^T (else numpy.linalg.LinAlgError), subnormal
+    entries flushed to 0: the inverse of a banded factor decays away from
+    the diagonal, and a product with subnormals runs many times slower."""
+    inverse = np.linalg.inv(np.linalg.cholesky(matrix))
+    inverse[np.abs(inverse) < _TINY] = 0.0
+    return inverse
+
+
+@functools.cache
+def _boundary_basis(degree: int) -> tuple[Array, Array]:
+    """A right inverse of unit_rows at D = 1 and their null space; read-only."""
+    rows = state_rows(degree, np.array([0.0, 1.0]), 1.0).reshape(6, degree + 1)
+    basis, triangle = np.linalg.qr(rows.T, mode="complete")
+    right_inverse, null_basis = basis[:, :6] @ np.linalg.inv(triangle[:6]).T, basis[:, 6:]
+    right_inverse.flags.writeable = null_basis.flags.writeable = False
+    return right_inverse, null_basis
 
 
 def _equality_rows(degree: int, durations: Array, rows: Optional[Array] = None) -> Array:
@@ -349,12 +369,79 @@ def build_equality(
     return _equality_rows(degree, durations), _equality_rhs(positions, initial_state)
 
 
-def _structure(degree: int, durations: Array, control_frequency: float) -> tuple[Array, BlockRows, Array]:
+class KnotStart:
+    """The minimizer over assemble_qp's equality rows and its multipliers, in
+    closed form over the knot states: the free-derivative form of polynomial
+    spline QPs (Richter, Bry & Roy, ISRR 2013), the null-space method
+    (Nocedal & Wright, Numerical Optimization, 16.2).
+
+    Segment i's coefficients are G_i s_i, s_i its boundary states (q, qd,
+    qdd at u = 0, then u = 1): G_i = E_i + F Y_i, E_i a right inverse of its
+    boundary rows, F their L-5 interior directions, Y_i = -(F^T Q_i F)^-1
+    F^T Q_i E_i. The head's bounds fix every boundary state but the interior
+    (qd, qdd) knots z, whose cost is one SPD block-tridiagonal K shared by
+    every joint. The boundary rows' multipliers are -H_i s_i, H_i = E_i^T Q_i
+    G_i. A segment is computed relative to its start position, which G_i
+    maps to its constant coefficient exactly (Q_i's first column is the
+    ridge's alone), so junctions far from q = 0 meet to the rounding of the
+    motion. Raises numpy.linalg.LinAlgError if K has no Cholesky factor (at
+    degree 7 with 3 samples a segment the ridge alone fixes some knots).
+    """
+
+    def __init__(self, degree: int, durations: Array, q_blocks: Array):
+        right_inverse, f = _boundary_basis(degree)
+        e = right_inverse * (durations[:, None] ** (np.arange(6) % 3))[:, None]  # D**k for order k
+        g = e + f @ -np.linalg.solve(f.T @ q_blocks @ f, f.T @ q_blocks @ e)  # (N, L+1, 6)
+        self.scale = cost_scale(q_blocks)  # H, K and lambda are the scaled cost's, the solver's
+        h = np.swapaxes(e, 1, 2) @ (q_blocks * self.scale) @ g
+        h = 0.5 * (h + np.swapaxes(h, 1, 2))
+        n_knots = len(durations) - 1
+        k = np.zeros((n_knots, 2, n_knots, 2))
+        i = np.arange(n_knots)
+        k[i, :, i] = h[:-1, 4:, 4:] + h[1:, 1:3, 1:3]
+        k[i[:-1], :, i[1:]] = h[1:-1, 1:3, 4:]
+        k[i[1:], :, i[:-1]] = h[1:-1, 4:, 1:3]
+        k = k.reshape(2 * n_knots, 2 * n_knots)
+        jacobi = 1.0 / np.sqrt(np.diagonal(k))
+        self.factor = inverse_factor(k * jacobi * jacobi[:, None]) * jacobi  # L^-1 J for J K J = L L^T
+        # a segment's boundary states, and its start position as a seventh,
+        # to its coefficients and lambda (H_i times a constant's: G_i^T Q_i)
+        constant = np.broadcast_to(np.eye(degree + 1, 1), (len(durations), degree + 1, 1))
+        self.coefficients = np.concatenate([g, constant], 2)
+        self.multipliers = -np.concatenate([h, np.swapaxes(g, 1, 2) @ (q_blocks[:, :, :1] * self.scale)], 2)
+
+    def __call__(self, b_eq: Array) -> tuple[Array, Array]:
+        """x and y with A_eq x = b_eq and scale * Q x + A_eq^T y = 0, for the
+        (4N+2, k) right-hand sides b_eq of build_equality's rows: y are the
+        multipliers of the scaled cost the solver iterates on."""
+        n, k = len(self.factor) // 2 + 1, b_eq.shape[1]
+        junctions = b_eq[6:].reshape(n - 1, 4, k)  # pass-through, then continuity rows
+        s = np.zeros((n, 7, k))  # positions relative to the start position, state 6
+        s[0, 6], s[0, 1:3], s[-1, 4:6] = b_eq[0], b_eq[1:3], b_eq[4:6]
+        np.subtract(junctions[:, 0], junctions[:, 1], out=s[1:, 6])
+        np.negative(junctions[:, 2:], out=s[1:, 1:3])
+        np.subtract(junctions[:, 0], s[:-1, 6], out=s[:-1, 3])
+        np.subtract(b_eq[3], s[-1, 6], out=s[-1, 3])
+        lam = self.multipliers @ s  # the interior knots are 0 so far: this is -K z's right-hand side
+        z = (self.factor.T @ (self.factor @ (lam[:-1, 4:] + lam[1:, 1:3]).reshape(-1, k))).reshape(n - 1, 2, k)
+        s[:-1, 4:6] += z
+        s[1:, 1:3] += z
+        lam = self.multipliers @ s
+        y = np.empty_like(b_eq)
+        y[:3], y[3:6] = lam[0, :3], lam[-1, 3:6]
+        y_junctions = y[6:].reshape(n - 1, 4, k)
+        np.add(lam[:-1, 3], lam[1:, 0], out=y_junctions[:, 0])
+        np.negative(lam[1:, :3], out=y_junctions[:, 1:])
+        return (self.coefficients @ s).reshape(-1, k), y
+
+
+def _structure(degree: int, durations: Array, control_frequency: float) -> tuple:
     """The part of assemble_qp that depends on (degree, durations,
     control_frequency) alone: the ridged cost blocks, the constraint rows
-    and the unit_rows the equality rows are made of, all made read-only. A
-    segment's limit rows and jerk block depend on its duration alone: they
-    are built, and the limit rows kept, once."""
+    and the unit_rows the equality rows are made of, all made read-only,
+    and from FULL_RANK_DEGREE on their KnotStart. A segment's limit rows
+    and jerk block depend on its duration alone: they are built, and the
+    limit rows kept, once."""
     index = {}  # distinct durations as first seen: with none repeated, block i is segment i's
     segment_of = np.array([index.setdefault(d, len(index)) for d in durations.tolist()])
     distinct = np.array(list(index))
@@ -364,9 +451,13 @@ def _structure(degree: int, durations: Array, control_frequency: float) -> tuple
     a_matrix = BlockRows(_equality_rows(degree, durations, ends), rows, segment_of)
     q_matrix = _jerk_blocks(degree, distinct, u, real)[segment_of]
     q_matrix += RIDGE * np.eye(degree + 1)
-    for array in (q_matrix, a_matrix.head, a_matrix.blocks, a_matrix._blocks_t, a_matrix.segment_of, ends):
+    try:
+        start = KnotStart(degree, durations, q_matrix) if degree >= FULL_RANK_DEGREE else None
+    except np.linalg.LinAlgError:  # K singular to working precision: the solver's dense start
+        start = None
+    for array in (q_matrix, a_matrix.head, a_matrix.blocks, a_matrix._blocks_t, a_matrix.norms, a_matrix.segment_of, ends):
         array.flags.writeable = False
-    return q_matrix, a_matrix, ends
+    return q_matrix, a_matrix, ends, start
 
 
 def assemble_qp(
@@ -390,8 +481,8 @@ def assemble_qp(
     factorizations stay stable.
 
     Q and A are read-only: previous, the structure of an earlier problem,
-    gives them when its degree, durations and control frequency are this
-    request's, and is otherwise ignored.
+    gives them and the start when its degree, durations and control
+    frequency are this request's, and is otherwise ignored.
     """
     positions, durations, initial_state = _checked_request(waypoints, initial_state, degree)
     if not all(np.all(np.isfinite(x) & (np.asarray(x) > 0)) for x in (v_max, a_max)):
@@ -400,7 +491,7 @@ def assemble_qp(
     structure = previous
     if structure is None or structure[0] != key:
         structure = (key, *_structure(degree, durations, control_frequency))
-    _, q_matrix, a_matrix, _ = structure
+    _, q_matrix, a_matrix, _, start = structure
     b_eq = _equality_rhs(positions, initial_state)
     n_eq = len(b_eq)
     lower = np.empty((a_matrix.n_stored,) + np.shape(v_max))
@@ -416,4 +507,5 @@ def assemble_qp(
         upper=upper,
         n_eq=n_eq,
         structure=structure,
+        start=start,
     )

@@ -81,7 +81,7 @@ def test_dense_view_matches_row_by_row_assembly(case):
     np.testing.assert_array_equal(np.asarray(problem.a_matrix), dense)
     assert problem.a_matrix.shape == dense.shape
     rows = problem.a_matrix
-    np.testing.assert_array_equal(rows.spread(rows.row_norms()), np.abs(dense).max(axis=1))
+    np.testing.assert_array_equal(rows.spread(rows.norms), np.abs(dense).max(axis=1))
     jerk = _block_diagonal(problem.q_matrix) - RIDGE * np.eye(problem.n_vars)
     np.testing.assert_allclose(jerk, q_ref, rtol=1e-12, atol=1e-12 * np.abs(q_ref).max())
     limits = np.tile([V_MAX, A_MAX], len(limit_rows) // 2)
@@ -174,7 +174,7 @@ def test_extremes_hold_a_shared_blocks_max_abs():
 
 def test_every_block_must_be_used():
     # a block no segment has would be an unused index
-    head, blocks = np.zeros((1, 18)), np.ones((2, 4, 6))
+    head, blocks = np.ones((1, 18)), np.ones((2, 4, 6))
     assert BlockRows(head, blocks, np.array([0, 1, 0])).n_stored == 1 + 2 * 4
     assert BlockRows(head, blocks, np.array([0, 1, 1])).n_stored == 1 + 2 * 4
     with pytest.raises(QpBuildError, match="every block must be used"):

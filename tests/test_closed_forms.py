@@ -2,6 +2,7 @@
 serves here as the test oracle only: rtmotion itself does not import
 scipy.spatial."""
 
+import json
 import math
 import os
 import subprocess
@@ -132,3 +133,53 @@ def test_importing_rtmotion_does_not_import_scipy_spatial():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+RUNTIME_WITHOUT_SCIPY = """
+import json, socket, sys
+from rtmotion import cli, iface
+from rtmotion.chain import forward_kinematics, load_chain
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+chain_path, waypoints_path, out_path = sys.argv[1:]
+loaded = {"import": scipy_modules()}
+assert cli.main(["plan", chain_path, waypoints_path, "--out", out_path]) == 0
+loaded["plan"] = scipy_modules()
+assert cli.main(["sim", "draw-line.json"]) == 0
+loaded["sim"] = scipy_modules()
+chain = load_chain(chain_path)
+pose = forward_kinematics(chain, chain.mid_position()).to_vector().tolist()
+request = {"id": "r1", "robot": "sim", "type": "rt-move-cartesian", "waypoints": [{"pose": pose, "duration": 0.5}]}
+server = iface.RobotServer(chain)
+server.start()
+try:
+    with socket.create_connection((server.host, server.port), timeout=5.0) as conn, conn.makefile("rb") as stream:
+        conn.sendall((json.dumps(request) + "\\n").encode())
+        while json.loads(stream.readline()).get("status") != "accepted":
+            pass
+finally:
+    server.stop()
+loaded["serve"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_the_runtime_loads_no_scipy(tmp_path):
+    # scipy is a test extra, the oracle of these tests: importing the CLI,
+    # planning a waypoint file, simulating a scenario and serving a request
+    # must run on numpy alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    data = src / "rtmotion" / "data"
+    out = subprocess.run(
+        [sys.executable, "-c", RUNTIME_WITHOUT_SCIPY, str(data / "chains" / "arm6.json"),
+         str(data / "waypoints" / "line7.json"), str(tmp_path / "plan.csv")],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert loaded == {"import": [], "plan": [], "sim": [], "serve": []}

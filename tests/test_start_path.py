@@ -1,6 +1,8 @@
 """Attack tests for the solver's start path, which reads each stored limit
 row once: a block that several segments share holds max |A x| over them,
 against bounds that must be symmetric, and the stopping test reduces those.
+The start itself, qpbuild.KnotStart, must meet every equality row and the
+stationarity condition to the rounding of their terms.
 
 Its verdict must be the dense formulation's, bit for bit: the stopping test
 on A x at every row of BlockRows.toarray(), clipped to the bounds spread to
@@ -17,10 +19,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rtmotion import qpsolve
+from rtmotion import qpbuild, qpsolve
 from rtmotion.planner import DEFAULT_DEGREE, MAX_WAYPOINT_DURATION_S, MAX_WAYPOINTS
 from rtmotion.qpbuild import QpProblem, assemble_qp
 
@@ -61,7 +63,7 @@ def limits_for(case):
     degree, durations, targets, initial, mode, factors = case
     waypoints = list(zip(targets, durations))
     loose = assemble_qp(waypoints, initial, degree, FC, np.full(targets.shape[1], LOOSE), np.full(targets.shape[1], LOOSE))
-    start = qpsolve.solve_batch(loose.q_matrix, loose.a_matrix, loose.lower, loose.upper)
+    start = qpsolve.solve_batch(loose.q_matrix, loose.a_matrix, loose.lower, loose.upper, start=loose.start)
     assert start.iterations == 1
     # per sample a velocity row then an acceleration row, as (N, samples, 2, k)
     values = (loose.a_matrix.toarray() @ start.p)[loose.n_eq :].reshape(len(durations), -1, 2, targets.shape[1])
@@ -95,12 +97,13 @@ def test_start_verdict_is_the_dense_formulations(case):
     # that fails gets ADMM iterations, capped here to keep the test short
     calls = []
     with mock.patch.object(qpsolve, "_stopping_test", lambda *terms: calls.append(terms) or stopping_test(*terms)):
-        batch = qpsolve.solve_batch(problem.q_matrix, rows, lower, upper, qpsolve.SolverSettings(max_iters=50))
+        batch = qpsolve.solve_batch(
+            problem.q_matrix, rows, lower, upper, qpsolve.SolverSettings(max_iters=50), problem.start
+        )
     ax, z, px, aty, settings_ = calls[0]
     start = stopping_test(ax, z, px, aty, settings_)
 
-    s = batch.structure
-    x, _ = qpsolve._kkt_solve(s.kkt, lower[s.eq_rows] * s.unit)
+    x, _ = problem.start(lower[: problem.n_eq])
     dense_ax = rows.per_segment().dot(x)
     np.testing.assert_allclose(dense_ax, rows.toarray() @ x, rtol=1e-13, atol=1e-13 * np.abs(dense_ax).max())
     dense_z = np.minimum(np.maximum(dense_ax, rows.spread(lower)), rows.spread(upper))
@@ -121,8 +124,46 @@ def test_both_verdicts_occur():
     for mode, passes in (("one segment", False), ("scaled", True)):
         v_max, a_max = limits_for((*case, mode, np.array([3.0, 3.0])))
         problem = assemble_qp(list(zip(case[2], case[1])), case[3], case[0], FC, v_max, a_max)
-        batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper)
+        batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper, start=problem.start)
         assert (batch.iterations == 1) == passes
+
+
+# subnormal inputs make subnormal terms, whose products round to 0
+REAL = {"allow_nan": False, "allow_subnormal": False}
+
+
+@settings(max_examples=60)
+@given(
+    degree=st.integers(5, 7),
+    log_duration=st.floats(np.log(0.02), np.log(5.0)),
+    spread=st.lists(st.floats(1.0, 2.0, **REAL), min_size=1, max_size=60),
+    positions=st.lists(st.floats(-3.0, 3.0, **REAL), min_size=122, max_size=122),
+    rates=st.lists(st.floats(-1.0, 1.0, **REAL), min_size=4, max_size=4),
+)
+# a teleop window 3 rad from 0; 60 segments of 0.05-0.1 s at degree 7
+@example(5, np.log(0.04), [1.0] * 5, [3.0 - 1e-3 * k for k in range(122)], [0.01, 0.0, 0.0, 0.0])
+@example(7, np.log(0.05), [1.0, 2.0] * 30, [(-1.0) ** k * 3.0 for k in range(122)], [1.0, -1.0, 1.0, -1.0])
+def test_knot_start_meets_every_equality_row(degree, log_duration, spread, positions, rates):
+    # durations mixed within a factor of 2 around a scale of 0.02-10 s, and
+    # positions anywhere in +-3 rad: each segment is computed relative to its
+    # start position, or a junction far from 0 would meet only to the
+    # rounding of that position (6.3e-11 rad/s^2 on teleop windows)
+    durations = np.exp(log_duration) * np.array(spread)
+    # a segment sampled at fewer points than its jerk has coefficients (L-2)
+    # leaves some knots to the ridge alone, and K singular to working precision
+    assume(np.round(FC * durations.min()) + 1 >= degree - 2)
+    q = np.reshape(positions, (61, 2))[: len(durations) + 1]
+    initial = np.vstack([q[0], np.reshape(rates, (2, 2))])
+    problem = assemble_qp(list(zip(q[1:], durations)), initial, degree, FC, np.full(2, LOOSE), np.full(2, LOOSE))
+    start, head, b_eq = problem.start, problem.a_matrix.head, problem.lower[: problem.n_eq]
+    x, y = start(b_eq)
+    # every start, terminal, pass-through and junction row, and P_s x +
+    # A_eq^T y, each within 1e-12 of the magnitude of the terms it sums
+    rows = np.abs(head @ x - b_eq) <= 1e-12 * (np.abs(head) @ np.abs(x) + np.abs(b_eq))
+    assert rows.all(), f"rows {np.flatnonzero(~rows.all(axis=1))} miss their right-hand sides"
+    p_s = qpbuild._block_diagonal(problem.q_matrix) * start.scale
+    stationary = np.abs(p_s @ x + head.T @ y) <= 1e-12 * (np.abs(p_s) @ np.abs(x) + np.abs(head.T) @ np.abs(y))
+    assert stationary.all()
 
 
 def test_block_row_bounds_must_be_symmetric():
@@ -154,7 +195,7 @@ def peak_of(problem_of):
     tracemalloc.start()
     try:
         problem = problem_of()
-        batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper)
+        batch = qpsolve.solve_batch(problem.q_matrix, problem.a_matrix, problem.lower, problem.upper, start=problem.start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

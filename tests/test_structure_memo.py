@@ -1,16 +1,15 @@
 """QP structure reuse through the plan a request replaces: given the
 previous problem's structure, qpbuild.assemble_qp returns the same read-only
-Q and A for a repeated request, and given the previous solution's structure,
-qpsolve.solve_batch reuses the LU of its start, with results bit-identical
-to a solve from scratch. Nothing is kept between calls otherwise. Within one
-structure, segments of one duration share their blocks."""
+Q, A and equality start for a repeated request, with results bit-identical
+to a solve from scratch. Nothing is kept between calls otherwise: the solver
+keeps nothing. Within one structure, segments of one duration share their
+blocks."""
 
 import sys
 import threading
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,23 +27,20 @@ from test_qpsolve import binding_problem
 BINDING = ([(1.0, 1.0)], (0.0, 0.0, 0.0), 7, 100.0, 1.8, 100.0)  # binding_problem's request
 
 
-def solved(problem, settings=None, previous=None):
+def solved(problem, settings=None):
+    """solve_batch of problem, from its structure's start, as the planner
+    solves it."""
     columns = len(problem.lower), -1
     return solve_batch(
         problem.q_matrix, problem.a_matrix, problem.lower.reshape(columns), problem.upper.reshape(columns),
-        settings, previous,
+        settings, problem.start,
     )
 
 
-def count_builds(monkeypatch) -> dict:
-    """Calls of qpbuild._structure and qpsolve._kkt_factor from now on."""
-    calls = {"structure": 0, "kkt": 0}
-    for module, name, key in ((qpbuild, "_structure", "structure"), (qpsolve, "_kkt_factor", "kkt")):
-        def counted(*args, _fn=getattr(module, name), _key=key):
-            calls[_key] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(module, name, counted)
+def count_builds(monkeypatch) -> list:
+    """Calls of qpbuild._structure from now on, one entry each."""
+    calls, build = [], qpbuild._structure
+    monkeypatch.setattr(qpbuild, "_structure", lambda *args: calls.append(1) or build(*args))
     return calls
 
 
@@ -77,12 +73,13 @@ class TestReuse:
 
     def test_binding_solves_factor_the_reduced_matrix_each_time(self, monkeypatch):
         calls = []
-        factor = scipy.linalg.cho_factor
-        monkeypatch.setattr(scipy.linalg, "cho_factor", lambda *a, **k: calls.append(1) or factor(*a, **k))
+        factor = qpsolve._inverse_factor
+        monkeypatch.setattr(qpsolve, "_inverse_factor", lambda *a: calls.append(1) or factor(*a))
         problem = binding_problem()
         first = solved(problem)
-        second = solved(assemble_qp(*BINDING, previous=problem.structure), previous=first.structure)
-        assert second.structure is first.structure  # the start is reused, the reduced factor is not
+        repeated = assemble_qp(*BINDING, previous=problem.structure)
+        assert repeated.start is problem.start  # the start is reused, the reduced factor is not
+        second = solved(repeated)
         assert len(calls) == 2
         assert first.status == STATUS_SOLVED and first.iterations > 1
         assert_same_solve(first, second)
@@ -90,40 +87,15 @@ class TestReuse:
         assert len(calls) == 3
 
     def test_other_tight_rows_do_not_reuse_the_start(self):
-        # the same read-only (Q, A) with one equality row freed: the start is
-        # factored over the remaining tight rows
+        # the same read-only (Q, A) with one equality row freed: the
+        # structure's start pins every head row, so the start is the dense
+        # one over the remaining tight rows, as without the structure's
         problem = binding_problem()
         bounds = problem.lower[:, None].copy(), problem.upper[:, None].copy()
-        first = solve_batch(problem.q_matrix, problem.a_matrix, *bounds)
         bounds[0][0], bounds[1][0] = -np.inf, np.inf  # the initial position
-        freed = solve_batch(problem.q_matrix, problem.a_matrix, *bounds, previous=first.structure)
-        assert freed.structure is not first.structure
-        assert not np.array_equal(freed.structure.tight, first.structure.tight)
+        freed = solve_batch(problem.q_matrix, problem.a_matrix, *bounds, start=problem.start)
         assert_same_solve(freed, solve_batch(problem.q_matrix, problem.a_matrix, *bounds))
-
-    def test_a_writeable_cost_is_never_memoized(self):
-        # the read-only rows of a memoized structure, with the caller's own Q:
-        # a change to Q between solves must show in the second solve
-        problem = assemble_qp([(0.3, 0.5), (1.0, 0.5)], (0.0, 0.0, 0.0), 5, 100.0, 1e3, 1e5)
-        q_matrix = problem.q_matrix.copy()
-        bounds = problem.lower[:, None], problem.upper[:, None]
-        before = solve_batch(q_matrix, problem.a_matrix, *bounds)
-        q_matrix[0] *= 50.0  # the first segment's block
-        after = solve_batch(q_matrix, problem.a_matrix, *bounds, previous=before.structure)
-        fresh = solve_batch(q_matrix.copy(), problem.a_matrix, *bounds)
-        assert after.structure is not before.structure
-        assert not np.array_equal(before.p, after.p)
-        assert_same_solve(after, fresh)
-
-    def test_a_writeable_dense_a_is_never_memoized(self):
-        problem = binding_problem()
-        dense = problem.a_matrix.toarray()
-        bounds = problem.lower[:, None], problem.upper[:, None]
-        before = solve_batch(problem.q_matrix, dense, *bounds)
-        dense[problem.n_eq :] *= 0.5  # the velocity limit doubles and no longer binds
-        after = solve_batch(problem.q_matrix, dense, *bounds, previous=before.structure)
-        assert after.structure is not before.structure
-        assert_same_solve(after, solve_batch(problem.q_matrix, dense.copy(), *bounds))
+        assert not np.array_equal(freed.p, solved(problem).p)
 
 
 class TestInvisible:
@@ -155,11 +127,10 @@ class TestInvisible:
         # exercise the iteration as well. Each request is given the
         # structures of the one before, as a plan is given the one it replaces
         short = SolverSettings(max_iters=400)
-        reused, problem, batch = [], None, None
+        reused, problem = [], None
         for request in requests:
             problem = assemble_qp(*request, previous=problem and problem.structure)
-            batch = solved(problem, short, batch and batch.structure)
-            reused.append((problem, batch))
+            reused.append((problem, solved(problem, short)))
         for request, (problem, batch) in zip(requests, reused):
             fresh = assemble_qp(*request)
             np.testing.assert_array_equal(problem.lower, fresh.lower)
@@ -172,7 +143,7 @@ class TestInvisible:
 @pytest.mark.parametrize("degree", [5, 7])
 def test_repeated_durations_build_what_one_segment_at_a_time_builds(degree):
     durations = np.array([0.3, 0.5, 0.3, 0.5, 0.04])
-    q_matrix, a_matrix, _ = qpbuild._structure(degree, durations, 100.0)
+    q_matrix, a_matrix = qpbuild._structure(degree, durations, 100.0)[:2]
     u, real = qpbuild._sample_grid(durations, 100.0)
     blocks, jerk = [], []
     for i, duration in enumerate(durations):
@@ -256,13 +227,13 @@ def test_teleop_replay_builds_one_structure(monkeypatch):
     calls = count_builds(monkeypatch)
     result = run_scenario(data_path("scenarios", "teleop-replay.json"))
     assert result.summary["preemptions"] >= 100
-    assert calls == {"structure": 1, "kkt": 1}
+    assert len(calls) == 1
 
 
 def test_a_teleop_session_shares_one_structure_across_its_windows(arm6, teleop_stream, monkeypatch):
-    # the session's first window builds and factors; every later one gets
-    # the same objects through the plan it replaces, and a new session
-    # builds its own
+    # the session's first window builds its structure, start included;
+    # every later one gets the same objects through the plan it replaces,
+    # and a new session builds its own
     count = 20
     stream = teleop_stream(2, count)
     calls = count_builds(monkeypatch)
@@ -272,5 +243,5 @@ def test_a_teleop_session_shares_one_structure_across_its_windows(arm6, teleop_s
         for k in range(count):
             assert session.submit(stream.window(k), stream.send_time(k)).accepted
             structures.append(session.active_plan.structure)
-        assert calls == {"structure": sessions, "kkt": sessions}
-        assert all(s[0] is structures[0][0] and s[1] is structures[0][1] for s in structures)
+        assert len(calls) == sessions
+        assert all(s is structures[0] for s in structures)
