@@ -20,13 +20,16 @@ closed form (KnotStart) depend on (degree, durations, control frequency)
 alone: assemble_qp computes the sample grid once, returns them read-only as
 the problem's structure, and a request given the structure of the plan it
 replaces gets the same objects when it repeats those three (a teleop
-window) and builds only its bounds.
+window) and builds only its bounds. That first reuse compiles the start
+into one verified matrix of the right-hand sides (KnotStart.compile); a
+fresh structure builds none.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +44,8 @@ from rtmotion.poly import MIN_DEGREE, basis_row, state_rows  # noqa: F401
 Array = NDArray[np.float64]
 
 RIDGE = 1e-9
+TOLERANCE = 1e-8  # the solver's default eps_abs and eps_rel (qpsolve.SolverSettings)
+MAP_SPREAD = 8.0  # the widest ratio of a structure's durations whose start is compiled
 _TINY = np.finfo(float).tiny  # the least normal float
 
 
@@ -409,6 +414,57 @@ class KnotStart:
         constant = np.broadcast_to(np.eye(degree + 1, 1), (len(durations), degree + 1, 1))
         self.coefficients = np.concatenate([g, constant], 2)
         self.multipliers = -np.concatenate([h, np.swapaxes(g, 1, 2) @ (q_blocks[:, :, :1] * self.scale)], 2)
+        self.map = None  # set by compile on the structure's first reuse; () if refused
+
+    def compile(self, head: Array, q_blocks: Array) -> None:
+        """This start as one verified matrix, set as self.map once.
+
+        _equality_rhs makes only N+3 rows of b_eq nonzero, `rows`: the
+        initial (q, qd, qdd), the terminal q and each interior pass-through.
+        On b_eq zero at the `others`, this start is linear in b_eq[rows]: M_x
+        is this call on their unit columns, M_y its multipliers. The
+        stationarity residual scale * Q M_x + A_eq^T M_y is checked here,
+        once: its largest absolute row sum bounds any such b_eq's residual
+        per unit of its max-abs, and M_y is then dropped (the equality's
+        residual is read off A x on each request). A bound over TOLERANCE,
+        which no b_eq of unit size could pass at the solver's default
+        tolerances, refuses the map: self.map is then (). Otherwise it is
+        (rows, others, M_x read-only, the bound), stored at once, so that a
+        thread reading it never sees it half-built.
+        """
+        n_seg, width = q_blocks.shape[:2]
+        rows = np.r_[0:4, 6 : 4 * n_seg + 2 : 4]
+        unit = np.zeros((4 * n_seg + 2, len(rows)))
+        unit[rows, np.arange(len(rows))] = 1.0
+        m_x, m_y = self(unit)
+        q_x = np.matmul(q_blocks * self.scale, m_x.reshape(n_seg, width, -1)).reshape(m_x.shape)
+        stationarity = float(np.abs(q_x + head.T @ m_y).sum(axis=1).max())
+        if not stationarity <= TOLERANCE:  # NaN included
+            self.map = ()
+            return
+        m_x.flags.writeable = False
+        self.map = (rows, np.flatnonzero(~unit.any(axis=1)), m_x, stationarity)
+
+    def mapped(self, b_eq: Array) -> Optional[tuple[Array, Array]]:
+        """x for the (4N+2, k) b_eq by the compiled map, with a bound on each
+        column's stationarity residual; None without a map, or for b_eq
+        nonzero off its rows.
+
+        The product is taken relative to the initial position, as __call__
+        takes each segment: an equal shift of every position moves each
+        segment's constant coefficient alone, so junctions far from q = 0
+        still meet to the rounding of the motion. The bound is the map's
+        times that motion's max-abs, to the rounding of the product."""
+        start_map = self.map  # read once: another thread may be compiling it
+        if not start_map or b_eq[start_map[1]].any():
+            return None
+        rows, _, m_x, stationarity = start_map
+        motion = b_eq[rows]  # q0, qd0, qdd0, then positions
+        motion[3:] -= b_eq[0]
+        motion[0] = 0.0
+        x = m_x @ motion
+        x.reshape(len(self.coefficients), -1, x.shape[1])[:, 0] += b_eq[0]
+        return x, stationarity * np.abs(motion).max(axis=0)
 
     def __call__(self, b_eq: Array) -> tuple[Array, Array]:
         """x and y with A_eq x = b_eq and scale * Q x + A_eq^T y = 0, for the
@@ -439,9 +495,10 @@ def _structure(degree: int, durations: Array, control_frequency: float) -> tuple
     """The part of assemble_qp that depends on (degree, durations,
     control_frequency) alone: the ridged cost blocks, the constraint rows
     and the unit_rows the equality rows are made of, all made read-only,
-    and from FULL_RANK_DEGREE on their KnotStart. A segment's limit rows
-    and jerk block depend on its duration alone: they are built, and the
-    limit rows kept, once."""
+    and from FULL_RANK_DEGREE on their KnotStart, never compiled when a
+    segment is under-sampled or the durations spread over MAP_SPREAD. A
+    segment's limit rows and jerk block depend on its duration alone: they
+    are built, and the limit rows kept, once."""
     index = {}  # distinct durations as first seen: with none repeated, block i is segment i's
     segment_of = np.array([index.setdefault(d, len(index)) for d in durations.tolist()])
     distinct = np.array(list(index))
@@ -455,6 +512,15 @@ def _structure(degree: int, durations: Array, control_frequency: float) -> tuple
         start = KnotStart(degree, durations, q_matrix) if degree >= FULL_RANK_DEGREE else None
     except np.linalg.LinAlgError:  # K singular to working precision: the solver's dense start
         start = None
+    if start is not None and (real.sum(axis=1).min() < degree - 2 or distinct.max() > MAP_SPREAD * distinct.min()):
+        # no map is built where it and the start call would both pass the
+        # stopping test yet differ: a segment sampled at fewer points than
+        # its jerk has coefficients leaves knots to the ridge alone (they
+        # differed by up to 1e-3), and durations spread wider than MAP_SPREAD
+        # make the knot system ill-conditioned (up to 6.3e-12 of max |p| at
+        # 12-37x, against 3.9e-13 at most under 8x over 5,215 seeded
+        # structures)
+        start.map = ()
     for array in (q_matrix, a_matrix.head, a_matrix.blocks, a_matrix._blocks_t, a_matrix.norms, a_matrix.segment_of, ends):
         array.flags.writeable = False
     return q_matrix, a_matrix, ends, start
@@ -482,16 +548,20 @@ def assemble_qp(
 
     Q and A are read-only: previous, the structure of an earlier problem,
     gives them and the start when its degree, durations and control
-    frequency are this request's, and is otherwise ignored.
+    frequency are this request's, and is otherwise ignored. The first such
+    reuse compiles the start (KnotStart.compile); a fresh structure builds
+    no map.
     """
     positions, durations, initial_state = _checked_request(waypoints, initial_state, degree)
-    if not all(np.all(np.isfinite(x) & (np.asarray(x) > 0)) for x in (v_max, a_max)):
+    limits = np.concatenate([np.ravel(v_max), np.ravel(a_max)])
+    if not (0.0 < limits.min() and limits.max() < math.inf):  # min and max return any NaN
         raise QpBuildError("velocity and acceleration limits must be positive and finite")
     key = (degree, control_frequency, durations.tobytes())
-    structure = previous
-    if structure is None or structure[0] != key:
-        structure = (key, *_structure(degree, durations, control_frequency))
+    reused = previous is not None and previous[0] == key
+    structure = previous if reused else (key, *_structure(degree, durations, control_frequency))
     _, q_matrix, a_matrix, _, start = structure
+    if reused and start is not None and start.map is None:  # the structure's first reuse
+        start.compile(a_matrix.head, q_matrix)
     b_eq = _equality_rhs(positions, initial_state)
     n_eq = len(b_eq)
     lower = np.empty((a_matrix.n_stored,) + np.shape(v_max))

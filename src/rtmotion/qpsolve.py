@@ -16,15 +16,19 @@ The iterate starts at the minimizer over the head's equality rows and its
 multipliers (z at A x clipped to [l, u], y 0 off the head), and is returned
 as it is, with iterations == 1, when it passes the stopping test: when no
 limit row is active. For assemble_qp's problems that start is the closed
-form of their structure (qpbuild.KnotStart). Otherwise (degree 4, a dense
-problem, a freed head row) a dense QR of the tight rows at unit norm gives
-it by the null-space method; rows rank-deficient to working precision fall
-back to the zero start, silently. The start's test reads A x at A's stored
-rows (BlockRows.extremes), which gives the verdict over every row, bit for
-bit. Only ADMM builds every segment's block, the dense scaled cost and the
-reduced matrix. A saddle point of a nonconvex cost passes the stopping test
-too, so the dense start raises numpy.linalg.LinAlgError for a Q that is not
-positive semidefinite (assemble_qp's is by construction).
+form of their structure (qpbuild.KnotStart). On a reused structure that
+start is one product by its compiled, verified map (KnotStart.compile),
+returned when A x passes the primal half of the stopping test, as any
+start's, and the map's stationarity bound passes eps_abs alone; any other
+request, a binding one included, takes the start call. Otherwise (degree 4,
+a dense problem, a freed head row) a dense QR of the tight rows at unit norm
+gives it by the null-space method; rows rank-deficient to working precision
+fall back to the zero start, silently. The start's test reads A x at A's
+stored rows (BlockRows.extremes), which gives the verdict over every row,
+bit for bit. Only ADMM builds every segment's block, the dense scaled cost
+and the reduced matrix. A saddle point of a nonconvex cost passes the
+stopping test too, so the dense start raises numpy.linalg.LinAlgError for a
+Q that is not positive semidefinite (assemble_qp's is by construction).
 
 The problems of a request's joints share Q and A and are solved as the
 columns of one batch (solve_batch). The solver keeps nothing between calls:
@@ -45,7 +49,7 @@ from numpy.typing import NDArray
 
 from rtmotion import qpbuild  # _block_diagonal through the module: a test counts its calls
 # ADMM factors through this name, which a test replaces to see whether it does
-from rtmotion.qpbuild import BlockRows, KnotStart, QpProblem, cost_blocks, cost_scale, inverse_factor as _inverse_factor
+from rtmotion.qpbuild import TOLERANCE, BlockRows, KnotStart, QpProblem, cost_blocks, cost_scale, inverse_factor as _inverse_factor
 
 Array = NDArray[np.float64]
 
@@ -68,8 +72,8 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SolverSettings:
-    eps_abs: float = 1e-8
-    eps_rel: float = 1e-8
+    eps_abs: float = TOLERANCE
+    eps_rel: float = TOLERANCE
     max_iters: int = 20000
 
     def __post_init__(self):
@@ -114,9 +118,10 @@ def solve_batch(
     lower and upper follow the stored rows of A (qpbuild.BlockRows), and a
     ValueError is raised unless those of its block rows are symmetric.
     start, the KnotStart of this Q and A (QpProblem.start), is used when
-    every head row's bounds are equal; otherwise the start is the dense one,
-    which raises numpy.linalg.LinAlgError for a Q that is not positive
-    semidefinite. Only a start that fails the stopping test is iterated.
+    every head row's bounds are equal, through its compiled map when the
+    request passes there; otherwise the start is the dense one, which raises
+    numpy.linalg.LinAlgError for a Q that is not positive semidefinite. Only
+    a start that fails the stopping test is iterated.
     """
     settings = settings or SolverSettings()
     t_start = time.perf_counter()
@@ -125,7 +130,17 @@ def solve_batch(
     n_problems, m_head = lower.shape[1], a.head.shape[0]
     a.check_bounds(lower, upper)
     if start is not None and (lower[:m_head] == upper[:m_head]).all():
-        scale, start_point = start.scale, start(lower[:m_head])
+        scale, mapped = start.scale, start.mapped(lower[:m_head])
+        if mapped is not None:
+            # the map's dual residual is a bound, with no terms for eps_rel
+            # to scale: held to eps_abs alone, a start the full test would
+            # refuse is never passed
+            x, dual_res = mapped
+            prim_res, prim_ref = _residual(*_at_rows(a, x, lower, upper), np.subtract)
+            converged = (prim_res <= settings.eps_abs + settings.eps_rel * prim_ref) & (dual_res <= settings.eps_abs)
+            if converged.all():
+                return BatchSolution(x, STATUS_SOLVED, 1, time.perf_counter() - t_start, prim_res, dual_res, converged)
+        start_point = start(lower[:m_head])
     else:
         scale = cost_scale(blocks)
         tight = _tight_rows(a, lower, upper)[:m_head]
@@ -136,10 +151,7 @@ def solve_batch(
         converged = np.zeros(n_problems, dtype=bool)
     else:
         x, y_head = start_point
-        # A x at the stored rows: its terms are those of every row
-        ax = a.extremes(x)
-        z = np.maximum(ax, lower)
-        np.minimum(z, upper, out=z)  # np.clip, without its overhead
+        ax, z = _at_rows(a, x, lower, upper)  # first: P_s x held through extremes' products raises the peak
         px = np.matmul(blocks, x.reshape(len(blocks), blocks.shape[1], n_problems)).reshape(x.shape) * scale
         prim_res, dual_res, converged = _stopping_test(ax, z, px, a.head.T @ y_head, settings)
 
@@ -234,22 +246,34 @@ def _dense_start(p_s: Array, head: Array, norms: Array, tight: NDArray[np.bool_]
     return x, y
 
 
+def _residual(first: Array, second: Array, combine) -> tuple[Array, Array]:
+    """Each column's max |first combine second| over its rows, and the
+    test's reference max(|first|, |second|), reduced from one (3, k, rows)
+    scratch array, as the tight rows are in solve_batch."""
+    terms = np.empty((3, first.shape[1], len(first)))
+    terms[0], terms[1] = first.T, second.T
+    combine(terms[0], terms[1], out=terms[2])
+    np.abs(terms, out=terms)
+    first_ref, second_ref, residual = terms.max(axis=2)
+    return residual, np.maximum(first_ref, second_ref)
+
+
+def _at_rows(a: BlockRows, x: Array, lower: Array, upper: Array) -> tuple[Array, Array]:
+    """A x at the stored rows (BlockRows.extremes), whose terms are those of
+    every row, and z at it clipped to [lower, upper]."""
+    ax = a.extremes(x)
+    z = np.maximum(ax, lower)
+    np.minimum(z, upper, out=z)  # np.clip, without its overhead
+    return ax, z
+
+
 def _stopping_test(ax: Array, z: Array, px: Array, aty: Array, settings: SolverSettings):
     """Primal and dual residuals of each column (ax is A x, px is P_s x and
     aty is A^T y), and whether each passes OSQP's test against the
-    tolerances. Each pair's terms are reduced from a (3, k, rows) scratch
-    array of its own, as the tight rows are in solve_batch."""
-    reduced = []
-    for first, second, combine in ((ax, z, np.subtract), (px, aty, np.add)):
-        terms = np.empty((3, first.shape[1], len(first)))
-        terms[0], terms[1] = first.T, second.T
-        combine(terms[0], terms[1], out=terms[2])
-        np.abs(terms, out=terms)
-        reduced.append(terms.max(axis=2))
-    (ax_ref, z_ref, prim_res), (px_ref, aty_ref, dual_res) = reduced
-    converged = (prim_res <= settings.eps_abs + settings.eps_rel * np.maximum(ax_ref, z_ref)) & (
-        dual_res <= settings.eps_abs + settings.eps_rel * np.maximum(px_ref, aty_ref)
-    )
+    tolerances."""
+    prim_res, prim_ref = _residual(ax, z, np.subtract)
+    dual_res, dual_ref = _residual(px, aty, np.add)
+    converged = (prim_res <= settings.eps_abs + settings.eps_rel * prim_ref) & (dual_res <= settings.eps_abs + settings.eps_rel * dual_ref)
     return prim_res, dual_res, converged
 
 

@@ -186,6 +186,18 @@ class TestLimitRows:
         with pytest.raises(QpBuildError, match="positive"):
             assemble_qp([(1.0, 1.0)], (0.0, 0.0, 0.0), 5, 10.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0], ids=["nan", "inf", "-inf", "zero", "negative"])
+    @pytest.mark.parametrize("per_joint", [False, True], ids=["scalar", "per joint"])
+    @pytest.mark.parametrize("which", ["v_max", "a_max"])
+    def test_rejects_every_limit_not_positive_and_finite(self, bad, per_joint, which):
+        shape = (3,) if per_joint else ()
+        waypoints, initial = [(np.ones(shape), 1.0)], np.zeros((3,) + shape)
+        limits = {"v_max": np.full(shape, 2.0), "a_max": np.full(shape, 8.0)}
+        assemble_qp(waypoints, initial, 5, 10.0, limits["v_max"], limits["a_max"])
+        limits[which].flat[-1] = bad  # the last joint's
+        with pytest.raises(QpBuildError, match="limits must be positive and finite"):
+            assemble_qp(waypoints, initial, 5, 10.0, limits["v_max"], limits["a_max"])
+
 
 class TestAssembleQp:
     def test_dimensions_and_equality_count(self):
